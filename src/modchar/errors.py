@@ -30,6 +30,10 @@ class NotSquare(ModcharError):
     pass
 
 
+class NotPrimitive(ModcharError):
+    pass
+
+
 # modules over matrix algebras
 class NotInvariant(ModcharError):
     pass

@@ -3,15 +3,17 @@
 Elements are packed integers: the element sum(a_i * w^i) is stored as
 sum(a_i * p^i), where w is the canonical generator (a root of the Conway
 polynomial of GF(p^k)).  All bulk operations work on numpy int64 arrays of
-packed values, so matrix arithmetic stays vectorized; multiplication goes
-through discrete-log tables, addition through base-p digit tables.  Every
-operation is deterministic, so downstream results are bit-reproducible.
+packed values, so matrix arithmetic stays vectorized; elementwise
+multiplication goes through discrete-log tables, addition through base-p digit
+tables.  A matrix product treats GF(p^k) as the vector space GF(p)^k: the
+digits of A times the GF(p)-expansion of B (each entry b replaced by the k x k
+matrix of x -> x.b) is one exact int64 product, reduced mod p and packed back.
+Every operation is deterministic, so downstream results are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     CompositeCharacteristic,
     FieldTooLarge,
     FieldMismatch,
+    NotPrimitive,
     NotSquare,
     ShapeMismatch,
 )
@@ -58,51 +61,11 @@ def factorize(n: int) -> dict[int, int]:
 # Computed from the definition: the minimal monic primitive polynomial of
 # degree k over GF(p) compatible with the Conway polynomials of all proper
 # subfields, minimality taken in the standard alternating-sign lexicographic
-# order.  Results are cached in memory and, when possible, in a small JSON
-# file so repeated runs skip the search.
+# order.  Results are cached in memory only: nothing outside the process is
+# read back, so a field's tables never rest on an unchecked polynomial.
 # ---------------------------------------------------------------------------
 
 _conway_mem: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def _cache_path() -> str | None:
-    override = os.environ.get("MODCHAR_CONWAY_CACHE")
-    if override:
-        return override
-    home = os.environ.get("HOME")
-    if not home:
-        return None
-    return os.path.join(home, ".cache", "modchar", "conway.json")
-
-
-def _load_disk_cache() -> None:
-    path = _cache_path()
-    if not path or not os.path.exists(path):
-        return
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        for key, coeffs in data.items():
-            p, k = key.split(",")
-            _conway_mem[(int(p), int(k))] = tuple(int(c) for c in coeffs)
-    except (OSError, ValueError):
-        pass
-
-
-def _store_disk_cache() -> None:
-    path = _cache_path()
-    if not path:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        data = {f"{p},{k}": list(c) for (p, k), c in _conway_mem.items()}
-        with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
-    except OSError:
-        pass
-
-
-_load_disk_cache()
 
 
 def _pol_mulmod(a, b, f, p):
@@ -257,7 +220,6 @@ def conway_polynomial(p: int, k: int) -> tuple[int, ...]:
     if found is None:
         raise FieldTooLarge(f"no Conway polynomial found for GF({p}^{k})")
     _conway_mem[key] = found
-    _store_disk_cache()
     return found
 
 
@@ -276,6 +238,8 @@ class FieldSpec:
       log[v]  discrete log of the packed value v (log[0] is a dummy 0)
       zech[m] log(1 + w^m), or ZECH_ZERO when 1 + w^m = 0
       dig[v]  base-p digit vector of v
+      mulx[d, v] digit vector of w^d.v; mulx[:, v] is the k x k matrix over
+              GF(p) of x -> x.v (narrowest unsigned dtype that holds p - 1)
     """
 
     def __init__(self, p: int, k: int):
@@ -312,6 +276,9 @@ class FieldSpec:
             if carry:
                 for j in range(k):
                     cur[j] = (cur[j] - carry * con[j]) % p
+        hits = np.bincount(exp[: q - 1], minlength=q)
+        if hits[0] or (hits[1:] != 1).any():
+            raise NotPrimitive(f"the Conway polynomial {self.conway} of {self!r} is not primitive")
         exp[q - 1 :] = exp[: q - 1]
         self._exp = exp
         log = np.zeros(q, dtype=np.int64)
@@ -323,6 +290,15 @@ class FieldSpec:
         self.zech = zech
         self.omega = int(exp[1]) if q > 2 else 1
         self.neg_one = int(self.neg(np.int64(1)))
+        # axis order (d, v, f): one np.take along v lays M(B) out row-major
+        mulx = np.empty((k, q, k), dtype=np.min_scalar_type(p - 1))
+        for d in range(k):
+            prod = self.mul(v, exp[d])
+            for f in range(k):  # one digit at a time: no (q, k) int64 temporary
+                mulx[d, :, f] = dig[prod, f]
+        self._mulx = mulx
+        # products of GF(p) digits summed over m.k terms stay exact in int64
+        self._max_inner = ((1 << 63) - 1) // (k * (p - 1) ** 2)
 
     # -- elementwise packed arithmetic (numpy arrays or scalars) ------------
 
@@ -397,27 +373,34 @@ class FieldSpec:
     # -- matrix multiply kernel ---------------------------------------------
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A.B over GF(q) as one exact integer product over GF(p).
+
+        The digits of A form an n x km matrix DA[i,(d,j)] = digit d of A[i,j];
+        B expands to the km x n'k matrix M(B)[(d,j),(l,f)] = digit f of
+        w^d.B[j,l].  Their int64 product reduced mod p holds the digits of
+        A.B.  B is expanded ceil(n'/k) columns at a time, so no expanded
+        block outgrows B's digit array.
+        """
         if A.shape[-1] != B.shape[0]:
             raise ShapeMismatch(f"matmul {A.shape} x {B.shape}")
         p, k = self.p, self.k
-        if k == 1:
+        m = B.shape[0]
+        if m > self._max_inner:
+            raise ShapeMismatch(f"inner dimension {m} overflows the exact int64 product")
+        if k == 1:  # digits and expansion are the identity: M(B) = B
             return (A @ B) % p
-        DA = np.moveaxis(self._dig[A], -1, 0)  # (k, n, m)
-        DB = np.moveaxis(self._dig[B], -1, 0)
-        planes = [None] * (2 * k - 1)
-        for d in range(k):
-            for e in range(k):
-                P = DA[d] @ DB[e]
-                s = d + e
-                planes[s] = P if planes[s] is None else planes[s] + P
-        red = self._dig[self._exp[: 2 * k - 1]]  # (2k-1, k) digits of w^s
-        out_digits = np.zeros(A.shape[:-1] + B.shape[1:] + (k,), dtype=np.int64)
-        for s in range(2 * k - 1):
-            Ps = planes[s] % p
-            for f in range(k):
-                if red[s, f]:
-                    out_digits[..., f] += red[s, f] * Ps
-        return (out_digits % p) @ self._pow
+        n, n2 = math.prod(A.shape[:-1]), math.prod(B.shape[1:])
+        out = np.zeros((n, n2), dtype=np.int64)
+        if out.size and m:
+            DA = np.take(self._dig, A.reshape(n, m), axis=0).transpose(0, 2, 1).reshape(n, k * m)
+            B2 = B.reshape(m, n2)
+            width = -(-n2 // k)
+            for c in range(0, n2, width):
+                blk = B2[:, c : c + width]
+                w = blk.shape[1]
+                MB = np.take(self._mulx, blk, axis=1).reshape(k * m, w * k).astype(np.int64)
+                out[:, c : c + w] = ((DA @ MB) % p).reshape(n, w, k) @ self._pow
+        return out.reshape(A.shape[:-1] + B.shape[1:])
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and (self.p, self.k) == (other.p, other.k)
@@ -511,12 +494,6 @@ class FqMatrix:
             raise ShapeMismatch("stack needs equal widths over one field")
         return FqMatrix(self.field, np.vstack([self.arr, other.arr]))
 
-    def take_rows(self, idx) -> "FqMatrix":
-        return FqMatrix(self.field, self.arr[list(idx), :])
-
-    def take_cols(self, idx) -> "FqMatrix":
-        return FqMatrix(self.field, self.arr[:, list(idx)])
-
 
 def mat_add(a: FqMatrix, b: FqMatrix) -> FqMatrix:
     if a.field != b.field:
@@ -555,10 +532,6 @@ def mat_arith(a: FqMatrix, b: FqMatrix, kind: str) -> FqMatrix:
     if kind == "kron":
         return mat_kron(a, b)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def mat_scale(a: FqMatrix, c: int) -> FqMatrix:
-    return FqMatrix(a.field, a.field.mul(a.arr, np.int64(c)))
 
 
 @dataclass(frozen=True)
@@ -856,13 +829,6 @@ class FqPolynomial:
                 acc = FqMatrix(F, F.add(acc.arr, diag))
         return acc
 
-    def eval_scalar(self, x: int) -> int:
-        F = self.field
-        acc = np.int64(0)
-        for c in self.coeffs[::-1]:
-            acc = F.add(F.mul(acc, np.int64(x)), np.int64(int(c)))
-        return int(acc)
-
     def frobenius_root(self):
         """For f with zero derivative, the g with g(x)^p = f(x): every p-th
         coefficient of f with the inverse Frobenius applied."""
@@ -1086,13 +1052,3 @@ def irreducible_factors(f: FqPolynomial, seed: int = 1) -> list[tuple[FqPolynomi
                 else:
                     collected[k] = (irr, mult)
     return [collected[k] for k in sorted(collected)]
-
-
-def poly_roots(f: FqPolynomial, seed: int = 1) -> list[tuple[int, int]]:
-    """Roots in the coefficient field with multiplicities, ascending."""
-    out = []
-    for g, m in irreducible_factors(f, seed):
-        if g.degree == 1:
-            root = int(g.field.neg(np.int64(int(g.coeffs[0]))))
-            out.append((root, m))
-    return sorted(out)

@@ -128,24 +128,35 @@ def word_stream(ngens: int, p: int, seed: int, max_len: int = 12):
 def spin(rep: Representation, seeds: FqMatrix) -> FqMatrix:
     """Canonical basis of the smallest invariant subspace containing the seeds.
 
-    Queued vectors are the raw ones whose insertion grew the span; spinning
-    them instead of the normalized basis rows closes the same subspace.
+    Closed layer by layer: the rows found last (the frontier) times all
+    generators side by side is one product, its reduction against the basis
+    so far another; the echelonized remainder joins the basis and becomes the
+    next frontier.  The result is the RREF of the subspace, so it does not
+    depend on the order in which vectors are found.
     """
     if seeds.cols != rep.dim:
         raise ShapeMismatch("seed width differs from the module dimension")
     F = rep.field
-    basis = WorkBasis(F, rep.dim)
-    queue = []
-    for row in seeds.arr:
-        if basis.insert(row.copy()):
-            queue.append(row.copy())
-    while queue:
-        v = queue.pop(0)
-        for g in rep.gens:
-            w = F.matmul(v[None, :], g.arr)[0]
-            if basis.insert(w):
-                queue.append(w)
-    return basis.matrix()
+    ech = echelonize(seeds)
+    R = ech.matrix.arr[: ech.rank]
+    piv = list(ech.pivots)
+    if not rep.gens:
+        return FqMatrix(F, R)
+    G = np.hstack([g.arr for g in rep.gens])
+    frontier = R
+    while len(frontier) and len(piv) < rep.dim:
+        X = F.matmul(frontier, G).reshape(-1, rep.dim)
+        # R is fully reduced, so X[:, piv] are the coefficients to subtract
+        X = F.sub(X, F.matmul(X[:, piv], R))
+        new = echelonize(FqMatrix(F, X))
+        frontier = new.matrix.arr[: new.rank]
+        if new.rank:
+            R = F.sub(R, F.matmul(R[:, list(new.pivots)], frontier))
+            piv += new.pivots
+            order = np.argsort(piv)
+            R = np.vstack([R, frontier])[order]
+            piv = [piv[i] for i in order]
+    return FqMatrix(F, R)
 
 
 def split(rep: Representation, sub: FqMatrix):
@@ -164,23 +175,17 @@ def split(rep: Representation, sub: FqMatrix):
         if not np.array_equal(back, img):
             raise NotInvariant("subspace is not invariant under the generators")
         sub_gens.append(FqMatrix(F, coords))
-        # quotient on the canonical completion by the non-pivot unit vectors
+        # quotient on the canonical completion by the non-pivot unit vectors,
+        # whose images are the rows comp of g
         if comp:
-            imgq = np.array([F.matmul(_unit(rep.dim, j)[None, :], g.arr)[0] for j in comp])
-            corr = F.matmul(imgq[:, piv], U)
-            red = F.add(imgq, F.neg(corr))
+            imgq = g.arr[comp]
+            red = F.sub(imgq, F.matmul(imgq[:, piv], U))
             quot_gens.append(FqMatrix(F, red[:, comp]))
         else:
             quot_gens.append(FqMatrix.zeros(F, 0, 0))
     sub_rep = Representation(F, ech.rank, tuple(sub_gens), rep.label + ".sub")
     quot_rep = Representation(F, len(comp), tuple(quot_gens), rep.label + ".quot")
     return sub_rep, quot_rep
-
-
-def _unit(n, j):
-    v = np.zeros(n, dtype=np.int64)
-    v[j] = 1
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ These deliberately avoid the word-stream chopping route: submodule lattices
 are enumerated via minimal submodules of quotients (pure hom/null-space
 computations), projective covers come from Fitting splittings of the regular
 module under random commuting endomorphisms, and composition multiplicities
-are hom dimensions against the covers.
+are hom dimensions against the covers.  The kernel oracles are the earlier
+implementations of the matrix product (one integer product per pair of digit
+planes) and of spin (one vector times one generator at a time).
 """
 
 from __future__ import annotations
@@ -23,6 +25,46 @@ from modchar.gfla import (
     nullspace,
     row_space,
 )
+
+
+def matmul_planes(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A.B over F: the k^2 digit-plane products, summed by degree and reduced
+    through the digits of w^s for s < 2k - 1."""
+    p, k = F.p, F.k
+    if k == 1:
+        return (A @ B) % p
+    DA = np.moveaxis(F._dig[A], -1, 0)  # (k, n, m)
+    DB = np.moveaxis(F._dig[B], -1, 0)
+    planes = [None] * (2 * k - 1)
+    for d in range(k):
+        for e in range(k):
+            P = DA[d] @ DB[e]
+            s = d + e
+            planes[s] = P if planes[s] is None else planes[s] + P
+    red = F._dig[F._exp[: 2 * k - 1]]  # (2k-1, k) digits of w^s
+    out_digits = np.zeros(A.shape[:-1] + B.shape[1:] + (k,), dtype=np.int64)
+    for s in range(2 * k - 1):
+        Ps = planes[s] % p
+        for f in range(k):
+            if red[s, f]:
+                out_digits[..., f] += red[s, f] * Ps
+    return (out_digits % p) @ F._pow
+
+
+def spin_by_vectors(r: rep.Representation, seeds: FqMatrix) -> FqMatrix:
+    """Canonical basis of the submodule generated by the seeds, closed one
+    vector times one generator at a time through a queue of the raw vectors
+    whose insertion grew the span."""
+    F = r.field
+    basis = WorkBasis(F, r.dim)
+    queue = [row.copy() for row in seeds.arr if basis.insert(row.copy())]
+    while queue:
+        v = queue.pop(0)
+        for g in r.gens:
+            w = matmul_planes(F, v[None, :], g.arr)[0]
+            if basis.insert(w):
+                queue.append(w)
+    return basis.matrix()
 
 
 def all_submodules(r: rep.Representation, simples, cap: int = 50000):

@@ -1,12 +1,28 @@
 """Field kernel tests: Conway polynomials, arithmetic, echelon, polynomials."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modchar import gfla
-from modchar.errors import CompositeCharacteristic, FieldTooLarge, NotSquare, ShapeMismatch
+from modchar.errors import (
+    CompositeCharacteristic,
+    FieldTooLarge,
+    NotPrimitive,
+    NotSquare,
+    ShapeMismatch,
+)
+
+sys.path.insert(0, str(Path(__file__).parent))
+import oracles  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def brute_force_conway(p, k):
@@ -58,6 +74,36 @@ def test_conway_gf16_gf25_brute_force():
     assert gfla.conway_polynomial(5, 2) == brute_force_conway(5, 2)
 
 
+def test_planted_conway_cache_is_ignored(tmp_path):
+    """x^2 + 1 is irreducible over GF(3) but not primitive; a field built on it
+    would be silently wrong.  Neither cache location is read or written."""
+    planted = {"3,2": [1, 0, 1]}
+    home_cache = tmp_path / "home" / ".cache" / "modchar" / "conway.json"
+    env_cache = tmp_path / "env" / "conway.json"
+    for path in (home_cache, env_cache):
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(planted))
+    env = dict(os.environ, HOME=str(tmp_path / "home"), MODCHAR_CONWAY_CACHE=str(env_cache))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "from modchar import gfla\n"
+        "F = gfla.field_make(3, 2)\n"
+        "print(*F.conway, F.element_order(F.omega))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["2", "2", "1", "8"]
+    for path in (home_cache, env_cache):
+        assert json.loads(path.read_text()) == planted
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["conway.json", "conway.json"]
+
+
+def test_non_primitive_conway_rejected(monkeypatch):
+    monkeypatch.setitem(gfla._conway_mem, (3, 2), (1, 0, 1))
+    with pytest.raises(NotPrimitive):
+        gfla.FieldSpec(3, 2)
+
+
 def test_field_errors():
     with pytest.raises(CompositeCharacteristic):
         gfla.field_make(6, 1)
@@ -88,6 +134,42 @@ def test_mat_arith_examples():
     assert np.array_equal(k.arr[:3, 3:], np.zeros((3, 3), dtype=int))
     with pytest.raises(ShapeMismatch):
         gfla.mat_arith(a, b, "mul")
+
+
+MATMUL_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (3, 4), (251, 1), (2, 8)]
+MATMUL_SHAPES = [(0, 4, 3), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 7, 5), (1, 1, 1), (4, 6, 9), (9, 2, 1)]
+
+
+@pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+def test_matmul_matches_digit_planes(p, k):
+    F = gfla.field_make(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    for n, m, n2 in MATMUL_SHAPES:
+        A = rng.integers(0, F.q, (n, m))
+        B = rng.integers(0, F.q, (m, n2))
+        got = F.matmul(A, B)
+        assert got.dtype == np.int64 and got.shape == (n, n2)
+        assert np.array_equal(got, oracles.matmul_planes(F, A, B))
+    # the extreme entries: every product term is (q-1).(q-1)
+    full = np.full((3, 40), F.q - 1, dtype=np.int64)
+    assert np.array_equal(F.matmul(full, full.T), oracles.matmul_planes(F, full, full.T))
+    # a single row, as spin and the Krylov chains use it
+    v = rng.integers(0, F.q, 13)
+    B = rng.integers(0, F.q, (13, 11))
+    assert np.array_equal(F.matmul(v[None, :], B)[0], oracles.matmul_planes(F, v[None, :], B)[0])
+    assert np.array_equal(F.matmul(v, B), oracles.matmul_planes(F, v, B))
+
+
+def test_mulx_table_dtype_and_exactness_bound(monkeypatch):
+    assert gfla.field_make(2, 8)._mulx.dtype == np.uint8
+    assert gfla.field_make(251, 1)._mulx.dtype == np.uint8
+    assert gfla.field_make(257, 1)._mulx.dtype == np.uint16
+    F = gfla.field_make(3, 2)
+    assert F._max_inner == (2**63 - 1) // (2 * 2**2)
+    monkeypatch.setattr(F, "_max_inner", 3)
+    F.matmul(np.ones((2, 3), dtype=np.int64), np.ones((3, 2), dtype=np.int64))
+    with pytest.raises(ShapeMismatch):
+        F.matmul(np.ones((2, 4), dtype=np.int64), np.ones((4, 2), dtype=np.int64))
 
 
 def test_echelonize_examples():

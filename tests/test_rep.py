@@ -33,6 +33,42 @@ def test_spin_examples():
     assert full.rows == 6
 
 
+@pytest.mark.parametrize("order", [24, 60])
+def test_spin_matches_vector_oracle(order):
+    import os, sys
+
+    sys.path.insert(0, os.path.dirname(__file__))
+    import oracles
+
+    if order == 24:
+        g = grp.enumerate_group([grp.perm_from_cycles(4, [(1, 2)]), grp.perm_from_cycles(4, [(1, 2, 3, 4)])])
+    else:
+        g = grp.enumerate_group([grp.perm_from_cycles(5, [(1, 2, 3)]), grp.perm_from_cycles(5, [(1, 2, 3, 4, 5)])])
+    rng = np.random.default_rng(order)
+    for F in (F2, F3, F4, gfla.field_make(3, 2)):
+        reg = grp.regular_rep(g, F)
+        n = reg.dim
+        cases = [
+            gfla.FqMatrix.zeros(F, 0, n),
+            gfla.FqMatrix.zeros(F, 2, n),
+            gfla.FqMatrix.identity(F, n),
+            gfla.FqMatrix(F, np.ones((1, n), dtype=np.int64)),
+        ]
+        for rows in (1, 1, 2, 3):
+            sparse = rng.random((rows, n)) < 0.1
+            cases.append(gfla.FqMatrix(F, rng.integers(0, F.q, (rows, n)) * sparse))
+        for seeds in cases:
+            assert rep.spin(reg, seeds) == oracles.spin_by_vectors(reg, seeds)
+
+
+def test_spin_without_generators():
+    bare = rep.Representation(F4, 3, (), "bare")
+    seeds = gfla.FqMatrix(F4, [[0, 2, 3], [0, 1, 1], [0, 0, 0]])
+    got = rep.spin(bare, seeds)
+    assert got == gfla.row_space(seeds) and got.rows == 2
+    assert rep.spin(bare, gfla.FqMatrix.zeros(F4, 0, 3)).rows == 0
+
+
 def test_split_examples():
     reg = grp.regular_rep(s3(), F3)
     sub, quot = rep.split(reg, gfla.FqMatrix.identity(F3, 6))
