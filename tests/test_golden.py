@@ -1,0 +1,38 @@
+"""Golden corpus: the exact stdout bytes of CLI commands whose inputs pass
+through the file readers, replayed in process through `cli.main()`.
+
+The inputs and the expected `<case>.out` files live in tests/golden/; every
+token of a command that names a file there is replaced by its path.
+`s4.ctb` is a copy of `ctab_table.out`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from modchar import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "mat_echelon": "mat echelon -a a9.mtx",
+    "mat_mul": "mat mul -a a9.mtx -b b9.mtx",
+    "mat_nullspace": "mat nullspace -a a9.mtx",
+    "mat_echelon_legacy": "mat echelon -a legacy3.mtx",
+    "grp_enum": "grp enum --gens s4.prm",
+    "grp_classes": "grp classes --gens s4.prm -p 3",
+    "rep_chop": "rep chop --rep a5_gf4.rep",
+    "rep_dual": "rep dual --rep a5_gf4.rep",
+    "ctab_table": "ctab table --gens s4.prm",
+    "ctab_blocks": "ctab blocks --table s4.ctb -p 2",
+    "dxm_enumerate": "dxm enumerate --fixture hn_mod3_b1_proj_c",
+    "dxm_verify": "dxm verify --fixture hn_mod3_b0_hn2",
+    "fixtures_load": "fixtures load hn_mod3_b1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_stdout(case, capsysbinary):
+    argv = [str(GOLDEN / t) if (GOLDEN / t).is_file() else t for t in CASES[case].split()]
+    assert cli.main(argv) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / f"{case}.out").read_bytes()
