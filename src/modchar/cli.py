@@ -7,6 +7,10 @@ Formats (LF newlines, no trailing whitespace):
   CTB order=<N> classes=<m> p=<p|0>  then m class lines `size order label
       pregular`, then one line per character `kind degree v1 ... vm` with
       values integers or cyc(n)[a/b,...]
+  DECSTATE block=<label> k=<rows> l=<columns>  then k `row <label> <degree>`
+      lines, `basic <indices>`, l `col <name> x|. : <k coefficients>` lines,
+      `candidates <N>` and N blocks of `cand ...` lines closed by `endcand`,
+      and `log <message>` lines
 
 Every command takes --seed (default 1), --out, --log; --log appends a
 hash-chained manifest entry, so identical manifests reproduce identical
@@ -14,6 +18,18 @@ bytes.  Exit codes: 0 ok, 2 domain error, 3 I/O or format error.
 
 The classic MeatAxe text matrix header `<mode> <q> <rows> <cols>` (mode 1)
 is accepted on input wherever an MTX file is expected.
+
+The readers share one tokenizer (textio).  Exit 3: a file that is not UTF-8;
+a missing or wrong header word; a header key missing, unknown or repeated; a
+header value that is not a non-negative integer (`block` excepted); a
+non-integer entry; more or fewer entries or lines than the header announces;
+an MTX/REP entry outside 0..q-1; a PRM line that is not a permutation; a CTB
+class line that is not 4 tokens with a 0/1 flag and a size and element order
+dividing the group order, or a character line that is not m+2 tokens with
+its degree as first value; a q that is not a prime power.  MTX, PRM and REP
+bodies may use any line layout.  Exit 2: q above 2^16 (FieldTooLarge, before
+any other work), a bad --field/--pins/--known value (usage error), and an
+out-of-range --char, --block or --blockindex.
 """
 
 from __future__ import annotations
@@ -29,7 +45,8 @@ import numpy as np
 
 from . import __version__, cond, ctab, dxm, fixtures, gfla, grp, rep
 from .cyclo import Cyclotomic, format_cyclotomic, parse_cyclotomic
-from .errors import FormatError, ModcharError
+from .errors import FieldTooLarge, FormatError, ModcharError
+from .textio import grid, header, ints, read_text
 
 
 # ---------------------------------------------------------------------------
@@ -50,42 +67,28 @@ def format_matrix(m: gfla.FqMatrix) -> str:
 
 
 def parse_matrix(text: str) -> gfla.FqMatrix:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines:
-        raise FormatError("empty matrix file")
-    head = lines[0].split()
-    if head[0] == "MTX":
-        kv = dict(t.split("=") for t in head[1:])
-        q, r, c = int(kv["q"]), int(kv["r"]), int(kv["c"])
-    elif len(head) == 4 and all(t.isdigit() for t in head):
+    first = text.lstrip().split("\n", 1)
+    legacy = first[0].split()
+    if len(legacy) == 4 and all(t.isdecimal() for t in legacy):
         # classic MeatAxe text header: mode q rows cols
-        mode, q, r, c = (int(t) for t in head)
+        mode, q, r, c = ints(legacy, "MeatAxe header")
         if mode != 1:
             raise FormatError(f"unsupported MeatAxe mode {mode}")
+        body = first[1:]
     else:
-        raise FormatError(f"bad matrix header: {lines[0]!r}")
-    p, k = _pk_from_q(q)
-    field = gfla.field_make(p, k)
-    entries = []
-    for line in lines[1:]:
-        entries.extend(int(t) for t in line.split())
-    if len(entries) != r * c:
-        raise FormatError(f"expected {r * c} entries, got {len(entries)}")
-    arr = np.array(entries, dtype=np.int64).reshape(r, c)
-    return gfla.FqMatrix(field, arr)
+        kv, body = header(text, "MTX", {"q": int, "r": int, "c": int})
+        q, r, c = kv["q"], kv["r"], kv["c"]
+    return gfla.FqMatrix(_field_of(q), grid(body, r, c, q))
 
 
-def _pk_from_q(q: int):
-    for p in range(2, q + 1):
-        if gfla.is_prime(p):
-            k = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                k += 1
-            if t == 1 and p**k == q:
-                return p, k
-    raise FormatError(f"{q} is not a prime power")
+def _field_of(q: int) -> gfla.FieldSpec:
+    """GF(q); a q above the ceiling is refused before it is factored."""
+    if q > gfla.FIELD_CEILING:
+        raise FieldTooLarge(f"q={q} exceeds the ceiling {gfla.FIELD_CEILING}")
+    factors = gfla.factorize(q)
+    if len(factors) != 1:
+        raise FormatError(f"q={q} is not a prime power")
+    return gfla.field_make(*factors.popitem())
 
 
 def format_perms(perms: list, degree: int) -> str:
@@ -96,19 +99,12 @@ def format_perms(perms: list, degree: int) -> str:
 
 
 def parse_perms(text: str):
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[0] != "PRM":
-        raise FormatError(f"bad permutation header: {lines[0]!r}")
-    kv = dict(t.split("=") for t in head[1:])
-    n, k = int(kv["n"]), int(kv["k"])
-    perms = []
-    for line in lines[1 : 1 + k]:
-        img = tuple(int(t) - 1 for t in line.split())
-        if sorted(img) != list(range(n)):
-            raise FormatError("line is not a permutation")
-        perms.append(img)
-    return perms
+    kv, body = header(text, "PRM", {"n": int, "k": int})
+    n = kv["n"]
+    arr = grid(body, kv["k"], n, n + 1)
+    if (np.sort(arr, axis=1) != np.arange(1, n + 1)).any():
+        raise FormatError(f"a PRM line is not a permutation of 1..{n}")
+    return [tuple(img) for img in (arr - 1).tolist()]
 
 
 def format_rep(r: rep.Representation) -> str:
@@ -120,22 +116,12 @@ def format_rep(r: rep.Representation) -> str:
 
 
 def parse_rep(text: str) -> rep.Representation:
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[0] != "REP":
-        raise FormatError(f"bad representation header: {lines[0]!r}")
-    kv = dict(t.split("=") for t in head[1:])
-    q, d, k = int(kv["q"]), int(kv["d"]), int(kv["k"])
-    p, kk = _pk_from_q(q)
-    field = gfla.field_make(p, kk)
-    body = []
-    for line in lines[1:]:
-        body.append([int(t) for t in line.split()])
-    gens = []
-    for gi in range(k):
-        arr = np.array(body[gi * d : (gi + 1) * d], dtype=np.int64)
-        gens.append(gfla.FqMatrix(field, arr))
-    return rep.Representation(field, d, tuple(gens))
+    kv, body = header(text, "REP", {"q": int, "d": int, "k": int})
+    q, d = kv["q"], kv["d"]
+    field = _field_of(q)
+    arr = grid(body, kv["k"] * d, d, q)
+    gens = tuple(gfla.FqMatrix(field, arr[i * d : (i + 1) * d]) for i in range(kv["k"]))
+    return rep.Representation(field, d, gens)
 
 
 def format_table(t: ctab.CharTable) -> str:
@@ -150,28 +136,31 @@ def format_table(t: ctab.CharTable) -> str:
 
 
 def parse_table(text: str) -> ctab.CharTable:
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[0] != "CTB":
-        raise FormatError(f"bad table header: {lines[0]!r}")
-    kv = dict(t.split("=") for t in head[1:])
-    order, m, p = int(kv["order"]), int(kv["classes"]), int(kv["p"])
+    kv, body = header(text, "CTB", {"order": int, "classes": int, "p": int})
+    m = kv["classes"]
+    if kv["order"] < 1:
+        raise FormatError("CTB: the group order must be positive")
+    if len(body) < m:
+        raise FormatError(f"CTB: expected {m} class lines, got {len(body)}")
     classes = []
-    for line in lines[1 : 1 + m]:
+    for line in body[:m]:
         toks = line.split()
-        classes.append(
-            ctab.ClassInfo(toks[2], int(toks[0]), int(toks[1]), toks[3] == "1")
-        )
+        if len(toks) != 4 or toks[3] not in ("0", "1"):
+            raise FormatError(f"CTB class line is not `size order label 0|1`: {line[:60]!r}")
+        size, order = ints(toks[:2], "CTB class line")
+        if min(size, order) < 1 or kv["order"] % size or kv["order"] % order:
+            raise FormatError(f"CTB class size and element order must divide the group order: {line[:60]!r}")
+        classes.append(ctab.ClassInfo(toks[2], size, order, toks[3] == "1"))
     chars = []
-    for line in lines[1 + m :]:
+    for line in body[m:]:
         toks = line.split()
-        kind = toks[0]
+        if len(toks) != m + 2:
+            raise FormatError(f"CTB character line needs {m + 2} tokens: {line[:60]!r}")
         vals = tuple(parse_cyclotomic(t) for t in toks[2:])
-        deg = vals[0]
-        if deg != Cyclotomic.from_rational(int(toks[1])):
+        if not vals or vals[0] != Cyclotomic.from_rational(ints(toks[1:2], "CTB degree")[0]):
             raise FormatError("degree check failed for a character line")
-        chars.append(ctab.Character(vals, kind))
-    return ctab.CharTable(order, tuple(classes), tuple(chars), p or None)
+        chars.append(ctab.Character(vals, toks[0]))
+    return ctab.CharTable(kv["order"], tuple(classes), tuple(chars), kv["p"] or None)
 
 
 def format_decomp_state(state: dxm.DecompState) -> str:
@@ -196,38 +185,33 @@ def format_decomp_state(state: dxm.DecompState) -> str:
 
 
 def parse_decomp_state(text: str) -> dxm.DecompState:
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[0] != "DECSTATE":
-        raise FormatError(f"bad state header: {lines[0]!r}")
-    kv = dict(t.split("=", 1) for t in head[1:])
-    rows = []
-    degrees = []
-    basic = ()
-    cols = []
-    candidates = []
-    current = []
-    log = []
-    for line in lines[1:]:
+    kv, body = header(text, "DECSTATE", {"block": str, "k": int, "l": int})
+    rows, degrees, basic, cols, candidates, current, log = [], [], (), [], [], [], []
+    ncand = None
+    for line in body:
         toks = line.split()
-        if toks[0] == "row":
+        word = toks[0]
+        if word == "row" and len(toks) == 3:
             rows.append(toks[1])
-            degrees.append(int(toks[2]))
-        elif toks[0] == "basic":
-            basic = tuple(int(t) for t in toks[1:])
-        elif toks[0] == "col":
-            sep = toks.index(":")
-            coeffs = dxm._vec([int(t) for t in toks[sep + 1 :]])
+            degrees.extend(ints(toks[2:], "DECSTATE row degree"))
+        elif word == "basic":
+            basic = tuple(ints(toks[1:], "DECSTATE basic"))
+        elif word == "col" and len(toks) == kv["k"] + 4 and toks[2] in ("x", ".") and toks[3] == ":":
+            coeffs = dxm._vec(ints(toks[4:], "DECSTATE col"))
             cols.append(dxm.ProjectiveColumn(toks[1], coeffs, toks[2] == "x"))
-        elif toks[0] == "cand":
-            current.append(tuple(int(t) for t in toks[1:]))
-        elif toks[0] == "endcand":
+        elif word == "cand":
+            current.append(tuple(ints(toks[1:], "DECSTATE cand")))
+        elif word == "endcand":
             candidates.append(tuple(current))
             current = []
-        elif toks[0] == "candidates":
-            pass
-        elif toks[0] == "log":
+        elif word == "candidates" and len(toks) == 2 and ncand is None:
+            (ncand,) = ints(toks[1:], "DECSTATE candidates")
+        elif word == "log":
             log.append(line[4:])
+        else:
+            raise FormatError(f"bad DECSTATE line: {line[:60]!r}")
+    if (len(rows), len(cols), len(candidates), current) != (kv["k"], kv["l"], ncand or 0, []):
+        raise FormatError("DECSTATE: the row, col and closed cand counts must equal k, l and candidates")
     return dxm.DecompState(
         kv["block"], tuple(rows), tuple(degrees), basic, tuple(cols),
         tuple(candidates), tuple(log),
@@ -273,9 +257,29 @@ def append_manifest(log_path: str, command: str, argv, seed, inputs, outputs):
 # ---------------------------------------------------------------------------
 
 
-def _field_arg(s: str) -> gfla.FieldSpec:
+def _field_arg(s: str) -> tuple[int, int]:
+    """`p,k` or `p` as (p, k); argparse reports a ValueError as a usage error."""
     p, _, k = s.partition(",")
-    return gfla.field_make(int(p), int(k or 1))
+    return int(p), int(k or 1)
+
+
+def _label_pairs(s: str) -> tuple[tuple[str, str], ...]:
+    """`a:b,c:d` as ((a, b), (c, d))."""
+    pairs = tuple(tuple(pair.split(":")) for pair in s.split(","))
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(s)
+    return pairs
+
+
+def _int_pairs(s: str) -> dict[int, int]:
+    return {int(a): int(b) for a, b in _label_pairs(s)}
+
+
+def _index(seq, i: int, option: str) -> int:
+    """`i` if it indexes `seq`; otherwise a domain error naming the option."""
+    if not 0 <= i < len(seq):
+        raise ModcharError(f"{option} {i} is out of range 0..{len(seq) - 1}")
+    return i
 
 
 def build_parser():
@@ -283,17 +287,17 @@ def build_parser():
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--log", default=argparse.SUPPRESS)
-    common.add_argument("--field", default=argparse.SUPPRESS, help="p,k")
+    common.add_argument("--field", type=_field_arg, default=argparse.SUPPRESS, help="p,k")
 
     ap = argparse.ArgumentParser(prog="modchar")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default=None)
     ap.add_argument("--log", default=None)
-    ap.add_argument("--field", default=None, help="p,k")
+    ap.add_argument("--field", type=_field_arg, default=None, help="p,k")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     sp = sub.add_parser("field", help="construct a field and print its data")
-    sp.add_argument("spec", help="p,k")
+    sp.add_argument("spec", type=_field_arg, help="p,k")
 
     sp = sub.add_parser("mat")
     sp.add_argument("op", choices=["add", "mul", "kron", "echelon", "nullspace", "minpoly", "charpoly"])
@@ -340,10 +344,10 @@ def build_parser():
     sp.add_argument("--block", default=None)
     sp.add_argument("--fixture")
     sp.add_argument("--endo")
-    sp.add_argument("--pins", default="")
+    sp.add_argument("--pins", type=_label_pairs, default=())
     sp.add_argument("--atom")
     sp.add_argument("--position", type=int, default=0)
-    sp.add_argument("--known", default="")
+    sp.add_argument("--known", type=_int_pairs, default=None)
     sp.add_argument("--gens")
     sp.add_argument("-p", type=int, default=0)
     sp.add_argument("--blockindex", type=int, default=0)
@@ -369,7 +373,7 @@ def _emit(args, text: str, outputs: list):
 
 
 def cmd_field(args, outputs):
-    F = _field_arg(args.spec)
+    F = gfla.field_make(*args.spec)
     lines = [
         f"field p={F.p} k={F.k} q={F.q}",
         "conway " + " ".join(str(c) for c in F.conway),
@@ -379,9 +383,9 @@ def cmd_field(args, outputs):
 
 
 def cmd_mat(args, outputs):
-    a = parse_matrix(open(args.a).read())
+    a = parse_matrix(read_text(args.a))
     if args.op in ("add", "mul", "kron"):
-        b = parse_matrix(open(args.b).read())
+        b = parse_matrix(read_text(args.b))
         out = gfla.mat_arith(a, b, args.op)
         _emit(args, format_matrix(out), outputs)
     elif args.op == "echelon":
@@ -398,25 +402,25 @@ def cmd_mat(args, outputs):
 
 
 def cmd_rep(args, outputs):
-    r = parse_rep(open(args.rep).read())
+    r = parse_rep(read_text(args.rep))
     if args.op == "chop":
         factors = rep.chop(r, args.seed)
         text = " ".join(f"{f.label}:{m}" for f, m in factors) + "\n"
         _emit(args, text, outputs)
     elif args.op == "spin":
-        seeds = parse_matrix(open(args.seeds).read())
+        seeds = parse_matrix(read_text(args.seeds))
         _emit(args, format_matrix(rep.spin(r, seeds)), outputs)
     elif args.op == "iso":
-        other = parse_rep(open(args.other).read())
+        other = parse_rep(read_text(args.other))
         h = rep.iso(r, other, args.seed)
         _emit(args, ("none\n" if h is None else format_matrix(h)), outputs)
     elif args.op == "dual":
         _emit(args, format_rep(rep.dual(r)), outputs)
     elif args.op == "tensor":
-        other = parse_rep(open(args.other).read())
+        other = parse_rep(read_text(args.other))
         _emit(args, format_rep(rep.tensor(r, other)), outputs)
     elif args.op == "hom":
-        other = parse_rep(open(args.other).read())
+        other = parse_rep(read_text(args.other))
         maps = rep.hom(r, other)
         text = f"dim {len(maps)}\n" + "".join(format_matrix(h) for h in maps)
         _emit(args, text, outputs)
@@ -432,7 +436,7 @@ def cmd_rep(args, outputs):
 
 
 def cmd_grp(args, outputs):
-    gens = parse_perms(open(args.gens).read())
+    gens = parse_perms(read_text(args.gens))
     g = grp.enumerate_group(gens)
     if args.op == "enum":
         _emit(args, f"order {g.order}\n", outputs)
@@ -444,11 +448,11 @@ def cmd_grp(args, outputs):
             lines.append(f"{lbl} size {cls.sizes[i]} order {cls.orders[i]} regular {1 if flags[i] else 0}")
         _emit(args, "\n".join(lines) + "\n", outputs)
     elif args.op == "cosets":
-        sub = parse_perms(open(args.sub).read())
+        sub = parse_perms(read_text(args.sub))
         act = grp.coset_action(g, sub)
         _emit(args, format_perms(list(act.perms), act.degree), outputs)
     elif args.op == "dcosets":
-        sub = parse_perms(open(args.sub).read())
+        sub = parse_perms(read_text(args.sub))
         dcs = grp.double_cosets(g, sub)
         lines = [f"count {len(dcs)}"]
         for rep_, size in dcs:
@@ -461,27 +465,27 @@ def cmd_cond(args, outputs):
         cmd_cond_dim(args, outputs)
         return
     if args.op == "perm":
-        gperms = parse_perms(open(args.rep).read())
-        ksub = parse_perms(open(args.sub).read())
-        field = _field_arg(args.field or "2,1")
+        gperms = parse_perms(read_text(args.rep))
+        ksub = parse_perms(read_text(args.sub))
+        field = gfla.field_make(*(args.field or (2, 1)))
         mats, orbits = cond.condense_perm(field, len(gperms[0]), ksub, gperms)
         text = f"orbits {len(orbits)}\n" + "".join(format_matrix(m) for m in mats)
         _emit(args, text, outputs)
         return
-    r = parse_rep(open(args.rep).read())
-    kgens = parse_rep(open(args.sub).read()) if args.sub else None
+    r = parse_rep(read_text(args.rep))
+    kgens = parse_rep(read_text(args.sub)) if args.sub else None
     setup = cond.make_idempotent(r, list(kgens.gens) if kgens else [])
     if args.op == "make":
         text = f"rank {setup.rank}\n" + format_matrix(setup.image_basis)
         _emit(args, text, outputs)
     elif args.op == "elem":
-        g = parse_matrix(open(args.element).read())
+        g = parse_matrix(read_text(args.element))
         _emit(args, format_matrix(cond.condense_element(setup, g)), outputs)
     elif args.op == "uncondense":
-        u = parse_matrix(open(args.space).read())
+        u = parse_matrix(read_text(args.space))
         _emit(args, format_matrix(cond.uncondense(setup, u)), outputs)
     elif args.op == "tensor":
-        other = parse_rep(open(args.other).read())
+        other = parse_rep(read_text(args.other))
         word = rep.AlgebraWord(((1, (0,)),))
         m = cond.condense_tensor(r, other, [word], word)
         _emit(args, format_matrix(m), outputs)
@@ -490,24 +494,24 @@ def cmd_cond(args, outputs):
 def cmd_cond_dim(args, outputs):
     """Expects the table file to carry the group's full canonical class list
     (as produced by `ctab table --gens`), so class indices line up."""
-    gens = parse_perms(open(args.gens).read())
+    gens = parse_perms(read_text(args.gens))
     g = grp.enumerate_group(gens)
-    sub = parse_perms(open(args.sub).read())
-    t = parse_table(open(args.table).read())
+    sub = parse_perms(read_text(args.sub))
+    t = parse_table(read_text(args.table))
     cls = grp.conjugacy_classes(g)
     if t.nclasses != cls.count:
         raise FormatError("table classes do not match the group's class list")
     kgrp = grp.enumerate_group(sub)
     kcls = grp.conjugacy_classes(kgrp)
     fusion = tuple(cls.class_of[krep] for krep in kcls.reps)
-    chi = t.characters[args.char]
+    chi = t.characters[_index(t.characters, args.char, "--char")]
     d = cond.condensed_dim(t, chi, kcls.sizes, fusion)
     _emit(args, f"dim {d}\n", outputs)
 
 
 def cmd_ctab(args, outputs):
     if args.op in ("table", "brauer"):
-        gens = parse_perms(open(args.gens).read())
+        gens = parse_perms(read_text(args.gens))
         g = grp.enumerate_group(gens)
         t = ctab.ordinary_table(g, args.seed) if args.op == "table" else ctab.brauer_table(g, args.p, args.seed)
         _emit(args, format_table(t), outputs)
@@ -529,7 +533,7 @@ def cmd_ctab(args, outputs):
             lines.append(f"{lbl} {deg} " + " ".join(str(x) for x in row))
         _emit(args, "\n".join(lines) + "\n", outputs)
         return
-    t = parse_table(open(args.table).read())
+    t = parse_table(read_text(args.table))
     if args.op == "restrict":
         rt = ctab.restrict_table(t, args.p)
         _emit(args, format_table(rt), outputs)
@@ -542,17 +546,17 @@ def cmd_ctab(args, outputs):
         _emit(args, "\n".join(lines) + "\n", outputs)
     elif args.op == "heights":
         b = ctab.blocks(t, args.p)
-        h = ctab.heights(b, args.block)
+        h = ctab.heights(b, _index(b.blocks, args.block, "--block"))
         lines = [f"{i} {v}" for i, v in sorted(h.items())]
         _emit(args, "\n".join(lines) + "\n", outputs)
     elif args.op == "project":
         b = ctab.blocks(t, args.p)
-        psi = t.characters[args.char]
-        proj = ctab.block_project(t, psi, b, args.block)
+        psi = t.characters[_index(t.characters, args.char, "--char")]
+        proj = ctab.block_project(t, psi, b, _index(b.blocks, args.block, "--block"))
         _emit(args, " ".join(format_cyclotomic(v) for v in proj.values) + "\n", outputs)
     elif args.op == "decompose":
         rt = ctab.restrict_table(t, args.p) if args.p else t
-        theta = rt.characters[args.char]
+        theta = rt.characters[_index(rt.characters, args.char, "--char")]
         basic = [c for i, c in enumerate(rt.characters) if i != args.char]
         coeffs = ctab.decompose_basic(basic, theta)
         _emit(args, " ".join(str(c) for c in coeffs) + "\n", outputs)
@@ -577,11 +581,7 @@ def _clifford_plan(src, dst):
 
 def cmd_dxm(args, outputs):
     if args.op == "dtd":
-        fx_or_file = args.cartan
-        if fx_or_file and os.path.exists(fx_or_file):
-            fx = fixtures.parse_fixture(open(fx_or_file).read())
-        else:
-            fx = fixtures.load(fx_or_file)
+        fx = _load_fixture_arg(args.cartan)
         k = args.rows or fx.meta_int("k")
         sols = dxm.dtd_solve(dxm.CartanInstance(fx.matrix, k))
         lines = [f"solutions {len(sols)}"]
@@ -618,23 +618,24 @@ def cmd_dxm(args, outputs):
             lines.append(f"atom {i} degree {deg} : " + " ".join(str(int(c)) for c in a))
         _emit(args, "\n".join(lines) + "\n", outputs)
     elif args.op == "projs":
-        gens = parse_perms(open(args.gens).read())
+        gens = parse_perms(read_text(args.gens))
         g = grp.enumerate_group(gens)
         table = ctab.ordinary_table(g, args.seed)
         bd = ctab.blocks(table, args.p)
-        cols = dxm.projectives_from_products(table, bd, args.blockindex)
+        cols = dxm.projectives_from_products(table, bd, _index(bd.blocks, args.blockindex, "--blockindex"))
         lines = [f"projectives {len(cols)}"]
         for c in cols:
             lines.append(f"{c.name} : " + " ".join(str(int(x)) for x in c.coeffs))
         _emit(args, "\n".join(lines) + "\n", outputs)
     elif args.op == "fitting":
-        state = _state_from_projbasis(_load_fixture_arg(args.fixture))
-        e = _load_fixture_arg(args.endo)
         fxa = _load_fixture_arg(args.fixture)
+        state = _state_from_projbasis(fxa)
+        e = _load_fixture_arg(args.endo)
         reg_mult = tuple(r[-1] for r in fxa.matrix)
         pins = []
-        for pair in args.pins.split(",") if args.pins else []:
-            a, b = pair.split(":")
+        for a, b in args.pins:
+            if a not in e.row_labels or b not in fxa.row_labels:
+                raise ModcharError(f"--pins {a}:{b} names a row label that is not in the fixtures")
             pins.append((e.row_labels.index(a), fxa.row_labels.index(b)))
         prob = dxm.FittingProblem(e.matrix, e.row_degrees, reg_mult, tuple(pins))
         survivors = dxm.fitting_match(state, prob)
@@ -664,11 +665,7 @@ def cmd_dxm(args, outputs):
         state = _state_from_projbasis(_load_fixture_arg(args.fixture))
         state = dxm.enumerate_candidates(state)
         if args.known:
-            known = {}
-            for pair in args.known.split(","):
-                a, b = pair.split(":")
-                known[int(a)] = int(b)
-            state = dxm.import_known_brauer(state, known)
+            state = dxm.import_known_brauer(state, args.known)
         if args.atom:
             fxa = _load_fixture_arg(args.atom)
             prob, degs, _b = atom_problem_from_fixture(fxa)
@@ -706,7 +703,7 @@ def _state_from_projbasis(fx, ncols=None):
 
 def _load_fixture_arg(name_or_path):
     if name_or_path and os.path.exists(name_or_path):
-        return fixtures.parse_fixture(open(name_or_path).read())
+        return fixtures.parse_fixture(read_text(name_or_path))
     return fixtures.load(name_or_path)
 
 

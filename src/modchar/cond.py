@@ -89,11 +89,6 @@ def condense_element(setup: CondensationSetup, g: FqMatrix) -> FqMatrix:
     return FqMatrix(F, img[:, list(setup.pivots)])
 
 
-def condense_module(setup: CondensationSetup, elements, label="cond") -> Representation:
-    gens = tuple(condense_element(setup, g) for g in elements)
-    return Representation(setup.rep.field, setup.rank, gens, label)
-
-
 def condensed_algebra(setup: CondensationSetup, elements, words=(), known_full=False):
     """Slice of the condensed algebra generated by the given elements.
 

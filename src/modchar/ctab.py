@@ -72,9 +72,6 @@ class CharTable:
     def nclasses(self) -> int:
         return len(self.classes)
 
-    def class_sizes(self):
-        return [c.size for c in self.classes]
-
     def exponent_bound(self) -> int:
         e = 1
         for c in self.classes:
@@ -268,6 +265,8 @@ def _nu(p: int, n: int) -> int:
 def blocks(table: CharTable, p: int) -> BlockData:
     """Block distribution via central characters reduced mod a fixed maximal
     ideal over p (lexicographically least irreducible factor of Phi_e mod p)."""
+    if any(chi.degree.is_zero() for chi in table.characters):
+        raise NonIntegral("a character of degree 0 has no central character")
     e = table.exponent_bound()
     Fp = field_make(p, 1)
     phi_e = cyclotomic_polynomial(e)

@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import NonUnitGaloisExponent, PRegularViolation
+from .errors import FormatError, NonUnitGaloisExponent, PRegularViolation
 from .gfla import (
     FieldSpec,
     FqMatrix,
@@ -136,9 +136,6 @@ class Cyclotomic:
         if self.n != 1:
             raise ValueError(f"{self} is irrational")
         return self.coeffs[0]
-
-    def is_integer(self) -> bool:
-        return self.n == 1 and self.coeffs[0].denominator == 1
 
     def as_int(self) -> int:
         f = self.as_fraction()
@@ -397,15 +394,24 @@ def format_cyclotomic(v: Cyclotomic) -> str:
 
 
 def parse_cyclotomic(s: str) -> Cyclotomic:
+    """Inverse of format_cyclotomic: an integer, `a/b`, or `cyc(n)[c0,c1,...]`
+    with such coefficients; anything else is a FormatError."""
     s = s.strip()
-    if not s.startswith("cyc("):
-        return Cyclotomic.from_rational(Fraction(s))
-    close = s.index(")")
-    n = int(s[4:close])
-    body = s[close + 1 :]
-    assert body.startswith("[") and body.endswith("]")
-    coeffs = [Fraction(t) for t in body[1:-1].split(",")] if body != "[]" else []
-    return Cyclotomic(n, coeffs)
+    try:
+        if not s.startswith("cyc("):
+            return Cyclotomic.from_rational(_rational(s))
+        n, close, body = s[4:].partition(")")
+        if not (close and body.startswith("[") and body.endswith("]") and int(n) >= 1):
+            raise ValueError
+        coeffs = [_rational(t) for t in body[1:-1].split(",")] if body != "[]" else []
+        return Cyclotomic(int(n), coeffs)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"bad cyclotomic value {s[:60]!r}") from None
+
+
+def _rational(t: str) -> Fraction:
+    num, _, den = t.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 # -- ATLAS-style names for the quadratic irrationalities ----------------------

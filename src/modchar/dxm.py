@@ -157,16 +157,6 @@ class DecompState:
         """Columns of the current projective basic set."""
         return [col.coeffs for col in self.proj_basic]
 
-    def basic_degree_atoms(self) -> list[Fraction]:
-        """Degrees v with (basic expansion of bold rows) . v = bold degrees."""
-        idx = list(self.brauer_basic)
-        cols = [[Fraction(self.proj_basic[j].coeffs[i]) for i in idx] for j in range(self.l)]
-        target = _vec([self.row_degrees[i] for i in idx])
-        sol = solve_exact([tuple(c) for c in cols], target)
-        if sol is None:
-            raise SingularA("basic rows do not determine degrees")
-        return sol
-
 
 # ---------------------------------------------------------------------------
 # Projective characters from products and induction
@@ -418,18 +408,6 @@ def fitting_match(state: DecompState, problem: FittingProblem):
     if not survivors:
         raise NoAdmissibleMatching("no bijection passes the integrality filter")
     return survivors
-
-
-def apply_fitting(state: DecompState, problem: FittingProblem, pim_names=None):
-    """Run fitting_match expecting a unique survivor; returns the assignment
-    and the proven indecomposable columns (the caller assembles the new basic
-    set, typically interleaving carried-over columns)."""
-    survivors = fitting_match(state, problem)
-    if len(survivors) != 1:
-        raise AmbiguousCase(f"{len(survivors)} matchings survive")
-    assignment, cols = survivors[0]
-    names = pim_names or [f"pim{j + 1}" for j in range(len(cols))]
-    return assignment, [ProjectiveColumn(n, c, True) for n, c in zip(names, cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 
 from ..errors import FormatError
+from ..textio import ints
 
 
 @dataclass(frozen=True)
@@ -45,98 +46,57 @@ class Fixture:
         return tuple(out)
 
     def meta_int(self, key: str) -> int:
-        return int(self.meta[key])
+        return ints([self.meta.get(key, "")], f"fixture {self.name} meta {key}")[0]
 
 
 def _parse_entries(tokens):
-    out = []
-    for t in tokens:
-        if t == ".":
-            out.append(0)
-        else:
-            out.append(int(t))
-    return tuple(out)
+    return tuple(ints(["0" if t == "." else t for t in tokens], "fixture entries"))
 
 
 def parse_fixture(text: str) -> Fixture:
-    name = ""
-    kind = ""
-    meta: dict[str, str] = {}
-    row_labels: list[str] = []
-    row_degrees: list[int] = []
-    row_extra: list[tuple[str, ...]] = []
-    matrix: list[tuple[int, ...]] = []
-    col_labels: tuple[str, ...] = ()
-    col_degrees: tuple[int, ...] = ()
-    basic_rows: tuple[str, ...] = ()
-    col_pairs: list[tuple[int, int]] = []
-    indec: tuple[bool, ...] = ()
-    sections: dict[str, list] = {}
+    fields: dict = {"name": "", "kind": "", "meta": {}, "col_pairs": (), "sections": {}}
+    rows = []  # (label, degree, extra labels, entries)
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "FIXTURE":
-            name = tokens[1]
-        elif head == "kind":
-            kind = tokens[1]
+        head, args = tokens[0], tokens[1:]
+        if head in ("FIXTURE", "kind", "meta", "sline") and not args:
+            raise FormatError(f"{head} without its argument")
+        if head in ("FIXTURE", "kind"):
+            fields["name" if head == "FIXTURE" else "kind"] = args[0]
         elif head == "meta":
-            meta[tokens[1]] = " ".join(tokens[2:])
-        elif head == "collabels":
-            col_labels = tuple(tokens[1:])
+            fields["meta"][args[0]] = " ".join(args[1:])
+        elif head in ("collabels", "basicrows"):
+            fields["col_labels" if head == "collabels" else "basic_rows"] = tuple(args)
         elif head == "coldegrees":
-            col_degrees = _parse_entries(tokens[1:])
-        elif head == "basicrows":
-            basic_rows = tuple(tokens[1:])
+            fields["col_degrees"] = _parse_entries(args)
         elif head == "colpairs":
-            for pair in tokens[1:]:
-                a, b = pair.split(":")
-                col_pairs.append((int(a) - 1, int(b) - 1))
+            pairs = [ints(pair.partition(":")[::2], f"fixture colpair {pair!r}") for pair in args]
+            fields["col_pairs"] += tuple((a - 1, b - 1) for a, b in pairs)
         elif head == "indecomposable":
-            indec = tuple(t == "x" for t in tokens[1:])
+            fields["indecomposable"] = tuple(t == "x" for t in args)
         elif head == "row":
-            if ":" not in tokens:
-                raise FormatError(f"row without entry separator: {line}")
-            sep = tokens.index(":")
-            labels = tokens[1:sep]
-            entries = _parse_entries(tokens[sep + 1 :])
-            row_labels.append(labels[0])
-            deg = 0
-            extra = []
-            if len(labels) > 1:
-                try:
-                    deg = int(labels[1])
-                    extra = labels[2:]
-                except ValueError:
-                    extra = labels[1:]
-            row_degrees.append(deg)
-            row_extra.append(tuple(extra))
-            matrix.append(entries)
+            sep = tokens.index(":") if ":" in tokens else 0
+            if sep < 2:
+                raise FormatError(f"row without a label and entry separator: {raw[:60]!r}")
+            label, *more = tokens[1:sep]
+            try:  # an optional degree follows the label
+                degree, more = int(more[0]), more[1:]
+            except (IndexError, ValueError):
+                degree = 0
+            rows.append((label, degree, tuple(more), _parse_entries(tokens[sep + 1 :])))
         elif head == "sline":
             # sline <section> <payload...>
-            sections.setdefault(tokens[1], []).append(tuple(tokens[2:]))
+            fields["sections"].setdefault(args[0], []).append(tuple(args[1:]))
         else:
             raise FormatError(f"unknown directive {head!r}")
-    widths = {len(r) for r in matrix}
+    widths = {len(r[3]) for r in rows}
     if len(widths) > 1:
-        raise FormatError(f"ragged matrix in fixture {name}: widths {sorted(widths)}")
-    return Fixture(
-        name=name,
-        kind=kind,
-        meta=meta,
-        row_labels=tuple(row_labels),
-        row_degrees=tuple(row_degrees),
-        row_extra=tuple(row_extra),
-        matrix=tuple(matrix),
-        col_labels=col_labels,
-        col_degrees=col_degrees,
-        basic_rows=basic_rows,
-        col_pairs=tuple(col_pairs),
-        indecomposable=indec,
-        sections={k: tuple(v) for k, v in sections.items()},
-    )
+        raise FormatError(f"ragged matrix in fixture {fields['name']}: widths {sorted(widths)}")
+    fields["sections"] = {k: tuple(v) for k, v in fields["sections"].items()}
+    labels, degrees, extra, matrix = (tuple(col) for col in zip(*rows)) if rows else ((),) * 4
+    return Fixture(row_labels=labels, row_degrees=degrees, row_extra=extra, matrix=matrix, **fields)
 
 
 def _fixture_dir():
@@ -152,13 +112,7 @@ def list_fixtures() -> list[str]:
 
 
 def load(name: str) -> Fixture:
-    path = _fixture_dir() / f"{name}.txt"
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise FormatError(f"no fixture named {name!r}") from None
-    fx = parse_fixture(text)
-    return fx
+    return parse_fixture(fixture_text(name))
 
 
 def fixture_text(name: str) -> str:

@@ -243,11 +243,13 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int):
+        # the size first: k > 16 exceeds the ceiling for every p >= 2, and a
+        # huge p or k would make p**k or the primality test hang
+        if not 1 <= k <= 16 or p**k > FIELD_CEILING:
+            raise FieldTooLarge(f"GF({p}^{k}) exceeds the ceiling {FIELD_CEILING}")
         if not is_prime(p):
             raise CompositeCharacteristic(f"{p} is not prime")
         q = p**k
-        if k < 1 or q > FIELD_CEILING:
-            raise FieldTooLarge(f"GF({p}^{k}) exceeds the ceiling {FIELD_CEILING}")
         self.p = p
         self.k = k
         self.q = q

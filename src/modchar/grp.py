@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GroupTooLarge, NotSubgroup, TooLarge
+from .errors import GeneratorCountMismatch, GroupTooLarge, NotSubgroup, TooLarge
 from .gfla import FieldSpec, FqMatrix
 
 Perm = tuple[int, ...]
@@ -104,7 +104,7 @@ def enumerate_group(gens, bound: int = GROUP_BOUND) -> PermGroup:
     """Breadth-first closure; layers are sorted lexicographically by image."""
     gens = tuple(tuple(g) for g in gens)
     if not gens:
-        raise ValueError("at least one generator required")
+        raise GeneratorCountMismatch("at least one generator required")
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise NotSubgroup("generators act on different point sets")
@@ -301,14 +301,6 @@ def regular_rep(g: PermGroup, field: FieldSpec):
         raise TooLarge("regular representation too large")
     return Representation(
         field, g.order, tuple(perm_matrices(act.perms, field)), "regular"
-    )
-
-
-def action_rep(act: CosetAction, field: FieldSpec):
-    from .rep import Representation
-
-    return Representation(
-        field, act.degree, tuple(perm_matrices(act.perms, field)), "cosets"
     )
 
 

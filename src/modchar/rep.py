@@ -86,13 +86,6 @@ class AlgebraWord:
             acc = F.add(acc, F.mul(np.int64(coeff % F.q), cur))
         return FqMatrix(F, acc)
 
-    def describe(self) -> str:
-        parts = []
-        for coeff, idxs in self.terms:
-            prod = "*".join(f"g{i}" for i in idxs) if idxs else "1"
-            parts.append(f"{coeff}.{prod}")
-        return " + ".join(parts)
-
 
 def word_stream(ngens: int, p: int, seed: int, max_len: int = 12):
     """Deterministic stream: generators and short products first, then seeded

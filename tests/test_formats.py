@@ -1,0 +1,352 @@
+"""The input boundary: a malformed MTX, PRM, REP, CTB, DECSTATE or fixture
+text is a FormatError (exit 3), a well-formed value outside the library's
+domain is another ModcharError (exit 2), and nothing else escapes."""
+
+import contextlib
+import io
+import os
+import string
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from modchar import cli, ctab, dxm, fixtures, gfla, rep
+from modchar.cyclo import Cyclotomic, parse_cyclotomic
+from modchar.errors import FieldTooLarge, FormatError, ModcharError
+from modchar.textio import read_text
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_main(argv) -> int:
+    """cli.main in process, with its stdout and stderr swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main([str(a) for a in argv])
+
+
+# -- faults that tracebacked, hung or gave a wrong answer ----------------------
+
+FAULTS = {
+    "empty_prm": (cli.parse_perms, "", "grp enum --gens"),
+    "empty_rep": (cli.parse_rep, "", "rep dual --rep"),
+    "prm_without_k": (cli.parse_perms, "PRM n=3\n2 1 3\n", "grp enum --gens"),
+    "mtx_without_c": (cli.parse_matrix, "MTX q=3 r=2\n1 2\n2 1\n", "mat echelon -a"),
+    "non_integer_entry": (cli.parse_matrix, "MTX q=3 r=1 c=2\n1 x\n", "mat echelon -a"),
+    "prm_missing_line": (cli.parse_perms, "PRM n=3 k=2\n2 1 3\n", "grp enum --gens"),
+    "rep_extra_row": (cli.parse_rep, "REP q=2 d=2 k=1\n1 0\n0 1\n1 1\n", "rep dual --rep"),
+    "ctb_missing_class_lines": (cli.parse_table, "CTB order=6 classes=3 p=0\n1 1 1a 1\n", "ctab blocks -p 2 --table"),
+    "rep_truncated": (cli.parse_rep, "REP q=2 d=2 k=2\n1 0\n0 1\n1 1\n", "rep dual --rep"),
+    "rep_ragged": (cli.parse_rep, "REP q=2 d=2 k=1\n1 0 1\n0 1\n", "rep dual --rep"),
+    "mtx_entry_not_below_q": (cli.parse_matrix, "MTX q=3 r=1 c=2\n1 3\n", "mat echelon -a"),
+    "rep_negative_entry": (cli.parse_rep, "REP q=3 d=1 k=1\n-1\n", "rep dual --rep"),
+    "ctb_bad_cyclotomic": (
+        cli.parse_table, "CTB order=20 classes=2 p=0\n1 1 1a 1\n4 5 5a 1\nordinary 1 1 cyc(5)[1\n",
+        "ctab blocks -p 5 --table",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_fault_is_a_format_error_with_exit_3(case, tmp_path):
+    parse, text, command = FAULTS[case]
+    with pytest.raises(FormatError):
+        parse(text)
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run_main(command.split() + [path]) == 3
+
+
+def test_field_above_the_ceiling_fails_fast(tmp_path):
+    text = "MTX q=1000000007 r=1 c=1\n1\n"
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLarge):
+        cli.parse_matrix(text)
+    path = tmp_path / "big.mtx"
+    path.write_text(text)
+    assert run_main(["mat", "echelon", "-a", path]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("spec", ["1000000000000000000000007,1", "3,99999999"])
+def test_huge_field_option_fails_fast(spec):
+    start = time.perf_counter()
+    assert run_main(["field", spec]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_non_utf8_file_is_a_format_error(tmp_path):
+    path = tmp_path / "bytes.mtx"
+    path.write_bytes(b"\xff\xfeMTX q=2 r=1 c=1\n1\n")
+    with pytest.raises(FormatError):
+        read_text(path)
+    assert run_main(["mat", "echelon", "-a", path]) == 3
+
+
+@pytest.mark.parametrize("argv", [["mat", "mul", "-a", GOLDEN / "a9.mtx"], ["ctab", "table"], ["rep", "iso", "--rep", GOLDEN / "a5_gf4.rep"]])
+def test_missing_input_file_option_exits_3(argv):
+    assert run_main(argv) == 3
+
+
+def test_decstate_counts_must_match():
+    good = "DECSTATE block=b k=2 l=1\nrow a 1\nrow b 2\nbasic 0\ncol P x : 1 1\ncandidates 1\ncand 1\ncand 1\nendcand\n"
+    assert cli.parse_decomp_state(good).k == 2
+    bad = [
+        good.replace("row b 2\n", ""),
+        good.replace("col P x : 1 1\n", ""),
+        good.replace("candidates 1", "candidates 2"),
+        good + "cand 1\n",
+        good.replace("col P x : 1 1", "col P x : 1"),
+        good.replace("col P x", "col P y"),
+        good.replace("row b 2", "row b two"),
+        good + "bogus\n",
+    ]
+    for text in bad:
+        with pytest.raises(FormatError):
+            cli.parse_decomp_state(text)
+
+
+@pytest.mark.parametrize("value", ["cyc(5)[1", "cyc(5", "cyc(x)[1]", "cyc(0)[1]", "cyc(5)[1/0]", "1/0", "", "a", "1.5"])
+def test_bad_cyclotomic_is_a_format_error(value):
+    with pytest.raises(FormatError):
+        parse_cyclotomic(value)
+
+
+# -- the shared header and grid readers ---------------------------------------
+
+HEADER_FAULTS = {
+    "no_header": "1 0\n0 1\n",
+    "wrong_magic": "REP q=3 r=1 c=1\n1\n",
+    "missing_key": "MTX q=3 r=1\n1\n",
+    "extra_key": "MTX q=3 r=1 c=1 x=2\n1\n",
+    "repeated_key": "MTX q=3 r=1 c=1 c=1\n1\n",
+    "key_without_value": "MTX q=3 r=1 c\n1\n",
+    "non_integer_value": "MTX q=3 r=one c=1\n1\n",
+    "negative_count": "MTX q=3 r=-1 c=1\n",
+    "q_zero": "MTX q=0 r=0 c=0\n",
+    "q_one": "MTX q=1 r=0 c=0\n",
+    "q_not_a_prime_power": "MTX q=6 r=0 c=0\n",
+    "meataxe_mode_2": "2 3 1 1\n1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_FAULTS))
+def test_header_fault_is_a_format_error(case):
+    with pytest.raises(FormatError):
+        cli.parse_matrix(HEADER_FAULTS[case])
+
+
+def test_grid_ignores_line_layout_and_checks_permutations():
+    assert cli.parse_matrix("MTX q=3 r=2 c=2\n1 2 2\n\n1\n") == cli.parse_matrix("MTX q=3 r=2 c=2\n1 2\n2 1\n")
+    assert cli.parse_perms("PRM n=3 k=1\n2\n3 1\n") == [(1, 2, 0)]
+    for body in ("1 1 2", "0 1 2", "1 2 4"):
+        with pytest.raises(FormatError):
+            cli.parse_perms(f"PRM n=3 k=1\n{body}\n")
+
+
+@pytest.mark.parametrize("line", ["1 1 1a", "1 1 1a 2", "x 1 1a 1", "4 1 1a 1", "1 0 1a 1"])
+def test_ctb_class_line_grammar(line):
+    with pytest.raises(FormatError):
+        cli.parse_table(f"CTB order=6 classes=1 p=0\n{line}\nordinary 1 1\n")
+
+
+@pytest.mark.parametrize("line", ["ordinary 1", "ordinary 1 1 1", "ordinary x 1", "ordinary 2 1"])
+def test_ctb_character_line_grammar(line):
+    with pytest.raises(FormatError):
+        cli.parse_table(f"CTB order=6 classes=1 p=0\n1 1 1a 1\n{line}\n")
+
+
+FIXTURE_FAULTS = [
+    "coldegrees x", "colpairs 1", "colpairs 1:x", "FIXTURE", "kind", "sline", "row : 1 2", "row a 1 2", "bogus 1",
+]
+
+
+@pytest.mark.parametrize("line", FIXTURE_FAULTS)
+def test_fixture_fault_is_a_format_error(line, tmp_path):
+    text = f"FIXTURE f\nkind decomposition\n{line}\nrow a 1 : 1\n"
+    with pytest.raises(FormatError):
+        fixtures.parse_fixture(text)
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    assert run_main(["dxm", "verify", "--fixture", path]) == 3
+
+
+def test_fixture_missing_meta_is_a_format_error():
+    with pytest.raises(FormatError):
+        fixtures.parse_fixture("FIXTURE f\n").meta_int("p")
+
+
+# -- command-line arguments ----------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "x"],
+    ["cond", "perm", "--rep", "g.prm", "--sub", "k.prm", "--field", "x"],
+    ["dxm", "eliminate", "--fixture", "hn_mod3_b1_proj_c", "--known", "1"],
+    ["dxm", "eliminate", "--fixture", "hn_mod3_b1_proj_c", "--known", "0:x"],
+    ["dxm", "fitting", "--fixture", "hn_mod3_b1_proj_a", "--endo", "hn_mod3_e_dec", "--pins", "zz"],
+])
+def test_bad_option_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctab", "project", "--table", GOLDEN / "s4.ctb", "-p", "2", "--char", "9"],
+    ["ctab", "project", "--table", GOLDEN / "s4.ctb", "-p", "2", "--block", "3"],
+    ["ctab", "heights", "--table", GOLDEN / "s4.ctb", "-p", "2", "--block", "3"],
+    ["ctab", "decompose", "--table", GOLDEN / "s4.ctb", "--char", "-1"],
+    ["cond", "dim", "--gens", GOLDEN / "s4.prm", "--sub", GOLDEN / "s4.prm", "--table", GOLDEN / "s4.ctb", "--char", "9"],
+    ["dxm", "projs", "--gens", GOLDEN / "s4.prm", "-p", "2", "--blockindex", "5"],
+    ["dxm", "fitting", "--fixture", "hn_mod3_b1_proj_a", "--endo", "hn_mod3_e_dec", "--pins", "3_1:8,zz:49"],
+])
+def test_out_of_range_index_is_a_domain_error(argv):
+    assert run_main(argv) == 2
+
+
+# -- properties ------------------------------------------------------------------
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]
+TOKEN = st.text(alphabet=string.ascii_letters + string.digits + "_'.", min_size=1, max_size=6)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, field=None):
+    F = field or gfla.field_make(*draw(st.sampled_from(FIELDS)))
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    entries = draw(st.lists(st.integers(0, F.q - 1), min_size=r * c, max_size=r * c))
+    return gfla.FqMatrix(F, np.array(entries, dtype=np.int64).reshape(r, c))
+
+
+@st.composite
+def reps(draw):
+    F = gfla.field_make(*draw(st.sampled_from(FIELDS)))
+    d = draw(st.integers(0, 4))
+    gens = draw(st.lists(matrices(d, d, F), max_size=3))
+    return rep.Representation(F, d, tuple(gens))
+
+
+@st.composite
+def perm_sets(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
+
+
+CYCLOTOMICS = st.one_of(
+    st.fractions(max_denominator=6).map(Cyclotomic.from_rational),
+    st.builds(Cyclotomic, st.integers(3, 12), st.lists(st.integers(-3, 3), max_size=6)),
+)
+
+
+@st.composite
+def tables(draw):
+    order = draw(st.sampled_from([6, 24, 60, 120]))
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    m = draw(st.integers(1, 4))
+    classes = tuple(
+        ctab.ClassInfo(draw(TOKEN), draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors)), draw(st.booleans()))
+        for _ in range(m)
+    )
+    chars = tuple(
+        ctab.Character(
+            (Cyclotomic.from_rational(draw(st.integers(1, 30))),) + tuple(draw(CYCLOTOMICS) for _ in range(m - 1)),
+            draw(st.sampled_from(["ordinary", "brauer", "projective", "virtual"])),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    return ctab.CharTable(order, classes, chars, draw(st.sampled_from([None, 2, 3, 5])))
+
+
+@st.composite
+def states(draw):
+    k = draw(st.integers(0, 4))
+    ints = st.lists(st.integers(-5, 99), min_size=k, max_size=k)
+    cols = tuple(
+        dxm.ProjectiveColumn(draw(TOKEN), dxm._vec(draw(ints)), draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    candidates = tuple(
+        tuple(tuple(draw(st.lists(st.integers(0, 9), max_size=3))) for _ in range(k))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    log = st.text(alphabet=string.ascii_letters + string.digits + " :,.()-", max_size=20)
+    return dxm.DecompState(
+        draw(TOKEN), tuple(draw(TOKEN) for _ in range(k)), tuple(draw(st.integers(0, 10**7)) for _ in range(k)),
+        tuple(draw(st.lists(st.integers(0, 9), max_size=k))), cols, candidates, tuple(draw(st.lists(log, max_size=3))),
+    )
+
+
+@given(matrices())
+def test_matrix_roundtrip(m):
+    assert cli.parse_matrix(cli.format_matrix(m)) == m
+
+
+@given(perm_sets())
+def test_perm_roundtrip(case):
+    n, perms = case
+    assert cli.parse_perms(cli.format_perms(perms, n)) == perms
+
+
+@given(reps())
+def test_rep_roundtrip(r):
+    assert cli.parse_rep(cli.format_rep(r)) == r
+
+
+@given(tables())
+def test_table_roundtrip(t):
+    assert cli.parse_table(cli.format_table(t)) == t
+
+
+@given(states())
+def test_decomp_state_roundtrip(state):
+    assert cli.parse_decomp_state(cli.format_decomp_state(state)) == state
+
+
+PARSERS = [cli.parse_matrix, cli.parse_perms, cli.parse_rep, cli.parse_table, cli.parse_decomp_state, fixtures.parse_fixture]
+HEADS = [
+    "", "MTX q=3 r=2 c=2\n", "1 3 2 2\n", "PRM n=3 k=2\n", "REP q=4 d=2 k=1\n", "CTB order=6 classes=2 p=0\n",
+    "CTB order=6 classes=1 p=0\n1 1 1a 1\n", "DECSTATE block=b k=1 l=1\n", "FIXTURE f\n",
+]
+# text shaped like a body: digits, signs, separators and the format words
+BODIES = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x", ".", ":", "1/2", "cyc(4)[0,1]", "row", "col", "cand",
+                              "endcand", "candidates", "basic", "log", "meta", "colpairs", "1:2", "a", " ", "\n"]),
+             max_size=16).map(" ".join),
+)
+
+
+@given(st.sampled_from(PARSERS), st.sampled_from(HEADS), BODIES)
+def test_arbitrary_text_raises_only_modchar_errors(parse, head, body):
+    with contextlib.suppress(ModcharError):
+        parse(head + body)
+
+
+@given(st.text(alphabet="0123456789-/,[]()x", max_size=6))
+def test_arbitrary_cyclotomic_text_raises_only_format_errors(tail):
+    for text in (tail, "cyc(" + tail):
+        with contextlib.suppress(FormatError):
+            parse_cyclotomic(text)
+
+
+COMMANDS = {
+    "mat echelon -a": "MTX q=3 r=2 c=2\n",
+    "grp enum --gens": "PRM n=3 k=2\n",
+    "rep dual --rep": "REP q=4 d=2 k=1\n",
+    "ctab blocks -p 2 --table": "CTB order=6 classes=2 p=0\n",
+}
+
+
+@given(st.sampled_from(sorted(COMMANDS)), st.one_of(st.binary(max_size=60), BODIES.map(str.encode)), st.booleans())
+def test_arbitrary_input_file_exits_0_2_or_3(command, data, with_header):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(COMMANDS[command].encode() * with_header + data)
+        assert run_main(command.split() + [path]) in (0, 2, 3)
