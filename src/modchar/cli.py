@@ -26,7 +26,8 @@ non-integer entry; more or fewer entries or lines than the header announces;
 an MTX/REP entry outside 0..q-1; a PRM line that is not a permutation; a CTB
 class line that is not 4 tokens with a 0/1 flag and a size and element order
 dividing the group order, or a character line that is not m+2 tokens with
-its degree as first value; a q that is not a prime power.  MTX, PRM and REP
+its degree as first value; a q that is not a prime power; a --log manifest
+whose last line is not a JSON object with a string hash.  MTX, PRM and REP
 bodies may use any line layout.  Exit 2: q above 2^16 (FieldTooLarge, before
 any other work), a bad --field/--pins/--known value (usage error), and an
 out-of-range --char, --block or --blockindex.
@@ -230,13 +231,22 @@ def _sha(path: str) -> str:
     return h.hexdigest()
 
 
-def append_manifest(log_path: str, command: str, argv, seed, inputs, outputs):
-    prev = ""
-    if os.path.exists(log_path):
-        with open(log_path) as fh:
-            entries = [l for l in fh.read().splitlines() if l.strip()]
-        if entries:
-            prev = json.loads(entries[-1])["hash"]
+def manifest_head(log_path: str) -> str:
+    """The hash of the manifest's last entry, "" when there is none; a last
+    entry that is not a JSON object with a string `hash` is a FormatError."""
+    if not os.path.exists(log_path):
+        return ""
+    entries = [l for l in read_text(log_path).splitlines() if l.strip()]
+    try:
+        last = json.loads(entries[-1]) if entries else {"hash": ""}
+    except (ValueError, RecursionError):
+        last = None
+    if not (isinstance(last, dict) and isinstance(last.get("hash"), str)):
+        raise FormatError(f"{log_path}: the last manifest entry is not a JSON object with a string hash")
+    return last["hash"]
+
+
+def append_manifest(log_path: str, prev: str, command: str, argv, seed, inputs, outputs):
     entry = {
         "command": command,
         "argv": list(argv),
@@ -728,15 +738,15 @@ def ctab_blockdata_from_fixture(fx) -> dxm.SD16Instance:
 
 
 def atom_problem_from_fixture(fx):
-    amatrix = fx.matrix
-    degs = [int(t) for t in fx.sections["basicdegrees"][0]]
-    bvecs = []
-    for payload in fx.sections["bvec"]:
-        toks = list(payload)
-        sep = toks.index(":")
-        bvecs.append(dxm._vec([int(t) for t in toks[sep + 1 :]]))
-    prob = dxm.AtomProblem(amatrix, tuple(bvecs))
-    return prob, degs, fx.basic_rows
+    """The fixture's matrix with one `sline bvec <label> : <entries>` per row,
+    each as long as its `sline basicdegrees`; anything else is a FormatError."""
+    what = f"fixture {fx.name}"
+    degs = ints(list(fx.sections.get("basicdegrees", [()])[0]), f"{what} basicdegrees")
+    bvecs = [b[b.index(":") + 1 :] if ":" in b else () for b in fx.sections.get("bvec", ())]
+    chars = tuple(dxm._vec(ints(list(b), f"{what} bvec")) for b in bvecs)
+    if not chars or len(chars) != fx.k or any(len(c) != len(degs) for c in chars):
+        raise FormatError(f"{what} needs `sline basicdegrees` and one `sline bvec <label> : <entries>` per row")
+    return dxm.AtomProblem(fx.matrix, chars), degs, fx.basic_rows
 
 
 def verify_fixture_matrix(fx) -> bool:
@@ -781,7 +791,10 @@ def main(argv=None) -> int:
     outputs: list[str] = []
     inputs = [v for v in vars(args).values() if isinstance(v, str) and os.path.exists(v)]
     try:
+        prev = manifest_head(args.log) if args.log else ""
         HANDLERS[args.command](args, outputs)
+        if args.log:
+            append_manifest(args.log, prev, args.command, argv, args.seed, inputs, outputs)
     except ModcharError as exc:
         if isinstance(exc, FormatError):
             print(f"format error: {exc}", file=sys.stderr)
@@ -791,8 +804,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    if args.log:
-        append_manifest(args.log, args.command, argv, args.seed, inputs, outputs)
     return 0
 
 

@@ -41,39 +41,36 @@ class CondensedAlgebraSlice:
     dim: int
 
 
-def _closure(mats: list[FqMatrix], bound: int = 20000) -> list[FqMatrix]:
-    seen = {m.key(): m for m in mats}
-    ident = FqMatrix.identity(mats[0].field, mats[0].rows)
-    seen.setdefault(ident.key(), ident)
-    frontier = list(seen.values())
+def _closure(ident: tuple[FqMatrix, ...], gens, bound: int = 20000) -> list[tuple[FqMatrix, ...]]:
+    """Breadth-first closure of the identity tuple under right multiplication
+    by the generator tuples, componentwise."""
+    seen = {tuple(m.key() for m in ident): ident}
+    frontier = [ident]
     while frontier:
         new = []
-        for a in frontier:
-            for g in mats:
-                prod = mat_mul(a, g)
-                k = prod.key()
+        for x in frontier:
+            for g in gens:
+                prod = tuple(mat_mul(a, b) for a, b in zip(x, g))
+                k = tuple(m.key() for m in prod)
                 if k not in seen:
                     seen[k] = prod
                     new.append(prod)
         frontier = new
         if len(seen) > bound:
-            raise NotAGroup("closure did not terminate within the bound")
+            raise NotAGroup("subgroup closure did not terminate within the bound")
     return list(seen.values())
 
 
 def make_idempotent(v: Representation, k_matrices) -> CondensationSetup:
     """Trace idempotent of the subgroup generated by the given matrices."""
     F = v.field
-    k_matrices = list(k_matrices)
-    if not k_matrices:
-        k_matrices = [FqMatrix.identity(F, v.dim)]
-    elements = _closure(k_matrices)
+    elements = _closure((FqMatrix.identity(F, v.dim),), [(m,) for m in k_matrices])
     n = len(elements)
     if n % F.p == 0:
         raise OrderDivisibleByP(f"|K| = {n} is divisible by p = {F.p}")
     inv_n = int(F.inv(np.int64(n % F.p)))
     acc = np.zeros((v.dim, v.dim), dtype=np.int64)
-    for m in elements:
+    for (m,) in elements:
         acc = F.add(acc, m.arr)
     e = FqMatrix(F, F.mul(np.int64(inv_n), acc))
     assert mat_mul(e, e) == e, "trace element is not idempotent"
@@ -176,32 +173,13 @@ class TensorCondenser:
         self.a = a
         self.b = b
         F = a.field
-        self.k_pairs = self._paired_closure(k_words)
+        ident = (FqMatrix.identity(F, a.dim), FqMatrix.identity(F, b.dim))
+        self.k_pairs = _closure(ident, [(w.evaluate(a), w.evaluate(b)) for w in k_words])
         if len(self.k_pairs) % F.p == 0:
             raise OrderDivisibleByP("condensation subgroup order divisible by p")
         self.inv_order = int(F.inv(np.int64(len(self.k_pairs) % F.p)))
         self.field = F
         self._basis = None
-
-    def _paired_closure(self, k_words, bound: int = 20000):
-        F = self.a.field
-        ia, ib = FqMatrix.identity(F, self.a.dim), FqMatrix.identity(F, self.b.dim)
-        gens = [(w.evaluate(self.a), w.evaluate(self.b)) for w in k_words]
-        seen = {(ia.key(), ib.key()): (ia, ib)}
-        frontier = [(ia, ib)]
-        while frontier:
-            new = []
-            for (xa, xb) in frontier:
-                for (ga, gb) in gens:
-                    pa, pb = mat_mul(xa, ga), mat_mul(xb, gb)
-                    k = (pa.key(), pb.key())
-                    if k not in seen:
-                        seen[k] = (pa, pb)
-                        new.append((pa, pb))
-            frontier = new
-            if len(seen) > bound:
-                raise NotAGroup("subgroup closure did not terminate")
-        return list(seen.values())
 
     def apply_e(self, X: np.ndarray) -> np.ndarray:
         F = self.field

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 from . import grp as _grp
 from . import rep as _rep
-from .cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi
+from .cyclo import Cyclotomic, cyclotomic_polynomial, solve_rational
 from .errors import (
     ActionNotInvolution,
     FusionDegreeMismatch,
@@ -75,7 +75,7 @@ class CharTable:
     def exponent_bound(self) -> int:
         e = 1
         for c in self.classes:
-            e = e * c.order // gcd(e, c.order)
+            e = lcm(e, c.order)
         return e
 
 
@@ -373,30 +373,16 @@ def _values_to_rational_rows(chars: list[Character]) -> list[list[Fraction]]:
     n_common = 1
     for ch in chars:
         for v in ch.values:
-            n_common = n_common * v.n // gcd(n_common, v.n)
-    width = euler_phi(n_common)
-    rows = []
-    for ch in chars:
-        row: list[Fraction] = []
-        for v in ch.values:
-            from .cyclo import _reduce_mod_phi
-
-            lifted = v._lift_to(n_common) if v.n != n_common else list(v.coeffs)
-            coords = list(_reduce_mod_phi(n_common, lifted))
-            row.extend(coords[:width] + [Fraction(0)] * (width - len(coords)))
-        rows.append(row)
-    return rows
+            n_common = lcm(n_common, v.n)
+    return [[x for v in ch.values for x in v.coords(n_common)] for ch in chars]
 
 
 def decompose_basic(basic: list[Character], theta: Character):
     """Exact integer coefficients of theta over the basic set; NonIntegral or
     NotInSpan on failure."""
-    from .cyclo import _solve_fraction_rect
-
     rows = _values_to_rational_rows(list(basic) + [theta])
     mat = [[rows[j][i] for j in range(len(basic))] for i in range(len(rows[0]))]
-    rhs = [rows[-1][i] for i in range(len(rows[0]))]
-    sol = _solve_fraction_rect(mat, rhs)
+    sol = solve_rational(mat, rows[-1])
     if sol is None:
         raise NotInSpan(f"{theta.label} is not in the span of the basic set")
     for c in sol:

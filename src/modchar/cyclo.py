@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class Cyclotomic:
 
     def __add__(self, other) -> "Cyclotomic":
         other = _coerce(other)
-        n = self.n * other.n // gcd(self.n, other.n)
+        n = lcm(self.n, other.n)
         a = self._lift_to(n)
         b = other._lift_to(n)
         return Cyclotomic(n, [x + y for x, y in zip(a, b)])
@@ -174,7 +174,7 @@ class Cyclotomic:
 
     def __mul__(self, other) -> "Cyclotomic":
         other = _coerce(other)
-        n = self.n * other.n // gcd(self.n, other.n)
+        n = lcm(self.n, other.n)
         a = self._lift_to(n)
         b = other._lift_to(n)
         out = [Fraction(0)] * n
@@ -195,27 +195,14 @@ class Cyclotomic:
         if self.n == 1:
             return Cyclotomic.from_rational(1 / self.coeffs[0])
         phi = euler_phi(self.n)
-        cols = []
-        basis = [Cyclotomic.zeta(self.n, i) for i in range(phi)]
-        for bvec in basis:
-            prod = self * bvec
-            col = prod._lift_coeffs_for(self.n, phi)
-            cols.append(col)
-        mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = _solve_fraction(mat, rhs)
-        if sol is None:
-            raise ZeroDivisionError("not invertible")
-        return Cyclotomic(self.n, sol)
+        cols = [(self * Cyclotomic.zeta(self.n, j)).coords(self.n) for j in range(phi)]
+        mat = [[col[i] for col in cols] for i in range(phi)]
+        return Cyclotomic(self.n, solve_rational(mat, [Fraction(1)] + [Fraction(0)] * (phi - 1)))
 
-    def _lift_coeffs_for(self, n: int, phi: int) -> list[Fraction]:
-        if self.n == n:
-            out = list(self.coeffs)
-        else:
-            out = list(_reduce_mod_phi(n, self._lift_to(n)))
-        while len(out) < phi:
-            out.append(Fraction(0))
-        return out
+    def coords(self, n: int) -> list[Fraction]:
+        """The phi(n) coordinates over the power basis 1, zeta_n, zeta_n^2, ...
+        of Q(zeta_n), for n a multiple of the conductor."""
+        return list(self.coeffs if self.n == n else _reduce_mod_phi(n, self._lift_to(n)))
 
     def galois(self, a: int) -> "Cyclotomic":
         """The automorphism zeta_n -> zeta_n^a; a must be a unit mod n."""
@@ -283,7 +270,6 @@ def _try_descend(n: int, cs: list[Fraction], m: int) -> list[Fraction] | None:
     if n == m:
         return None
     # invariance under Gal(Q(zeta_n)/Q(zeta_m)) = {a mod n : a = 1 mod m}
-    val = Cyclotomic(n, cs, _normalized=True)
     for a in range(1, n):
         if gcd(a, n) != 1 or a % m != 1 % m or a == 1:
             continue
@@ -293,55 +279,26 @@ def _try_descend(n: int, cs: list[Fraction], m: int) -> list[Fraction] | None:
         if tuple(_reduce_mod_phi(n, out)) != tuple(cs):
             return None
     # solve for coefficients over the zeta_m power basis
-    phi_n = euler_phi(n)
-    phi_m = euler_phi(m)
     stride = n // m
-    cols = []
-    for j in range(phi_m):
-        e = [Fraction(0)] * ((j * stride) + 1)
-        e[j * stride] = Fraction(1)
-        cols.append(list(_reduce_mod_phi(n, e)))
-    mat = [[cols[j][i] for j in range(phi_m)] for i in range(phi_n)]
-    sol = _solve_fraction_rect(mat, list(cs))
-    return sol
+    cols = [_reduce_mod_phi(n, [Fraction(0)] * (j * stride) + [Fraction(1)])
+            for j in range(euler_phi(m))]
+    mat = [[col[i] for col in cols] for i in range(euler_phi(n))]
+    return solve_rational(mat, cs)
 
 
-def _solve_fraction(mat, rhs):
-    """Solve a square rational system; None if singular."""
-    n = len(mat)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    r = 0
-    piv_cols = []
-    for c in range(n):
+# -- exact linear algebra over Q ----------------------------------------------
+
+
+def rref_rational(A: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination, in place, on the rows of Fractions in A, with
+    pivots sought only in the first ncols columns; returns the pivot columns.
+    The reduced row echelon form over Q is unique, so A and the pivots are
+    the same whatever the row operations were."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
         pr = None
-        for i in range(r, n):
-            if A[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return None
-        A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-    return [A[i][n] for i in range(n)]
-
-
-def _solve_fraction_rect(mat, rhs):
-    """Solve an overdetermined rational system exactly; None if inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    A = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
+        for i in range(r, len(A)):
             if A[i][c] != 0:
                 pr = i
                 break
@@ -350,19 +307,25 @@ def _solve_fraction_rect(mat, rhs):
         A[r], A[pr] = A[pr], A[r]
         inv = 1 / A[r][c]
         A[r] = [x * inv for x in A[r]]
-        for i in range(rows):
+        for i in range(len(A)):
             if i != r and A[i][c] != 0:
                 f = A[i][c]
                 A[i] = [x - f * y for x, y in zip(A[i], A[r])]
         pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if A[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = A[i][cols]
-    # verify columns without pivots are genuinely free-zero for uniqueness
+    return pivots
+
+
+def solve_rational(mat, rhs) -> list[Fraction] | None:
+    """The x with mat . x = rhs and every free unknown 0, or None when the
+    system is inconsistent; mat is a list of rows of Fractions."""
+    ncols = len(mat[0]) if mat else 0
+    A = [list(row) + [b] for row, b in zip(mat, rhs)]
+    pivots = rref_rational(A, ncols)
+    if any(row[ncols] != 0 for row in A[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * ncols
+    for row, c in zip(A, pivots):
+        sol[c] = row[ncols]
     return sol
 
 

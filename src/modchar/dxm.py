@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, isqrt
 
+from .cyclo import rref_rational, solve_rational
 from .errors import (
     AllEliminated,
     AmbiguousCase,
@@ -50,71 +52,18 @@ def _vscale(c, a: Vec) -> Vec:
 
 def solve_exact(columns: list[Vec], target: Vec):
     """Coefficients expressing target over the columns, or None."""
-    rows = len(target)
-    ncols = len(columns)
-    A = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if A[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = A[i][ncols]
-    return sol
-
-
-def _full_column_rank(columns: list[Vec]) -> bool:
-    if not columns:
-        return True
-    rows = len(columns[0])
-    A = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
-    r = 0
-    for c in range(len(columns)):
-        pr = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if pr is None:
-            return False
-        A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        r += 1
-    return True
+    mat = [[col[i] for col in columns] for i in range(len(target))]
+    return solve_rational(mat, target) if mat else [Fraction(0)] * len(columns)
 
 
 def invert_rational(matrix: list[list]) -> list[list[Fraction]]:
+    """The inverse over Q, from the reduced form of [M | I]; SingularA when
+    the square matrix M is singular."""
     n = len(matrix)
-    A = [[Fraction(matrix[i][j]) for j in range(n)]
-         + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if A[i][c] != 0), None)
-        if pr is None:
-            raise SingularA("matrix is singular over the rationals")
-        A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        r += 1
+    A = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    if len(rref_rational(A, n)) < n:
+        raise SingularA("matrix is singular over the rationals")
     return [row[n:] for row in A]
 
 
@@ -185,7 +134,7 @@ def projectives_from_products(table, block_data, block_index, extra_induced=()):
         reduced = list(vector)
         g = 0
         for c in reduced:
-            g = _gcd(g, c)
+            g = gcd(g, c)
         if g > 1:
             reduced = [c // g for c in reduced]
             name = f"({name})/{g}"
@@ -213,13 +162,6 @@ def projectives_from_products(table, block_data, block_index, extra_induced=()):
     return out
 
 
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # D^T D = C enumeration
 # ---------------------------------------------------------------------------
@@ -245,7 +187,7 @@ def dtd_solve(inst: CartanInstance) -> list[tuple[tuple[int, ...], ...]]:
         for j in range(l):
             if C[i][j] != C[j][i]:
                 raise Infeasible("Cartan matrix must be symmetric")
-    maxv = [int(_isqrt(C[j][j])) for j in range(l)]
+    maxv = [isqrt(C[j][j]) for j in range(l)]
     rows = []
     for combo in itertools.product(*(range(m, -1, -1) for m in maxv)):
         rows.append(combo)
@@ -292,15 +234,6 @@ def dtd_solve(inst: CartanInstance) -> list[tuple[tuple[int, ...], ...]]:
     if not canonical:
         raise Infeasible("no factorization D^T D = C with the required row count")
     return canonical
-
-
-def _isqrt(n: int) -> int:
-    r = int(n**0.5)
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    while r * r > n:
-        r -= 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +285,8 @@ def fitting_match(state: DecompState, problem: FittingProblem):
         ev = [Fraction(0)] * k
         ev[u] = Fraction(-1)
         unknown_cols.append(tuple(ev))
-    if not _full_column_rank(basics + unknown_cols):
+    full = basics + unknown_cols
+    if len(rref_rational([[col[i] for col in full] for i in range(k)], len(full))) < len(full):
         raise NoAdmissibleMatching("unmet ordinaries are not determined by the basic set")
     survivors = []
     group_items = sorted(groups.items())
@@ -387,7 +321,7 @@ def fitting_match(state: DecompState, problem: FittingProblem):
                 base[assignment[er]] = Fraction(problem.e_decomposition[er][cj])
             # unknown entries at unmet ordinaries: solve for them inside the
             # rational span of the basic set, then demand integrality
-            sol = solve_exact(basics + unknown_cols, tuple(base))
+            sol = solve_exact(full, tuple(base))
             if sol is None:
                 ok = False
                 break
@@ -565,13 +499,12 @@ def atoms(problem: AtomProblem) -> list[Vec]:
     """b . A^-1: virtual characters whose degrees bound Brauer degrees below."""
     A = [list(r) for r in problem.multiplicities]
     n = len(A)
-    if any(len(r) != n for r in A):
-        raise SingularA("multiplicity matrix must be square")
+    if any(len(r) != n for r in A) or len(problem.characters) != n:
+        raise SingularA("multiplicity matrix must be square, with one character per module")
     Ainv = invert_rational(A)
-    width = len(problem.characters[0])
     out = []
     for j in range(n):
-        acc = [Fraction(0)] * width
+        acc = [Fraction(0)] * len(problem.characters[0])
         for i in range(n):
             c = Ainv[i][j]
             if c:

@@ -40,10 +40,10 @@ class Fixture:
         return len(self.matrix[0]) if self.matrix else 0
 
     def basic_row_indices(self) -> tuple[int, ...]:
-        out = []
-        for lbl in self.basic_rows:
-            out.append(self.row_labels.index(lbl))
-        return tuple(out)
+        """The `basicrows` labels as indices of this fixture's rows."""
+        if not set(self.basic_rows) <= set(self.row_labels):
+            raise FormatError(f"fixture {self.name}: basicrows names a label that is not a row label")
+        return tuple(self.row_labels.index(lbl) for lbl in self.basic_rows)
 
     def meta_int(self, key: str) -> int:
         return ints([self.meta.get(key, "")], f"fixture {self.name} meta {key}")[0]

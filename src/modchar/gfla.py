@@ -359,7 +359,7 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative order")
         q1 = self.q - 1
         la = int(self._log[a])
-        return q1 // _gcd(la, q1) if la else 1
+        return q1 // math.gcd(la, q1) if la else 1
 
     def embed_into(self, other: "FieldSpec"):
         """Packed-value map GF(q) -> GF(q^t) along the Conway-compatible embedding."""
@@ -412,12 +412,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 _field_mem: dict[tuple[int, int], FieldSpec] = {}
@@ -850,46 +844,50 @@ class FqPolynomial:
 # -- minimal / characteristic polynomials -----------------------------------
 
 
+def _krylov(m: FqMatrix, v: np.ndarray, quotient: WorkBasis | None):
+    """(f, span) for the Krylov chain v, vA, vA^2, ... of A = m, taken
+    modulo the span of `quotient` when one is given: f is the monic relation
+    of least degree among the chain vectors, and the rows of span, reduced
+    against each other, span the independent ones before it."""
+    F = m.field
+    n = m.rows
+    local = WorkBasis(F, 2 * n + 1)
+    t = 0
+    while True:
+        aug = np.zeros(2 * n + 1, dtype=np.int64)
+        aug[:n] = v if quotient is None else quotient.reduce(v)
+        aug[n + t] = 1
+        red = local.reduce(aug)
+        if not red[:n].any():
+            # red holds the bookkeeping of the dependency; make x^t monic
+            lead = red[n : n + t + 1]
+            c = F.inv(lead[t])
+            return FqPolynomial(F, F.mul(np.int64(int(c)), lead)), [row[:n] for row in local.rows]
+        local.insert(aug)
+        v = F.matmul(v[None, :], m.arr)[0]
+        t += 1
+
+
 def min_poly(m: FqMatrix) -> FqPolynomial:
-    """Minimal polynomial via Krylov iteration over the seeds e_0, e_1, ..."""
+    """Minimal polynomial: the lcm of the minimal polynomials of the standard
+    seeds e_0, e_1, ... outside the Krylov chains seen so far."""
     if m.rows != m.cols:
         raise NotSquare("min_poly of a non-square matrix")
     F = m.field
     n = m.rows
-    if n == 0:
-        return FqPolynomial.one(F)
     result = FqPolynomial.one(F)
     seen = WorkBasis(F, n)
     for s in range(n):
+        if result.degree == n:
+            break
         seed = np.zeros(n, dtype=np.int64)
         seed[s] = 1
         if seen.contains(seed):
             continue
-        # local Krylov chain with augmented bookkeeping
-        local = WorkBasis(F, n + n + 1)
-        v = seed
-        t = 0
-        coeffs = None
-        while True:
-            aug = np.zeros(n + n + 1, dtype=np.int64)
-            aug[:n] = v
-            aug[n + t] = 1
-            red = local.reduce(aug)
-            if not red[:n].any():
-                # dependency: red has bookkeeping of the reduction
-                lead = red[n : n + t + 1]
-                # normalize so the coefficient of x^t is 1
-                c = F.inv(lead[t])
-                lead = F.mul(np.int64(int(c)), lead)
-                coeffs = lead
-                break
-            local.insert(aug)
+        f, span = _krylov(m, seed, None)
+        for v in span:
             seen.insert(v)
-            v = F.matmul(v[None, :], m.arr)[0]
-            t += 1
-        result = result.lcm(FqPolynomial(F, coeffs))
-        if result.degree == n:
-            break
+        result = result.lcm(f)
     return result.monic()
 
 
@@ -904,39 +902,19 @@ def char_poly(m: FqMatrix) -> FqPolynomial:
         raise NotSquare("char_poly of a non-square matrix")
     F = m.field
     n = m.rows
-    if n == 0:
-        return FqPolynomial.one(F)
     result = FqPolynomial.one(F)
     glob = WorkBasis(F, n)
-    covered = 0
     for s in range(n):
-        if covered == n:
+        if len(glob) == n:
             break
         seed = np.zeros(n, dtype=np.int64)
         seed[s] = 1
         if glob.contains(seed):
             continue
-        local = WorkBasis(F, 2 * n + 1)
-        v = seed
-        t = 0
-        while True:
-            vq = glob.reduce(v)
-            aug = np.zeros(2 * n + 1, dtype=np.int64)
-            aug[:n] = vq
-            aug[n + t] = 1
-            red = local.reduce(aug)
-            if not red[:n].any():
-                lead = red[n : n + t + 1].copy()
-                c = F.inv(lead[t])
-                lead = F.mul(np.int64(int(c)), lead)
-                result = result.mul(FqPolynomial(F, lead))
-                break
-            local.insert(aug)
-            covered += 1
-            v = F.matmul(v[None, :], m.arr)[0]
-            t += 1
-        for row in local.rows:
-            glob.insert(row[:n].copy())
+        f, span = _krylov(m, seed, glob)
+        for v in span:
+            glob.insert(v)
+        result = result.mul(f)
     return result.monic()
 
 

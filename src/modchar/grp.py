@@ -9,6 +9,7 @@ Permutations are 0-based tuples; products act left to right, i.e.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def perm_order(a: Perm) -> int:
             seen[j] = True
             j = a[j]
             length += 1
-        order = _lcm(order, length)
+        order = lcm(order, length)
     return order
 
 
@@ -59,12 +60,6 @@ def perm_from_cycles(n: int, cycles) -> Perm:
         for i, pt in enumerate(cyc):
             img[pt - 1] = cyc[(i + 1) % len(cyc)] - 1
     return tuple(img)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ class PermGroup:
     def exponent(self) -> int:
         e = 1
         for g in self.elements:
-            e = _lcm(e, perm_order(g))
+            e = lcm(e, perm_order(g))
         return e
 
 

@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modchar import gfla, grp, rep
 from modchar.cyclo import (
@@ -13,11 +16,15 @@ from modchar.cyclo import (
     atlas_name,
     brauer_char_value,
     cyc_arith,
+    euler_phi,
     format_cyclotomic,
     gauss_sqrt,
     parse_cyclotomic,
+    rref_rational,
+    solve_rational,
 )
-from modchar.errors import NonUnitGaloisExponent, PRegularViolation
+from modchar.dxm import invert_rational
+from modchar.errors import NonUnitGaloisExponent, PRegularViolation, SingularA
 
 
 def test_minimal_polynomial_relation():
@@ -141,3 +148,66 @@ def test_liftable_module_matches_ordinary_values():
         fixed = sum(1 for pt in range(3) if r[pt] == pt)
         v = brauer_char_value(nat, grp.element_matrix(g, nat, r))
         assert v == Cyclotomic.from_rational(fixed)
+
+
+@pytest.mark.parametrize("value, n", [("cyc(5)[1,0,2,-1]", 5), ("cyc(5)[1,0,2,-1]", 15), ("-3/2", 8), ("cyc(4)[0,1]", 12)])
+def test_coords_are_power_basis_coordinates(value, n):
+    v = parse_cyclotomic(value)
+    coords = v.coords(n)
+    assert len(coords) == euler_phi(n)
+    assert sum((c * Cyclotomic.zeta(n, i) for i, c in enumerate(coords)), Cyclotomic.zero()) == v
+
+
+# -- exact rational elimination ----------------------------------------------
+
+
+def _product(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)] for row in A]
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Integer matrices with entries -3..3, up to 6 x 6, as Fractions; half
+    of them a product through a smaller inner dimension, so often singular."""
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(st.integers(-3, 3).map(Fraction), min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols)))
+        return _product(block(rows, inner), block(inner, cols))
+    return block(rows, cols)
+
+
+@given(rational_matrices(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_solve_rational_solves_consistent_systems(A, x0):
+    rhs = [row[0] for row in _product(A, [[Fraction(x)] for x in x0[: len(A[0])]])]
+    x = solve_rational(A, rhs)
+    assert [row[0] for row in _product(A, [[c] for c in x])] == rhs
+
+
+@given(rational_matrices(), st.integers(1, 3))
+def test_solve_rational_rejects_a_zero_row_with_nonzero_rhs(A, b):
+    zero_row = [Fraction(0)] * len(A[0])
+    assert solve_rational(A + [zero_row], [Fraction(0)] * len(A) + [Fraction(b)]) is None
+
+
+@given(rational_matrices())
+def test_rref_rational_pivots_match_sympy(A):
+    _, expected = sympy.Matrix(A).rref()
+    pivots = rref_rational([row[:] for row in A], len(A[0]))
+    assert pivots == list(expected)
+    assert len(pivots) == sympy.Matrix(A).rank()
+
+
+@given(rational_matrices(square=True))
+def test_invert_rational_inverts_or_raises_singular(M):
+    n = len(M)
+    if sympy.Matrix(M).rank() < n:
+        with pytest.raises(SingularA):
+            invert_rational(M)
+    else:
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert _product(invert_rational(M), M) == identity

@@ -235,6 +235,8 @@ def test_atoms_fixture_degree():
 def test_atoms_errors():
     with pytest.raises(SingularA):
         dxm.atoms(dxm.AtomProblem(((1, 1), (1, 1)), (dxm._vec((1,)), dxm._vec((1,)))))
+    with pytest.raises(SingularA):  # one character for two modules
+        dxm.atoms(dxm.AtomProblem(((1, 0), (0, 1)), (dxm._vec((1,)),)))
     with pytest.raises(NonIntegralAtoms):
         dxm.atoms(dxm.AtomProblem(((2,),), (dxm._vec((1,)),)))
 

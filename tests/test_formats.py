@@ -180,6 +180,41 @@ def test_fixture_missing_meta_is_a_format_error():
         fixtures.parse_fixture("FIXTURE f\n").meta_int("p")
 
 
+def test_basicrows_that_are_not_row_labels_exit_3(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("FIXTURE f\nkind projbasis\nbasicrows zz\ncollabels P1\nindecomposable x\nrow a 1 : 1\n")
+    with pytest.raises(FormatError):
+        fixtures.parse_fixture(read_text(path)).basic_row_indices()
+    assert run_main(["dxm", "enumerate", "--fixture", path]) == 3
+
+
+@pytest.mark.parametrize("lines", [
+    "",
+    "sline basicdegrees 1\n",
+    "sline bvec a : 1\n",
+    "sline basicdegrees 1\nsline bvec a 1\n",
+    "sline basicdegrees x\nsline bvec a : 1\n",
+    "sline basicdegrees 1 2\nsline bvec a : 1\n",
+])
+def test_atom_fixture_without_its_sections_exits_3(lines, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("FIXTURE f\nkind atomproblem\nrow a 1 : 1\n" + lines)
+    assert run_main(["dxm", "atoms", "--fixture", path]) == 3
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ["not json\n", "[1, 2]\n", '{"prev": ""}\n', '{"hash": 3}\n', "[" * 5000 + "\n"],
+    ids=["not_json", "not_an_object", "no_hash", "hash_not_a_string", "too_deep"],
+)
+def test_bad_log_manifest_exits_3_before_the_command_runs(manifest, tmp_path, capsys):
+    log = tmp_path / "bad.log"
+    log.write_text(manifest)
+    assert cli.main(["--log", str(log), "grp", "enum", "--gens", str(GOLDEN / "s4.prm")]) == 3
+    assert capsys.readouterr().out == ""
+    assert log.read_text() == manifest
+
+
 # -- command-line arguments ----------------------------------------------------
 
 
