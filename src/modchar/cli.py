@@ -157,7 +157,9 @@ def parse_table(text: str) -> ctab.CharTable:
         toks = line.split()
         if len(toks) != m + 2:
             raise FormatError(f"CTB character line needs {m + 2} tokens: {line[:60]!r}")
-        vals = tuple(parse_cyclotomic(t) for t in toks[2:])
+        # a value on class j lies in Q(zeta_e), e its element order, so its
+        # conductor divides 2e (Q(zeta_e) = Q(zeta_2e) for odd e)
+        vals = tuple(parse_cyclotomic(t, 2 * c.order) for t, c in zip(toks[2:], classes))
         if not vals or vals[0] != Cyclotomic.from_rational(ints(toks[1:2], "CTB degree")[0]):
             raise FormatError("degree check failed for a character line")
         chars.append(ctab.Character(vals, toks[0]))
@@ -789,7 +791,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     outputs: list[str] = []
-    inputs = [v for v in vars(args).values() if isinstance(v, str) and os.path.exists(v)]
+    # the manifest and the output file are never inputs, even once they exist
+    inputs = [v for key, v in vars(args).items()
+              if key not in ("log", "out") and isinstance(v, str) and os.path.exists(v)]
     try:
         prev = manifest_head(args.log) if args.log else ""
         HANDLERS[args.command](args, outputs)

@@ -356,9 +356,11 @@ def format_cyclotomic(v: Cyclotomic) -> str:
     return f"cyc({v.n})[{parts}]"
 
 
-def parse_cyclotomic(s: str) -> Cyclotomic:
+def parse_cyclotomic(s: str, conductor_divides: int) -> Cyclotomic:
     """Inverse of format_cyclotomic: an integer, `a/b`, or `cyc(n)[c0,c1,...]`
-    with such coefficients; anything else is a FormatError."""
+    with such coefficients and n dividing `conductor_divides`; anything else
+    is a FormatError.  n is checked before the value is built, whose cost
+    grows faster than n."""
     s = s.strip()
     try:
         if not s.startswith("cyc("):
@@ -366,6 +368,8 @@ def parse_cyclotomic(s: str) -> Cyclotomic:
         n, close, body = s[4:].partition(")")
         if not (close and body.startswith("[") and body.endswith("]") and int(n) >= 1):
             raise ValueError
+        if conductor_divides % int(n):
+            raise FormatError(f"conductor {int(n)} of {s[:60]!r} does not divide {conductor_divides}")
         coeffs = [_rational(t) for t in body[1:-1].split(",")] if body != "[]" else []
         return Cyclotomic(int(n), coeffs)
     except (ValueError, ZeroDivisionError):

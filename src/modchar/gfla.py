@@ -8,6 +8,10 @@ multiplication goes through discrete-log tables, addition through base-p digit
 tables.  A matrix product treats GF(p^k) as the vector space GF(p)^k: the
 digits of A times the GF(p)-expansion of B (each entry b replaced by the k x k
 matrix of x -> x.b) is one exact int64 product, reduced mod p and packed back.
+Elimination (`echelonize`, behind rank, row spaces, null spaces, solving and
+inversion) is blocked Gauss-Jordan: pivots are found one panel of columns at a
+time, and the columns right of the panel take the panel's row operations as
+one such product and one add.
 Every operation is deterministic, so downstream results are bit-reproducible.
 """
 
@@ -537,32 +541,73 @@ class EchelonForm:
     matrix: FqMatrix
 
 
+def _panel_width(F: FieldSpec, cols: int) -> int:
+    """Columns per elimination panel.  A matrix of at most 64 columns is one
+    panel, so small eliminations keep the plain pivot loop (16-column panels
+    were not measurably faster there); so is every matrix over GF(2^k) with
+    k > 1, where XOR adds beat the k^2 expansion of the panel product;
+    otherwise 16 columns."""
+    if cols <= 64 or (F.p == 2 and F.k > 1):
+        return max(cols, 1)
+    return 16
+
+
 def echelonize(m: FqMatrix) -> EchelonForm:
-    """Reduced row echelon form with the first-nonzero-column/topmost-row pivot rule."""
+    """Reduced row echelon form with the first-nonzero-column/topmost-row pivot rule.
+
+    Right-looking blocked Gauss-Jordan: the pivot loop runs on one panel of
+    columns at a time.  Before the last panel it also carries Y, where Y[i, j]
+    is the coefficient of the panel's j-th pivot row (as it entered the
+    panel) in row i.  The trailing columns T then take all of the panel's row
+    operations at once: T[i] + Y[i].T[S] for the other rows, Y[i].T[S] for
+    the pivot rows S, so one product and one add per panel.  The RREF is
+    unique, so the result does not depend on the panel width.
+    """
     F = m.field
     A = m.arr.copy()
     rows, cols = A.shape
+    width = _panel_width(F, cols)
     pivots = []
     r = 0
-    for c in range(cols):
+    for c0 in range(0, cols, width):
         if r == rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = F.inv(A[r, c])
-        A[r] = F.mul(A[r], inv)
-        col = A[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            factors = F.neg(col[mask])
-            A[mask] = F.add(A[mask], F.mul(factors[:, None], A[r][None, :]))
-        pivots.append(c)
-        r += 1
+        c1 = min(c0 + width, cols)
+        b = c1 - c0
+        blocked = c1 < cols
+        # the panel's columns, then (before the last panel) Y
+        W = np.hstack([A[:, c0:c1], np.zeros((rows, b), dtype=np.int64)]) if blocked else A[:, c0:]
+        r0 = r
+        for c in range(b):
+            if r == rows:
+                break
+            nz = np.nonzero(W[r:, c])[0]
+            if nz.size == 0:
+                continue
+            pr = r + int(nz[0])
+            if pr != r:
+                W[[r, pr]] = W[[pr, r]]
+                if blocked:
+                    A[[r, pr], c1:] = A[[pr, r], c1:]
+            if blocked:
+                W[r, b + r - r0] = 1
+            # the pivot row is zero left of c, so only columns c.. change
+            inv = F.inv(W[r, c])
+            W[r, c:] = F.mul(W[r, c:], inv)
+            col = W[:, c].copy()
+            col[r] = 0
+            mask = col != 0
+            if mask.any():
+                factors = F.neg(col[mask])
+                W[mask, c:] = F.add(W[mask, c:], F.mul(factors[:, None], W[r, c:][None, :]))
+            pivots.append(c0 + c)
+            r += 1
+        if blocked and r > r0:
+            A[:, c0:c1] = W[:, :b]
+            T = A[:, c1:]
+            S = T[r0:r].copy()
+            T[r0:r] = 0
+            A[:, c1:] = F.add(T, F.matmul(W[:, b : b + r - r0], S))
     return EchelonForm(r, tuple(pivots), FqMatrix(F, A))
 
 
@@ -580,16 +625,16 @@ def nullspace(m: FqMatrix) -> FqMatrix:
     """Canonical row basis of {v : m . v^T = 0}."""
     F = m.field
     ech = echelonize(m)
-    R = ech.matrix.arr
     piv = list(ech.pivots)
-    free = [c for c in range(m.cols) if c not in ech.pivots]
-    out = np.zeros((len(free), m.cols), dtype=np.int64)
-    for row, j in enumerate(free):
-        out[row, j] = 1
-        vals = F.neg(R[: ech.rank, j])
-        out[row, piv] = vals
-    basis = FqMatrix(F, out)
-    return row_space(basis) if len(free) else FqMatrix.zeros(F, 0, m.cols)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    if not free.size:
+        return FqMatrix.zeros(F, 0, m.cols)
+    out = np.zeros((free.size, m.cols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, piv] = F.neg(ech.matrix.arr[: ech.rank][:, free]).T
+    return row_space(FqMatrix(F, out))
 
 
 def solve_right(a: FqMatrix, b: FqMatrix):

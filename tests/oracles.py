@@ -6,7 +6,8 @@ computations), projective covers come from Fitting splittings of the regular
 module under random commuting endomorphisms, and composition multiplicities
 are hom dimensions against the covers.  The kernel oracles are the earlier
 implementations of the matrix product (one integer product per pair of digit
-planes) and of spin (one vector times one generator at a time).
+planes), of echelonize (one full-width pass per pivot) and of spin (one vector
+times one generator at a time).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from modchar import grp, rep
 from modchar.gfla import (
+    EchelonForm,
     FqMatrix,
     WorkBasis,
     echelonize,
@@ -49,6 +51,36 @@ def matmul_planes(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             if red[s, f]:
                 out_digits[..., f] += red[s, f] * Ps
     return (out_digits % p) @ F._pow
+
+
+def echelonize_unblocked(m: FqMatrix) -> EchelonForm:
+    """RREF with the first-nonzero-column/topmost-row pivot rule, every pivot
+    clearing its column in all rows across the full width."""
+    F = m.field
+    A = m.arr.copy()
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        inv = F.inv(A[r, c])
+        A[r] = F.mul(A[r], inv)
+        col = A[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            factors = F.neg(col[mask])
+            A[mask] = F.add(A[mask], F.mul(factors[:, None], A[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return EchelonForm(r, tuple(pivots), FqMatrix(F, A))
 
 
 def spin_by_vectors(r: rep.Representation, seeds: FqMatrix) -> FqMatrix:

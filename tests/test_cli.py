@@ -137,6 +137,21 @@ def test_golden_bytes_and_manifest(tmp_path):
     assert entries[0]["outputs"][0]["sha256"] == entries[1]["outputs"][0]["sha256"]
 
 
+def test_manifest_lists_neither_itself_nor_the_output_as_inputs(tmp_path):
+    prm = tmp_path / "s4.prm"
+    prm.write_text("PRM n=4 k=2\n2 1 3 4\n2 3 4 1\n")
+    log = tmp_path / "m.log"
+    out = tmp_path / "order.txt"
+    for _ in range(2):
+        assert cli.main(["grp", "enum", "--gens", str(prm), "--log", str(log)]) == 0
+        assert cli.main(["grp", "enum", "--gens", str(prm), "--out", str(out), "--log", str(log)]) == 0
+    entries = [json.loads(l) for l in log.read_text().splitlines()]
+    assert len(entries) == 4
+    for entry in entries:
+        assert [i["path"] for i in entry["inputs"]] == [str(prm)]
+    assert [o["path"] for o in entries[3]["outputs"]] == [str(out)]
+
+
 def test_cli_grp_commands(tmp_path):
     prm = tmp_path / "s3.prm"
     prm.write_text("PRM n=3 k=2\n2 1 3\n2 3 1\n")

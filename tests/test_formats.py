@@ -110,10 +110,12 @@ def test_decstate_counts_must_match():
             cli.parse_decomp_state(text)
 
 
-@pytest.mark.parametrize("value", ["cyc(5)[1", "cyc(5", "cyc(x)[1]", "cyc(0)[1]", "cyc(5)[1/0]", "1/0", "", "a", "1.5"])
+@pytest.mark.parametrize(
+    "value", ["cyc(5)[1", "cyc(5", "cyc(x)[1]", "cyc(0)[1]", "cyc(5)[1/0]", "1/0", "", "a", "1.5", "cyc(7)[0,1]"]
+)
 def test_bad_cyclotomic_is_a_format_error(value):
     with pytest.raises(FormatError):
-        parse_cyclotomic(value)
+        parse_cyclotomic(value, 60)
 
 
 # -- the shared header and grid readers ---------------------------------------
@@ -158,6 +160,19 @@ def test_ctb_class_line_grammar(line):
 def test_ctb_character_line_grammar(line):
     with pytest.raises(FormatError):
         cli.parse_table(f"CTB order=6 classes=1 p=0\n1 1 1a 1\n{line}\n")
+
+
+def test_ctb_conductor_is_bounded_by_the_element_order(tmp_path):
+    head = "CTB order=6 classes=2 p=0\n1 1 1a 1\n2 3 3a 1\nordinary 1 1 "
+    # a value on a class of element order 3 lies in Q(zeta_3) = Q(zeta_6)
+    assert cli.parse_table(head + "cyc(6)[0,0,1]\n").characters[0].values[1] == Cyclotomic(6, [0, 0, 1])
+    with pytest.raises(FormatError):
+        cli.parse_table(head + "cyc(4)[0,1]\n")
+    path = tmp_path / "big.ctb"
+    path.write_text(head + "cyc(99991)[0,1]\n")
+    t0 = time.perf_counter()
+    assert run_main(["ctab", "blocks", "--table", path, "-p", "2"]) == 3
+    assert time.perf_counter() - t0 < 1
 
 
 FIXTURE_FAULTS = [
@@ -273,15 +288,20 @@ def perm_sets(draw):
     return n, draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
 
 
-CYCLOTOMICS = st.one_of(
-    st.fractions(max_denominator=6).map(Cyclotomic.from_rational),
-    st.builds(Cyclotomic, st.integers(3, 12), st.lists(st.integers(-3, 3), max_size=6)),
-)
+def cyclotomics(order):
+    """Values that fit a class of this element order: conductor dividing 2 * order."""
+    rationals = st.fractions(max_denominator=6).map(Cyclotomic.from_rational)
+    conductors = [n for n in range(3, 13) if 2 * order % n == 0]
+    if not conductors:
+        return rationals
+    with_conductor = st.builds(Cyclotomic, st.sampled_from(conductors), st.lists(st.integers(-3, 3), max_size=6))
+    return st.one_of(rationals, with_conductor)
 
 
 @st.composite
 def tables(draw):
-    order = draw(st.sampled_from([6, 24, 60, 120]))
+    # 27720 = 2^3 * 3^2 * 5 * 7 * 11, so every conductor 3..12 can occur
+    order = draw(st.sampled_from([6, 24, 60, 120, 27720]))
     divisors = [d for d in range(1, order + 1) if order % d == 0]
     m = draw(st.integers(1, 4))
     classes = tuple(
@@ -290,7 +310,7 @@ def tables(draw):
     )
     chars = tuple(
         ctab.Character(
-            (Cyclotomic.from_rational(draw(st.integers(1, 30))),) + tuple(draw(CYCLOTOMICS) for _ in range(m - 1)),
+            (Cyclotomic.from_rational(draw(st.integers(1, 30))),) + tuple(draw(cyclotomics(c.order)) for c in classes[1:]),
             draw(st.sampled_from(["ordinary", "brauer", "projective", "virtual"])),
         )
         for _ in range(draw(st.integers(0, 4)))
@@ -367,7 +387,7 @@ def test_arbitrary_text_raises_only_modchar_errors(parse, head, body):
 def test_arbitrary_cyclotomic_text_raises_only_format_errors(tail):
     for text in (tail, "cyc(" + tail):
         with contextlib.suppress(FormatError):
-            parse_cyclotomic(text)
+            parse_cyclotomic(text, 2520)
 
 
 COMMANDS = {

@@ -256,3 +256,73 @@ def test_solve_and_inverse():
     m = gfla.FqMatrix(F3, [[1, 2], [0, 1]])
     inv = gfla.inverse(m)
     assert gfla.mat_mul(m, inv) == gfla.FqMatrix.identity(F3, 2)
+
+
+# -- blocked echelonize against the unblocked oracle ---------------------------
+
+ECHELON_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (251, 1), (2, 8)]
+ECHELON_COLS = [63, 64, 65, 100, 200]
+
+
+def _echelon_cases(F, rng):
+    """(name, array) pairs across the panel boundaries: rank-deficient L.R
+    products with fewer and with more rows than columns, a zero panel,
+    pivots only in the last panel, one row and the zero matrix."""
+
+    def product(rows, cols, inner):
+        return F.matmul(rng.integers(0, F.q, (rows, inner)), rng.integers(0, F.q, (inner, cols)))
+
+    for cols in ECHELON_COLS:
+        for rows in (cols // 2, cols + 9):
+            yield f"{rows}x{cols}", product(rows, cols, 2 * min(rows, cols) // 3)
+    zero_panel = product(80, 100, 70)
+    zero_panel[:, 16:32] = 0
+    yield "zero panel", zero_panel
+    last_panel = np.zeros((50, 100), dtype=np.int64)
+    last_panel[:, 96:] = rng.integers(0, F.q, (50, 4))
+    yield "pivots in the last panel", last_panel
+    yield "one row", rng.integers(0, F.q, (1, 200))
+    yield "zero", np.zeros((30, 100), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,k", ECHELON_FIELDS)
+def test_echelonize_matches_unblocked(p, k):
+    F = gfla.field_make(p, k)
+    rng = np.random.default_rng(p * 1000 + k)
+    for name, arr in _echelon_cases(F, rng):
+        m = gfla.FqMatrix(F, arr)
+        ech = gfla.echelonize(m)
+        assert ech == oracles.echelonize_unblocked(m), name
+        # nullspace: a basis of the kernel of the right dimension, in RREF
+        ns = gfla.nullspace(m)
+        assert ns.rows == m.cols - ech.rank, name
+        assert not F.matmul(m.arr, ns.arr.T).any(), name
+        assert gfla.row_space(ns) == ns, name
+        # solve_right: a consistent right-hand side is solved with the free
+        # unknowns zero; a random one is solvable exactly when it adds no rank
+        X0 = rng.integers(0, F.q, (m.cols, 3))
+        b = gfla.FqMatrix(F, F.matmul(m.arr, X0))
+        X = gfla.solve_right(m, b)
+        free = [c for c in range(m.cols) if c not in ech.pivots]
+        assert X is not None and gfla.mat_mul(m, X) == b and not X.arr[free].any(), name
+        b = gfla.FqMatrix(F, rng.integers(0, F.q, (m.rows, 2)))
+        X = gfla.solve_right(m, b)
+        consistent = gfla.rank(gfla.FqMatrix(F, np.hstack([m.arr, b.arr]))) == ech.rank
+        assert (X is not None) == consistent, name
+        if X is not None:
+            assert gfla.mat_mul(m, X) == b, name
+
+
+@pytest.mark.parametrize("p,k", ECHELON_FIELDS)
+def test_inverse_across_panels(p, k):
+    F = gfla.field_make(p, k)
+    rng = np.random.default_rng(p * 1000 + k + 1)
+    for n in (63, 64, 65, 100):
+        # unit lower times unit upper triangular: always invertible
+        lower = np.tril(rng.integers(0, F.q, (n, n)), -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(rng.integers(0, F.q, (n, n)), 1) + np.eye(n, dtype=np.int64)
+        m = gfla.FqMatrix(F, F.matmul(lower, upper))
+        assert gfla.mat_mul(m, gfla.inverse(m)) == gfla.FqMatrix.identity(F, n)
+        singular = gfla.FqMatrix(F, F.matmul(rng.integers(0, F.q, (n, n - 5)), rng.integers(0, F.q, (n - 5, n))))
+        with pytest.raises(ShapeMismatch):
+            gfla.inverse(singular)

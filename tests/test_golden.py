@@ -3,7 +3,10 @@ through the file readers, replayed in process through `cli.main()`.
 
 The inputs and the expected `<case>.out` files live in tests/golden/; every
 token of a command that names a file there is replaced by its path.
-`s4.ctb` is a copy of `ctab_table.out`.
+`s4.ctb` is a copy of `ctab_table.out`.  `large9.mtx` (GF(9), 110 x 140, rank
+80, zero columns 10..29) and `large251.mtx` (GF(251), 100 x 130, rank 90, zero
+columns 60..65) are seeded products L.R wide enough that `echelonize` works on
+them panel by panel.
 """
 
 from pathlib import Path
@@ -19,6 +22,10 @@ CASES = {
     "mat_mul": "mat mul -a a9.mtx -b b9.mtx",
     "mat_nullspace": "mat nullspace -a a9.mtx",
     "mat_echelon_legacy": "mat echelon -a legacy3.mtx",
+    "mat_echelon_large9": "mat echelon -a large9.mtx",
+    "mat_nullspace_large9": "mat nullspace -a large9.mtx",
+    "mat_echelon_large251": "mat echelon -a large251.mtx",
+    "mat_nullspace_large251": "mat nullspace -a large251.mtx",
     "grp_enum": "grp enum --gens s4.prm",
     "grp_classes": "grp classes --gens s4.prm -p 3",
     "rep_chop": "rep chop --rep a5_gf4.rep",
