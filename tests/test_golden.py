@@ -6,7 +6,10 @@ token of a command that names a file there is replaced by its path.
 `s4.ctb` is a copy of `ctab_table.out`.  `large9.mtx` (GF(9), 110 x 140, rank
 80, zero columns 10..29) and `large251.mtx` (GF(251), 100 x 130, rank 90, zero
 columns 60..65) are seeded products L.R wide enough that `echelonize` works on
-them panel by panel.
+them panel by panel.  `large729.mtx` (GF(3^6), 70 x 100, rank 50, zero columns
+20..29) is one too, and `a729.mtx`/`b729.mtx` are seeded random GF(3^6)
+matrices: q = 729 is above the lookup-table ceiling, so these pin the base-p
+digit `add`/`neg` and the log/exp `mul`.
 """
 
 from pathlib import Path
@@ -26,11 +29,16 @@ CASES = {
     "mat_nullspace_large9": "mat nullspace -a large9.mtx",
     "mat_echelon_large251": "mat echelon -a large251.mtx",
     "mat_nullspace_large251": "mat nullspace -a large251.mtx",
+    "mat_mul729": "mat mul -a a729.mtx -b b729.mtx",
+    "mat_echelon_large729": "mat echelon -a large729.mtx",
+    "mat_nullspace_large729": "mat nullspace -a large729.mtx",
     "grp_enum": "grp enum --gens s4.prm",
     "grp_classes": "grp classes --gens s4.prm -p 3",
     "rep_chop": "rep chop --rep a5_gf4.rep",
     "rep_dual": "rep dual --rep a5_gf4.rep",
     "ctab_table": "ctab table --gens s4.prm",
+    "ctab_brauer_p2": "ctab brauer --gens s4.prm -p 2",
+    "ctab_brauer_p3": "ctab brauer --gens s4.prm -p 3",
     "ctab_blocks": "ctab blocks --table s4.ctb -p 2",
     "dxm_enumerate": "dxm enumerate --fixture hn_mod3_b1_proj_c",
     "dxm_verify": "dxm verify --fixture hn_mod3_b0_hn2",
