@@ -14,7 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotAGroup, NotInImage, OrderDivisibleByP, ShapeMismatch, FusionIncomplete
+from .errors import (
+    FusionIncomplete,
+    NonIntegral,
+    NotAGroup,
+    NotInImage,
+    OrderDivisibleByP,
+    SelfCheckFailed,
+    ShapeMismatch,
+)
 from .gfla import FqMatrix, WorkBasis, echelonize, mat_mul
 from .rep import Representation, spin
 from .cyclo import Cyclotomic
@@ -73,7 +81,8 @@ def make_idempotent(v: Representation, k_matrices) -> CondensationSetup:
     for (m,) in elements:
         acc = F.add(acc, m.arr)
     e = FqMatrix(F, F.mul(np.int64(inv_n), acc))
-    assert mat_mul(e, e) == e, "trace element is not idempotent"
+    if mat_mul(e, e) != e:
+        raise SelfCheckFailed("trace element is not idempotent")
     ech = echelonize(e)
     basis = FqMatrix(F, ech.matrix.arr[: ech.rank].copy())
     return CondensationSetup(v, n, e, basis, ech.pivots[: ech.rank])
@@ -268,5 +277,6 @@ def condensed_dim(table, chi, k_class_sizes, k_class_fusion) -> int:
     if not total.is_rational():
         raise FusionIncomplete("fused values are not rational")
     f = total.as_fraction()
-    assert f.denominator == 1 and f.numerator >= 0, f"bad multiplicity {f}"
+    if f.denominator != 1 or f.numerator < 0:
+        raise NonIntegral(f"multiplicity {f} of 1_K in chi restricted to K is not a natural number")
     return f.numerator

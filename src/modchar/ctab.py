@@ -27,6 +27,7 @@ from .errors import (
     NonIntegral,
     NotExpandable,
     NotInSpan,
+    SelfCheckFailed,
 )
 from .gfla import FqPolynomial, field_make, irreducible_factors, is_prime
 
@@ -72,10 +73,12 @@ class CharTable:
     def nclasses(self) -> int:
         return len(self.classes)
 
-    def exponent_bound(self) -> int:
+    def conductor(self) -> int:
+        """The least e with every character value in Q(zeta_e)."""
         e = 1
-        for c in self.classes:
-            e = lcm(e, c.order)
+        for chi in self.characters:
+            for v in chi.values:
+                e = lcm(e, v.n)
         return e
 
 
@@ -159,7 +162,8 @@ def _check_orthogonality(table: CharTable):
         for j in range(i, n):
             s = scalar(table, table.characters[i], table.characters[j])
             expected = Fraction(1) if i == j else Fraction(0)
-            assert s == expected, f"orthogonality fails at ({i},{j}): {s}"
+            if s != expected:
+                raise SelfCheckFailed(f"orthogonality fails at ({i},{j}): {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +268,13 @@ def _nu(p: int, n: int) -> int:
 
 def blocks(table: CharTable, p: int) -> BlockData:
     """Block distribution via central characters reduced mod a fixed maximal
-    ideal over p (lexicographically least irreducible factor of Phi_e mod p)."""
+    ideal over p (lexicographically least irreducible factor of Phi_e mod p,
+    e the conductor of the character values)."""
     if any(chi.degree.is_zero() for chi in table.characters):
         raise NonIntegral("a character of degree 0 has no central character")
-    e = table.exponent_bound()
+    # not the group exponent: Phi_e costs more than linearly in e, and a
+    # class of large element order may carry only rational values
+    e = table.conductor()
     Fp = field_make(p, 1)
     phi_e = cyclotomic_polynomial(e)
     phi_poly = FqPolynomial(Fp, [c % p for c in phi_e])

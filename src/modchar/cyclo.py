@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import FormatError, NonUnitGaloisExponent, PRegularViolation
+from .errors import FormatError, NonUnitGaloisExponent, NotSquarefree, PRegularViolation, SelfCheckFailed
 from .gfla import (
     FieldSpec,
     FqMatrix,
@@ -48,13 +48,15 @@ def _exact_int_div(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise SelfCheckFailed("inexact division of integer polynomials")
         q = c // den[-1]
         out[i] = q
         if q:
             for j, dc in enumerate(den):
                 num[i + j] -= q * dc
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise SelfCheckFailed("nonzero remainder in an exact polynomial division")
     return out
 
 
@@ -406,7 +408,8 @@ def gauss_sqrt(d: int) -> Cyclotomic:
         return Cyclotomic.zeta(4) * gauss_sqrt(-d)
     out = Cyclotomic.one()
     for p, e in sorted(factorize(d).items()):
-        assert e == 1, "squarefree only"
+        if e > 1:
+            raise NotSquarefree(f"gauss_sqrt needs a squarefree argument, not {d}")
         out = out * _sqrt_prime(p)
     return out
 
@@ -508,7 +511,8 @@ def brauer_char_value(repm, element, lift: BrauerLift | None = None) -> Cyclotom
     lifted = Cyclotomic.zero()
     lift_ext = BrauerLift(ext)
     for factor, mult in irreducible_factors(cpx, seed=1):
-        assert factor.degree == 1, "eigenvalue outside the chosen extension"
+        if factor.degree != 1:
+            raise SelfCheckFailed("eigenvalue outside the chosen extension")
         root = int(ext.neg(np.int64(int(factor.coeffs[0]))))
         if root == 0:
             raise PRegularViolation("singular representing matrix")

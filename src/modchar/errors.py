@@ -9,6 +9,12 @@ class ModcharError(Exception):
     pass
 
 
+class SelfCheckFailed(ModcharError):
+    """A result failed a check that every right answer passes (an idempotent
+    squares to itself, irreducible characters are orthonormal, ...), so
+    returning it would give a silently wrong answer."""
+
+
 # finite fields / linear algebra
 class CompositeCharacteristic(ModcharError):
     pass
@@ -78,6 +84,10 @@ class NonUnitGaloisExponent(ModcharError):
 
 
 class PRegularViolation(ModcharError):
+    pass
+
+
+class NotSquarefree(ModcharError):
     pass
 
 

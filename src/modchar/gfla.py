@@ -3,11 +3,15 @@
 Elements are packed integers: the element sum(a_i * w^i) is stored as
 sum(a_i * p^i), where w is the canonical generator (a root of the Conway
 polynomial of GF(p^k)).  All bulk operations work on numpy int64 arrays of
-packed values, so matrix arithmetic stays vectorized; elementwise
-multiplication goes through discrete-log tables, addition through base-p digit
-tables.  A matrix product treats GF(p^k) as the vector space GF(p)^k: the
-digits of A times the GF(p)-expansion of B (each entry b replaced by the k x k
-matrix of x -> x.b) is one exact int64 product, reduced mod p and packed back.
+packed values, so matrix arithmetic stays vectorized.  Elementwise arithmetic
+is table lookup, the table chosen once per field (see `FieldSpec`): XOR adds
+over GF(2^k), `% p` over prime fields, q x q add and mul tables up to q = 256,
+and above that discrete-log tables for products and base-p digits for sums;
+negation and inversion are length-q tables.  A scalar call reads Python-list
+copies of the same tables and returns a Python int.  A matrix product treats
+GF(p^k) as the vector space GF(p)^k: the digits of A times the GF(p)-expansion
+of B (each entry b replaced by the k x k matrix of x -> x.b) is one exact int64
+product, reduced mod p and packed back.
 Elimination (`echelonize`, behind rank, row spaces, null spaces, solving and
 inversion) is blocked Gauss-Jordan: pivots are found one panel of columns at a
 time, and the columns right of the panel take the panel's row operations as
@@ -28,6 +32,7 @@ from .errors import (
     FieldMismatch,
     NotPrimitive,
     NotSquare,
+    SelfCheckFailed,
     ShapeMismatch,
 )
 
@@ -232,18 +237,36 @@ def conway_polynomial(p: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 ZECH_ZERO = -1  # sentinel: log of 0 in the Zech table
+TABLE_CEILING = 256  # the largest q with q x q add and mul tables
+
+# argument types that take the scalar path of the elementwise ops
+_SCALARS = frozenset({int} | {np.dtype(c).type for c in np.typecodes["AllInteger"]})
 
 
 class FieldSpec:
     """A small finite field GF(p^k) with its arithmetic tables.
 
-    Immutable; construct via field_make().  Tables:
+    Immutable; construct via field_make().  Tables (numpy int64 unless noted):
       exp[i]  packed value of w^i for 0 <= i <= 2(q-2)
       log[v]  discrete log of the packed value v (log[0] is a dummy 0)
       zech[m] log(1 + w^m), or ZECH_ZERO when 1 + w^m = 0
       dig[v]  base-p digit vector of v
+      neg[v], inv[v]  -v and 1/v (inv[0] is a dummy 0)
+      add[a, b]  a + b, only for odd p with k > 1 and q <= 256
+      mul[a, b]  a.b, only for k > 1 and q <= 256
       mulx[d, v] digit vector of w^d.v; mulx[:, v] is the k x k matrix over
               GF(p) of x -> x.v (narrowest unsigned dtype that holds p - 1)
+
+    The elementwise ops take numpy arrays (int64 results) or scalars.  An
+    argument list of only Python or numpy integers is a scalar call, which
+    returns a Python int from list copies of the tables without a numpy call.
+    Which table each op reads:
+      add  p = 2: XOR.  k = 1: (a + b) % p.  q <= 256: the add table.
+           Otherwise, odd p with k > 1 and q > 256, base-p digits.
+      neg  the neg table.
+      mul  arrays: (a * b) % p for k = 1, the mul table for q <= 256, and
+           exp[log a + log b] above; scalars: the exp/log lists.
+      inv  the inv table; 0 raises ZeroDivisionError.
     """
 
     def __init__(self, p: int, k: int):
@@ -290,12 +313,31 @@ class FieldSpec:
         log = np.zeros(q, dtype=np.int64)
         log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int64)
         self._log = log
+        self._neg = ((-dig) % p) @ self._pow
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
+        self._inv = inv
+        self._add = self._mul = None
+        if k > 1 and q <= TABLE_CEILING:
+            if p > 2:  # digitwise sums, one more leading digit per step
+                one = np.add.outer(np.arange(p), np.arange(p)) % p
+                add = one
+                for i in range(1, k):
+                    add = (add[None, :, None, :] + p**i * one[:, None, :, None]).reshape(p * len(add), -1)
+                self._add = add
+            mul = exp[np.add.outer(log, log)]
+            mul[0, :] = mul[:, 0] = 0
+            self._mul = mul
+        # list copies for the scalar path
+        self._exp_l, self._log_l = exp.tolist(), log.tolist()
+        self._neg_l, self._inv_l = self._neg.tolist(), inv.tolist()
+        self._add_l = None if self._add is None else self._add.tolist()
         # Zech logarithms: zech[m] = log(1 + w^m)
         ones = self.add(np.int64(1), exp[: q - 1])
         zech = np.where(ones == 0, np.int64(ZECH_ZERO), log[ones])
         self.zech = zech
         self.omega = int(exp[1]) if q > 2 else 1
-        self.neg_one = int(self.neg(np.int64(1)))
+        self.neg_one = self.neg(1)
         # axis order (d, v, f): one np.take along v lays M(B) out row-major
         mulx = np.empty((k, q, k), dtype=np.min_scalar_type(p - 1))
         for d in range(k):
@@ -309,34 +351,55 @@ class FieldSpec:
     # -- elementwise packed arithmetic (numpy arrays or scalars) ------------
 
     def add(self, a, b):
+        p = self.p
+        scalar = type(a) in _SCALARS and type(b) in _SCALARS
+        if scalar:
+            if p == 2:
+                return int(a) ^ int(b)
+            if self.k == 1:
+                return (int(a) + int(b)) % p
+            if self._add_l is not None:
+                return self._add_l[a][b]
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.p == 2:
+        if p == 2:
             return np.bitwise_xor(a, b)
-        d = (self._dig[a] + self._dig[b]) % self.p
-        return d @ self._pow
+        if self.k == 1:
+            return (a + b) % p
+        if self._add is not None:
+            return self._add[a, b]
+        s = ((self._dig[a] + self._dig[b]) % p) @ self._pow
+        return int(s) if scalar else s
 
     def neg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return a.copy()
-        d = (-self._dig[a]) % self.p
-        return d @ self._pow
+        if type(a) in _SCALARS:
+            return self._neg_l[a]
+        return self._neg[np.asarray(a, dtype=np.int64)]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        if type(a) in _SCALARS and type(b) in _SCALARS:
+            return self._exp_l[self._log_l[a] + self._log_l[b]] if a and b else 0
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.k == 1:
+            return (a * b) % self.p
+        if self._mul is not None:
+            return self._mul[a, b]
         res = self._exp[self._log[a] + self._log[b]]
         return np.where((a == 0) | (b == 0), np.int64(0), res)
 
     def inv(self, a):
+        if type(a) in _SCALARS:
+            if not a:
+                raise ZeroDivisionError("inverse of 0 in GF(q)")
+            return self._inv_l[a]
         a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
+        if not a.all():
             raise ZeroDivisionError("inverse of 0 in GF(q)")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self._inv[a]
 
     def zech_add(self, a, b):
         """Addition through the Zech-logarithm table (reference path for tests)."""
@@ -356,13 +419,13 @@ class FieldSpec:
         a = int(a)
         if a == 0:
             return 0 if e else 1
-        return int(self._exp[(int(self._log[a]) * (e % (self.q - 1))) % (self.q - 1)])
+        return self._exp_l[(self._log_l[a] * e) % (self.q - 1)]
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
         q1 = self.q - 1
-        la = int(self._log[a])
+        la = self._log_l[a]
         return q1 // math.gcd(la, q1) if la else 1
 
     def embed_into(self, other: "FieldSpec"):
@@ -875,7 +938,8 @@ class FqPolynomial:
         coefficient of f with the inverse Frobenius applied."""
         F = self.field
         p = F.p
-        assert (self.coeffs.size - 1) % p == 0 or self.is_zero()
+        if not self.is_zero() and (self.coeffs.size - 1) % p:
+            raise SelfCheckFailed(f"frobenius_root of a polynomial of degree {self.degree}, prime to p = {p}")
         picked = self.coeffs[::p]
         # coefficient a -> a^(p^(k-1)) is the inverse of Frobenius on GF(p^k)
         e = p ** (F.k - 1)

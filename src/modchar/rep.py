@@ -22,6 +22,7 @@ from .errors import (
     GeneratorCountMismatch,
     IncompleteSimplesList,
     NotInvariant,
+    SelfCheckFailed,
     ShapeMismatch,
     SingularGenerator,
     Undecided,
@@ -462,7 +463,8 @@ def socle(rep: Representation, simples) -> tuple[FqMatrix, list[tuple[int, int]]
         maps = hom(s, rep)
         if maps:
             end_dim = len(hom(s, s))
-            assert len(maps) % end_dim == 0
+            if len(maps) % end_dim:
+                raise SelfCheckFailed(f"dim Hom(S, V) = {len(maps)} is not a multiple of dim End(S) = {end_dim}")
             counts.append((si, len(maps) // end_dim))
         for H in maps:
             for row in H.arr:

@@ -5,9 +5,11 @@ are enumerated via minimal submodules of quotients (pure hom/null-space
 computations), projective covers come from Fitting splittings of the regular
 module under random commuting endomorphisms, and composition multiplicities
 are hom dimensions against the covers.  The kernel oracles are the earlier
-implementations of the matrix product (one integer product per pair of digit
-planes), of echelonize (one full-width pass per pivot) and of spin (one vector
-times one generator at a time).
+implementations of the elementwise field ops (base-p digits for sums and
+negatives, discrete logs for products and inverses, every call through
+numpy), of the matrix product (one integer product per pair of digit planes),
+of echelonize (one full-width pass per pivot) and of spin (one vector times
+one generator at a time).
 """
 
 from __future__ import annotations
@@ -27,6 +29,37 @@ from modchar.gfla import (
     nullspace,
     row_space,
 )
+
+
+def add_digits(F, a, b):
+    """a + b over F, digit by digit in base p."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if F.p == 2:
+        return np.bitwise_xor(a, b)
+    return ((F._dig[a] + F._dig[b]) % F.p) @ F._pow
+
+
+def neg_digits(F, a):
+    a = np.asarray(a, dtype=np.int64)
+    if F.p == 2:
+        return a.copy()
+    return ((-F._dig[a]) % F.p) @ F._pow
+
+
+def mul_logexp(F, a, b):
+    """a.b over F as exp[log a + log b], 0 where a factor is 0."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    res = F._exp[F._log[a] + F._log[b]]
+    return np.where((a == 0) | (b == 0), np.int64(0), res)
+
+
+def inv_logexp(F, a):
+    a = np.asarray(a, dtype=np.int64)
+    if np.any(a == 0):
+        raise ZeroDivisionError("inverse of 0 in GF(q)")
+    return F._exp[(F.q - 1 - F._log[a]) % (F.q - 1)]
 
 
 def matmul_planes(F, A: np.ndarray, B: np.ndarray) -> np.ndarray:

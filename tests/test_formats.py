@@ -175,6 +175,17 @@ def test_ctb_conductor_is_bounded_by_the_element_order(tmp_path):
     assert time.perf_counter() - t0 < 1
 
 
+def test_ctab_blocks_on_a_large_element_order_is_fast(tmp_path):
+    """A class of element order 99991 with rational values: `blocks` works in
+    the values' conductor, so it never builds the 99991st cyclotomic
+    polynomial."""
+    path = tmp_path / "big.ctb"
+    path.write_text("CTB order=99991 classes=2 p=0\n1 1 1a 1\n1 99991 b 1\nordinary 1 1 1\n")
+    t0 = time.perf_counter()
+    assert run_main(["ctab", "blocks", "--table", path, "-p", "2"]) in (0, 2, 3)
+    assert time.perf_counter() - t0 < 1
+
+
 FIXTURE_FAULTS = [
     "coldegrees x", "colpairs 1", "colpairs 1:x", "FIXTURE", "kind", "sline", "row : 1 2", "row a 1 2", "bogus 1",
 ]
@@ -405,3 +416,34 @@ def test_arbitrary_input_file_exits_0_2_or_3(command, data, with_header):
         with open(path, "wb") as fh:
             fh.write(COMMANDS[command].encode() * with_header + data)
         assert run_main(command.split() + [path]) in (0, 2, 3)
+
+
+# -- checks inside the library are typed errors, never asserts -----------------
+
+
+def test_src_has_no_assert_statement():
+    """`python -O` strips asserts, so no check in the library may be one."""
+    import ast
+
+    src = Path(cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_former_asserts_raise_typed_errors():
+    from modchar import cond, cyclo
+    from modchar.errors import NonIntegral, NotSquarefree, SelfCheckFailed
+
+    with pytest.raises(NotSquarefree):
+        cyclo.gauss_sqrt(12)
+    with pytest.raises(SelfCheckFailed):
+        cyclo._exact_int_div([1, 0, 1], [0, 2])
+    with pytest.raises(SelfCheckFailed):
+        cyclo._exact_int_div([1, 0, 1], [1, 1])
+    with pytest.raises(SelfCheckFailed):
+        gfla.FqPolynomial(gfla.field_make(3, 1), [1, 0, 1]).frobenius_root()
+    # a class function that is not a character: <1_K, chi|K> = 1/2
+    table = cli.parse_table("CTB order=2 classes=2 p=0\n1 1 1a 1\n1 2 2a 1\nordinary 1 1 0\n")
+    with pytest.raises(NonIntegral):
+        cond.condensed_dim(table, table.characters[0], (1, 1), (0, 1))

@@ -227,6 +227,78 @@ def test_associativity_distributivity_random():
             assert left == right
 
 
+# every field with q <= 256 that the library, its tests or its benchmark build:
+# GF(2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 29, 31, 49, 64, 81, 121, 243, 251, 256)
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                (2, 4), (5, 2), (3, 3), (29, 1), (31, 1), (7, 2), (2, 6), (3, 4), (11, 2),
+                (3, 5), (251, 1), (2, 8)]
+
+
+def _check_against_oracles(F, a, b):
+    """add/neg/sub/mul/inv on the pairs (a[i], b[i]) against the digit and
+    log/exp oracles: as int64 arrays, as Python ints and as numpy int64s, and
+    with a scalar left operand against an array."""
+    want = {
+        "add": oracles.add_digits(F, a, b),
+        "sub": oracles.add_digits(F, a, oracles.neg_digits(F, b)),
+        "mul": oracles.mul_logexp(F, a, b),
+        "neg": oracles.neg_digits(F, a),
+    }
+    nz = b[b != 0]
+    want_inv = oracles.inv_logexp(F, nz)
+    got = {"add": F.add(a, b), "sub": F.sub(a, b), "mul": F.mul(a, b), "neg": F.neg(a)}
+    got_inv = F.inv(nz)
+    for name, arr in list(got.items()) + [("inv", got_inv)]:
+        assert arr.dtype == np.int64, (F, name)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), (F, name)
+    assert np.array_equal(got_inv, want_inv), F
+    for kind in (int, np.int64):
+        al = [kind(x) for x in a.tolist()]
+        bl = [kind(x) for x in b.tolist()]
+        scalar = {
+            "add": [F.add(x, y) for x, y in zip(al, bl)],
+            "sub": [F.sub(x, y) for x, y in zip(al, bl)],
+            "mul": [F.mul(x, y) for x, y in zip(al, bl)],
+            "neg": [F.neg(x) for x in al],
+        }
+        for name, vals in scalar.items():
+            assert all(type(v) is int for v in vals), (F, kind, name)
+            assert vals == want[name].tolist(), (F, kind, name)
+        invs = [F.inv(kind(x)) for x in nz.tolist()]
+        assert all(type(v) is int for v in invs) and invs == want_inv.tolist(), (F, kind)
+    c = np.int64(b[-1])
+    for name, fn, ref in (("add", F.add, oracles.add_digits), ("mul", F.mul, oracles.mul_logexp)):
+        mixed = fn(c, a)
+        assert mixed.dtype == np.int64 and np.array_equal(mixed, ref(F, c, a)), (F, name)
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_field_ops_match_oracles_on_all_pairs(p, k):
+    F = gfla.field_make(p, k)
+    a = np.repeat(np.arange(F.q, dtype=np.int64), F.q)
+    b = np.tile(np.arange(F.q, dtype=np.int64), F.q)
+    _check_against_oracles(F, a, b)
+
+
+@pytest.mark.parametrize("p,k", [(5, 4), (3, 6), (2, 16), (65521, 1)])
+def test_field_ops_match_oracles_on_sampled_pairs(p, k):
+    F = gfla.field_make(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    a = rng.integers(0, F.q, size=5000)
+    b = rng.integers(0, F.q, size=5000)
+    a[:3], b[:3] = 0, (0, 1, F.q - 1)
+    _check_against_oracles(F, a, b)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (3, 2), (2, 8), (3, 6)])
+def test_inverse_of_zero_raises_on_both_paths(p, k):
+    F = gfla.field_make(p, k)
+    for zero in (0, np.int64(0), np.array([1, 0]), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(zero)
+
+
 def test_zech_agrees_small():
     for (p, k) in [(2, 3), (3, 2), (5, 1), (7, 1)]:
         F = gfla.field_make(p, k)
