@@ -9,7 +9,8 @@ columns 60..65) are seeded products L.R wide enough that `echelonize` works on
 them panel by panel.  `large729.mtx` (GF(3^6), 70 x 100, rank 50, zero columns
 20..29) is one too, and `a729.mtx`/`b729.mtx` are seeded random GF(3^6)
 matrices: q = 729 is above the lookup-table ceiling, so these pin the base-p
-digit `add`/`neg` and the log/exp `mul`.
+digit `add`/`neg` and the log/exp `mul`.  `a5.prm` generates A5 from
+(1,2,3,4,5) and (3,4,5); its tables carry irrational values of conductor 5.
 """
 
 from pathlib import Path
@@ -39,9 +40,13 @@ CASES = {
     "ctab_table": "ctab table --gens s4.prm",
     "ctab_brauer_p2": "ctab brauer --gens s4.prm -p 2",
     "ctab_brauer_p3": "ctab brauer --gens s4.prm -p 3",
+    "ctab_table_a5": "ctab table --gens a5.prm",
+    "ctab_brauer_a5_p2": "ctab brauer --gens a5.prm -p 2",
+    "ctab_brauer_a5_p3": "ctab brauer --gens a5.prm -p 3",
     "ctab_blocks": "ctab blocks --table s4.ctb -p 2",
     "dxm_enumerate": "dxm enumerate --fixture hn_mod3_b1_proj_c",
     "dxm_verify": "dxm verify --fixture hn_mod3_b0_hn2",
+    "dxm_projs_s4_p3": "dxm projs --gens s4.prm -p 3 --blockindex 0",
     "fixtures_load": "fixtures load hn_mod3_b1",
 }
 
