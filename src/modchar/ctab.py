@@ -1,14 +1,19 @@
 """Ordinary and Brauer character tables, blocks, basic sets, Clifford theory.
 
-Tables for desk-scale groups are computed from first principles: the ordinary
-table is the Brauer table at an auxiliary prime r with r = 1 mod exp(G) (so
-reduction mod r is faithful on characters and the lifts are the ordinary
-values); the p-modular table comes from chopping the regular module over
-GF(p^2) and lifting eigenvalues.  No table database is consulted.
+Tables for desk-scale groups are computed from first principles.  The simple
+modules come from the tensor closure of the natural permutation module: chop
+it, then chop S (x) T for each new simple S and each non-trivial factor T of
+the natural module, until there are as many simples as regular classes.  The
+ordinary table is the Brauer table at an auxiliary prime r with r = 1 mod
+exp(G) (so reduction mod r is faithful on characters and the lifts are the
+ordinary values); the p-modular table is the same closure over GF(p^2) with
+the eigenvalues lifted on the p-regular classes.  The regular module is never
+built and no table database is consulted.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -95,43 +100,81 @@ def _auxiliary_prime(exponent: int, order: int) -> int:
         r += exponent
 
 
-def _lift_table(g: _grp.PermGroup, classData, regular_factors, p=None):
+def _is_trivial(m: _rep.Representation) -> bool:
+    return m.dim == 1 and all(int(g.arr[0, 0]) == 1 for g in m.gens)
+
+
+def _tensor_closure(g: _grp.PermGroup, F, count: int, seed: int) -> list:
+    """Pairwise non-isomorphic simple FG-modules, from the natural module up.
+
+    The natural permutation module is faithful, so every simple module is a
+    composition factor of one of its tensor powers (Burnside-Brauer-Steinberg),
+    hence of some S (x) T with S found before and T a non-trivial factor of
+    the natural module.  Each new simple is tensored in first-in first-out
+    order; the search stops once `count` simples are known or none is left to
+    tensor.
+    """
+    natural = [s for s, _m in _rep.chop(_grp.perm_rep(g, F), seed)]
+    movers = [t for t in natural if not _is_trivial(t)]
+    simples = list(natural)
+    queue = deque(movers)  # 1 (x) T is T, already a factor of the natural module
+    while queue and len(simples) < count:
+        s = queue.popleft()
+        for t in movers:
+            for f, _m in _rep.chop(_rep.tensor(s, t), seed):
+                if not any(k.dim == f.dim and _rep.iso(k, f, seed) is not None for k in simples):
+                    simples.append(f)
+                    queue.append(f)
+            if len(simples) >= count:
+                break
+    return simples
+
+
+def _lift_table(g: _grp.PermGroup, classData, simples, p=None):
+    """Classes, characters and simples on the kept classes, sorted trivial
+    first, then by degree and values; each character and its simple are
+    labelled degree plus a letter in that order."""
     from .cyclo import brauer_char_value
 
-    chars = []
     flags = classData.p_regular(p)
     keep = [i for i in range(classData.count) if flags[i]]
-    for simple, _mult in regular_factors:
-        vals = []
-        for i in keep:
-            m = _grp.element_matrix(g, simple, classData.reps[i])
-            vals.append(brauer_char_value(simple, m))
-        chars.append(Character(tuple(vals), "brauer" if p else "ordinary", simple.label))
-    classes = tuple(
-        ClassInfo(lbl, classData.sizes[i], classData.orders[i], True)
-        for i, lbl in zip(keep, [classData.labels()[i] for i in keep])
-    )
+    values = [
+        tuple(brauer_char_value(s, _grp.element_matrix(g, s, classData.reps[i])) for i in keep)
+        for s in simples
+    ]
+    labels = classData.labels()
+    classes = tuple(ClassInfo(labels[i], classData.sizes[i], classData.orders[i], True) for i in keep)
     one = Cyclotomic.one()
 
     def sort_key(i):
-        ch = chars[i]
-        is_trivial = all(v == one for v in ch.values)
-        return (not is_trivial, ch.degree_int(), repr([v.coeffs for v in ch.values]))
+        vals = values[i]
+        is_trivial = all(v == one for v in vals)
+        return (not is_trivial, vals[0].as_int(), repr([v.coeffs for v in vals]))
 
-    order = sorted(range(len(chars)), key=sort_key)
-    chars = [chars[i] for i in order]
-    simples = [regular_factors[i][0] for i in order]
-    return classes, chars, simples
+    chars, labelled = [], []
+    letters: dict[int, int] = {}
+    for i in sorted(range(len(simples)), key=sort_key):
+        d = values[i][0].as_int()
+        c = letters.get(d, 0)
+        letters[d] = c + 1
+        label = f"{d}{chr(ord('a') + c)}"
+        chars.append(Character(values[i], "brauer" if p else "ordinary", label))
+        labelled.append(simples[i].relabel(label))
+    return classes, chars, labelled
 
 
 def ordinary_table(g: _grp.PermGroup, seed: int = 1) -> CharTable:
-    """Ordinary character table computed via an auxiliary splitting prime."""
+    """Ordinary character table from the simples over an auxiliary prime r.
+
+    r = 1 mod exp(G) and r does not divide |G|, so GF(r) splits G, every
+    class is r-regular and the lifted eigenvalue sums are the ordinary
+    characters.  The simples come from the tensor closure of the natural
+    module; row orthogonality is checked before the table is returned.
+    """
     cls = _grp.conjugacy_classes(g)
-    exponent = g.exponent()
-    r = _auxiliary_prime(exponent, g.order)
-    F = field_make(r, 1)
-    factors = _rep.chop(_grp.regular_rep(g, F), seed)
-    classes, chars, _simples = _lift_table(g, cls, factors, p=None)
+    r = _auxiliary_prime(g.exponent(), g.order)
+    simples = _tensor_closure(g, field_make(r, 1), cls.count, seed)
+    classes, chars, _simples = _lift_table(g, cls, simples, p=None)
     table = CharTable(g.order, classes, tuple(chars), None, dict(cls.power_maps))
     _check_orthogonality(table)
     return table
@@ -140,19 +183,20 @@ def ordinary_table(g: _grp.PermGroup, seed: int = 1) -> CharTable:
 def brauer_data(g: _grp.PermGroup, p: int, seed: int = 1):
     """(CharTable, simple modules) at p, aligned index by index.
 
-    The simples come from chopping the regular module over GF(p^2); their
-    Brauer characters are the lifted eigenvalue sums on p-regular classes.
+    The simples are the tensor closure of the natural module over GF(p^2),
+    stopped at as many simples as p-regular classes; their Brauer characters
+    are the lifted eigenvalue sums on the p-regular classes.
     """
     cls = _grp.conjugacy_classes(g, p)
-    F = field_make(p, 2)
-    factors = _rep.chop(_grp.regular_rep(g, F), seed)
-    classes, chars, simples = _lift_table(g, cls, factors, p=p)
+    simples = _tensor_closure(g, field_make(p, 2), sum(cls.p_regular(p)), seed)
+    classes, chars, simples = _lift_table(g, cls, simples, p=p)
     table = CharTable(g.order, classes, tuple(chars), p, dict(cls.power_maps))
     return table, tuple(simples)
 
 
 def brauer_table(g: _grp.PermGroup, p: int, seed: int = 1) -> CharTable:
-    """Irreducible Brauer characters at p from the regular module over GF(p^2)."""
+    """Irreducible Brauer characters at p, from the tensor closure of the
+    natural module over GF(p^2) (see brauer_data)."""
     return brauer_data(g, p, seed)[0]
 
 

@@ -9,7 +9,6 @@ of unity exp(2 pi i / (q-1)) in the compatible way: w^m -> zeta_{q-1}^m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -18,7 +17,6 @@ import numpy as np
 
 from .errors import FormatError, NonUnitGaloisExponent, NotSquarefree, PRegularViolation, SelfCheckFailed
 from .gfla import (
-    FieldSpec,
     FqMatrix,
     char_poly,
     factorize,
@@ -454,25 +452,6 @@ def atlas_name(v: Cyclotomic) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrauerLift:
-    """Multiplicative lift GF(q)* -> mu_{q-1}: w^m -> zeta_{q-1}^m."""
-
-    field: FieldSpec
-
-    def lift(self, value: int) -> Cyclotomic:
-        if value == 0:
-            raise ZeroDivisionError("0 has no Brauer lift")
-        m = int(self.field._log[value])
-        return Cyclotomic.zeta(self.field.q - 1, m)
-
-    def table(self) -> dict[int, Cyclotomic]:
-        return {
-            int(v): self.lift(int(v))
-            for v in self.field._exp[: self.field.q - 1]
-        }
-
-
 def matrix_order(m: FqMatrix, bound: int = 10**6) -> int:
     ident = FqMatrix.identity(m.field, m.rows)
     cur = m
@@ -483,7 +462,7 @@ def matrix_order(m: FqMatrix, bound: int = 10**6) -> int:
     raise PRegularViolation("matrix order exceeds the search bound")
 
 
-def brauer_char_value(repm, element, lift: BrauerLift | None = None) -> Cyclotomic:
+def brauer_char_value(repm, element) -> Cyclotomic:
     """Lift the eigenvalues of the representing matrix of a p-regular element.
 
     `element` is the representing FqMatrix itself (callers with group words
@@ -508,13 +487,13 @@ def brauer_char_value(repm, element, lift: BrauerLift | None = None) -> Cyclotom
     cp = char_poly(mat)
     ext_coeffs = emb[cp.coeffs]
     cpx = FqPolynomial(ext, ext_coeffs)
-    lifted = Cyclotomic.zero()
-    lift_ext = BrauerLift(ext)
+    # eigenvalue w^m lifts to zeta_{q-1}^m: count the exponents, normalize once
+    exponents = [0] * (ext.q - 1)
     for factor, mult in irreducible_factors(cpx, seed=1):
         if factor.degree != 1:
             raise SelfCheckFailed("eigenvalue outside the chosen extension")
         root = int(ext.neg(np.int64(int(factor.coeffs[0]))))
         if root == 0:
             raise PRegularViolation("singular representing matrix")
-        lifted = lifted + mult * lift_ext.lift(root)
-    return lifted
+        exponents[ext._log_l[root]] += mult
+    return Cyclotomic(ext.q - 1, exponents)

@@ -577,14 +577,9 @@ def mat_mul(a: FqMatrix, b: FqMatrix) -> FqMatrix:
 def mat_kron(a: FqMatrix, b: FqMatrix) -> FqMatrix:
     if a.field != b.field:
         raise FieldMismatch("kron over different fields")
-    F = a.field
-    if F.k == 1:
-        return FqMatrix(F, np.kron(a.arr, b.arr) % F.p)
-    la, lb = F._log[a.arr], F._log[b.arr]
-    res = F._exp[np.add.outer(la, lb).transpose(0, 2, 1, 3)]
-    mask = np.multiply.outer(a.arr != 0, b.arr != 0).transpose(0, 2, 1, 3)
-    res = np.where(mask, res, np.int64(0))
-    return FqMatrix(F, res.reshape(a.rows * b.rows, a.cols * b.cols))
+    # entry (i, k, j, l) is a[i, j] * b[k, l]: row i*rb + k, column j*cb + l
+    res = a.field.mul(a.arr[:, None, :, None], b.arr[None, :, None, :])
+    return FqMatrix(a.field, res.reshape(a.rows * b.rows, a.cols * b.cols))
 
 
 def mat_arith(a: FqMatrix, b: FqMatrix, kind: str) -> FqMatrix:

@@ -8,23 +8,33 @@ are hom dimensions against the covers.  The kernel oracles are the earlier
 implementations of the elementwise field ops (base-p digits for sums and
 negatives, discrete logs for products and inverses, every call through
 numpy), of the matrix product (one integer product per pair of digit planes),
-of echelonize (one full-width pass per pivot) and of spin (one vector times
-one generator at a time).
+of echelonize (one full-width pass per pivot), of spin (one vector times
+one generator at a time) and of the Kronecker product (`np.kron` mod p, or
+exp/log outer sums).  `tables_from_regular` is the earlier table path: the
+simples are the factors of the regular module, each Brauer value a sum of
+lifted eigenvalues.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
-from modchar import grp, rep
+from modchar import ctab, grp, rep
+from modchar.cyclo import Cyclotomic, matrix_order
 from modchar.gfla import (
     EchelonForm,
+    FieldSpec,
     FqMatrix,
+    FqPolynomial,
     WorkBasis,
+    char_poly,
     echelonize,
+    field_make,
     inverse,
+    irreducible_factors,
     mat_mul,
     nullspace,
     row_space,
@@ -311,3 +321,84 @@ def cartan_from_covers(covers):
 def multiplicity_oracle(covers, module):
     """Composition multiplicity of each simple in `module` as hom dims."""
     return [len(rep.hom(p, module)) for p in covers]
+
+
+def mat_kron_logexp(a: FqMatrix, b: FqMatrix) -> FqMatrix:
+    F = a.field
+    if F.k == 1:
+        return FqMatrix(F, np.kron(a.arr, b.arr) % F.p)
+    la, lb = F._log[a.arr], F._log[b.arr]
+    res = F._exp[np.add.outer(la, lb).transpose(0, 2, 1, 3)]
+    mask = np.multiply.outer(a.arr != 0, b.arr != 0).transpose(0, 2, 1, 3)
+    res = np.where(mask, res, np.int64(0))
+    return FqMatrix(F, res.reshape(a.rows * b.rows, a.cols * b.cols))
+
+
+@dataclass(frozen=True)
+class BrauerLift:
+    """Multiplicative lift GF(q)* -> mu_{q-1}: w^m -> zeta_{q-1}^m."""
+
+    field: FieldSpec
+
+    def lift(self, value: int) -> Cyclotomic:
+        if value == 0:
+            raise ZeroDivisionError("0 has no Brauer lift")
+        m = int(self.field._log[value])
+        return Cyclotomic.zeta(self.field.q - 1, m)
+
+    def table(self) -> dict[int, Cyclotomic]:
+        return {
+            int(v): self.lift(int(v))
+            for v in self.field._exp[: self.field.q - 1]
+        }
+
+
+def brauer_char_value_summed(mat: FqMatrix) -> Cyclotomic:
+    """Sum of the lifted eigenvalues, one Cyclotomic addition per eigenvalue."""
+    F = mat.field
+    order = matrix_order(mat)
+    assert order % F.p
+    m = F.k
+    while (F.p**m - 1) % order:
+        m += F.k
+    ext = field_make(F.p, m)
+    cpx = FqPolynomial(ext, F.embed_into(ext)[char_poly(mat).coeffs])
+    lifted = Cyclotomic.zero()
+    for factor, mult in irreducible_factors(cpx, seed=1):
+        assert factor.degree == 1
+        root = int(ext.neg(np.int64(int(factor.coeffs[0]))))
+        lifted = lifted + mult * BrauerLift(ext).lift(root)
+    return lifted
+
+
+def tables_from_regular(g: grp.PermGroup, p: int | None = None, seed: int = 1):
+    """(CharTable, simples) from chopping the regular module: over GF(r) for
+    the ordinary table (p None), over GF(p^2) for the Brauer table at p.
+    Rows are sorted trivial first, then by degree and values; the labels are
+    chop's, so they follow discovery in the regular module."""
+    cls = grp.conjugacy_classes(g, p)
+    if p is None:
+        F = field_make(ctab._auxiliary_prime(g.exponent(), g.order), 1)
+    else:
+        F = field_make(p, 2)
+    factors = rep.chop(grp.regular_rep(g, F), seed)
+    keep = [i for i in range(cls.count) if cls.p_regular(p)[i]]
+    chars = [
+        ctab.Character(
+            tuple(brauer_char_value_summed(grp.element_matrix(g, s, cls.reps[i])) for i in keep),
+            "brauer" if p else "ordinary",
+            s.label,
+        )
+        for s, _m in factors
+    ]
+    one = Cyclotomic.one()
+
+    def sort_key(i):
+        ch = chars[i]
+        return (any(v != one for v in ch.values), ch.degree_int(), repr([v.coeffs for v in ch.values]))
+
+    order = sorted(range(len(chars)), key=sort_key)
+    labels = cls.labels()
+    classes = tuple(ctab.ClassInfo(labels[i], cls.sizes[i], cls.orders[i], True) for i in keep)
+    table = ctab.CharTable(g.order, classes, tuple(chars[i] for i in order), p, dict(cls.power_maps))
+    return table, tuple(factors[i][0] for i in order)

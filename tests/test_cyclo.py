@@ -1,6 +1,8 @@
 """Cyclotomic arithmetic, Galois actions, Brauer lifts."""
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from modchar import gfla, grp, rep
 from modchar.cyclo import (
-    BrauerLift,
     Cyclotomic,
     atlas_b,
     atlas_i,
@@ -25,6 +26,9 @@ from modchar.cyclo import (
 )
 from modchar.dxm import invert_rational
 from modchar.errors import NonUnitGaloisExponent, PRegularViolation, SingularA
+
+sys.path.insert(0, str(Path(__file__).parent))
+import oracles  # noqa: E402
 
 
 def test_minimal_polynomial_relation():
@@ -81,12 +85,15 @@ def test_text_format_roundtrip():
 
 def test_brauer_lift_multiplicative():
     F4 = gfla.field_make(2, 2)
-    lift = BrauerLift(F4)
+    lift = oracles.BrauerLift(F4)
     table = lift.table()
     for a in range(1, 4):
         for b in range(1, 4):
             prod = int(F4.mul(*map(__import__("numpy").int64, (a, b))))
             assert table[a] * table[b] == table[prod]
+        # the eigenvalue a of a 1 x 1 matrix lifts the same way
+        m = gfla.FqMatrix(F4, [[a]])
+        assert brauer_char_value(None, m) == table[a]
     assert table[1] == Cyclotomic.one()
 
 

@@ -136,6 +136,20 @@ def test_mat_arith_examples():
         gfla.mat_arith(a, b, "mul")
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (2, 8), (3, 6)])
+def test_mat_kron_matches_logexp_oracle(p, k):
+    """One broadcast F.mul against np.kron mod p (k = 1) and exp/log outer
+    sums (k > 1), on shapes with zero entries, single rows and empty sides."""
+    F = gfla.field_make(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    for (ra, ca), (rb, cb) in [((2, 3), (3, 2)), ((1, 4), (4, 1)), ((5, 5), (3, 3)), ((0, 3), (2, 2)), ((3, 3), (2, 0))]:
+        a = gfla.FqMatrix(F, rng.integers(0, F.q, (ra, ca)) * (rng.random((ra, ca)) < 0.7))
+        b = gfla.FqMatrix(F, rng.integers(0, F.q, (rb, cb)))
+        got = gfla.mat_kron(a, b)
+        assert got.arr.shape == (ra * rb, ca * cb)
+        assert got == oracles.mat_kron_logexp(a, b)
+
+
 MATMUL_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (3, 4), (251, 1), (2, 8)]
 MATMUL_SHAPES = [(0, 4, 3), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 7, 5), (1, 1, 1), (4, 6, 9), (9, 2, 1)]
 
