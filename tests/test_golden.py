@@ -11,6 +11,8 @@ them panel by panel.  `large729.mtx` (GF(3^6), 70 x 100, rank 50, zero columns
 matrices: q = 729 is above the lookup-table ceiling, so these pin the base-p
 digit `add`/`neg` and the log/exp `mul`.  `a5.prm` generates A5 from
 (1,2,3,4,5) and (3,4,5); its tables carry irrational values of conductor 5.
+`dxm_dtd_rows10` solves the same Cartan equation with two rows more than the
+fixture's k, so its one solution ends in two zero rows.
 """
 
 from pathlib import Path
@@ -44,6 +46,8 @@ CASES = {
     "ctab_brauer_a5_p2": "ctab brauer --gens a5.prm -p 2",
     "ctab_brauer_a5_p3": "ctab brauer --gens a5.prm -p 3",
     "ctab_blocks": "ctab blocks --table s4.ctb -p 2",
+    "dxm_dtd": "dxm dtd --cartan hn_mod3_e_cartan",
+    "dxm_dtd_rows10": "dxm dtd --cartan hn_mod3_e_cartan --rows 10",
     "dxm_enumerate": "dxm enumerate --fixture hn_mod3_b1_proj_c",
     "dxm_verify": "dxm verify --fixture hn_mod3_b0_hn2",
     "dxm_projs_s4_p3": "dxm projs --gens s4.prm -p 3 --blockindex 0",
