@@ -352,7 +352,7 @@ def build_parser():
     sp = sub.add_parser("dxm")
     sp.add_argument("op", choices=["projs", "dtd", "fitting", "refine", "enumerate", "atoms", "eliminate", "sd16", "verify"])
     sp.add_argument("--cartan")
-    sp.add_argument("--rows", type=int, default=0)
+    sp.add_argument("--rows", type=int, default=None)
     sp.add_argument("--block", default=None)
     sp.add_argument("--fixture")
     sp.add_argument("--endo")
@@ -594,7 +594,7 @@ def _clifford_plan(src, dst):
 def cmd_dxm(args, outputs):
     if args.op == "dtd":
         fx = _load_fixture_arg(args.cartan)
-        k = args.rows or fx.meta_int("k")
+        k = fx.meta_int("k") if args.rows is None else args.rows
         sols = dxm.dtd_solve(dxm.CartanInstance(fx.matrix, k))
         lines = [f"solutions {len(sols)}"]
         for sol in sols:

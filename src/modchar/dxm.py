@@ -25,12 +25,15 @@ from .errors import (
     NoInferencePossible,
     NonIntegral,
     NonIntegralAtoms,
+    NotSquare,
     SingularA,
+    TooLarge,
 )
 
 Vec = tuple[Fraction, ...]
 
 CANDIDATE_CAP = 10**6
+DTD_CAP = 2**20  # bound on the Cartan diagonal and on the row count of dtd_solve
 
 
 def _vec(xs) -> Vec:
@@ -176,64 +179,119 @@ class CartanInstance:
 def dtd_solve(inst: CartanInstance) -> list[tuple[tuple[int, ...], ...]]:
     """All D >= 0 with k rows and D^T D = C, up to row permutation.
 
-    Depth-first over candidate rows in descending lexicographic order (each
-    multiset appears once), pruning on partial column sums.
+    D is built one column at a time, after Plesken: column j is an integer
+    vector x >= 0 with |x|^2 = C_jj and x . d_i = C_ij for every earlier
+    column d_i, chosen one row at a time.  Rows that are equal on the columns
+    built so far form a group, and within a group the new entries may not
+    increase; so the rows of D stay in non-increasing lexicographic order and
+    each row multiset is generated exactly once.  After each entry the
+    remaining norm and every remaining inner product need_i must stay >= 0,
+    and by Cauchy-Schwarz need_i^2 <= rest_norm * sum_{r' > r} D[r'][i]^2
+    (the Fincke-Pohst bound).  A solution has at most trace(C) nonzero rows,
+    so rows beyond that are zero and are not searched.
+
+    Returns the sorted list of solutions, each a tuple of rows in descending
+    order.  Raises NotSquare unless C is l x l, TooLarge when a diagonal
+    entry or k exceeds DTD_CAP (entries of D then stay <= 1024), and
+    Infeasible when C is not symmetric and nonnegative with a positive
+    diagonal, when k < 0 or when no D exists.
     """
-    C = [list(r) for r in inst.cartan]
+    C = inst.cartan
     l = len(C)
+    if any(len(row) != l for row in C):
+        raise NotSquare(f"Cartan matrix must be square, got {l} rows of widths {sorted({len(r) for r in C})}")
     for i in range(l):
         if C[i][i] < 1:
             raise Infeasible("Cartan diagonal entries must be positive")
         for j in range(l):
             if C[i][j] != C[j][i]:
                 raise Infeasible("Cartan matrix must be symmetric")
-    maxv = [isqrt(C[j][j]) for j in range(l)]
-    rows = []
-    for combo in itertools.product(*(range(m, -1, -1) for m in maxv)):
-        rows.append(combo)
-    rows.sort(reverse=True)
+            if C[i][j] < 0:
+                raise Infeasible("Cartan entries must be nonnegative")
+    if any(C[j][j] > DTD_CAP for j in range(l)):
+        raise TooLarge(f"Cartan diagonal entry above {DTD_CAP}")
+    if inst.k > DTD_CAP:
+        raise TooLarge(f"row count above {DTD_CAP}")
+    if inst.k < 0:
+        raise Infeasible("the row count must be nonnegative")
+    k = min(inst.k, sum(C[j][j] for j in range(l)))
+    pad = ((0,) * l,) * (inst.k - k)
+    D = [[0] * l for _ in range(k)]
+    # rest[j] and need[j][i] are what column j still owes to C_jj and C_ij
+    rest = [C[j][j] for j in range(l)]
+    need = [[C[i][j] for i in range(j)] for j in range(l)]
+    # tail[i][r] = sum of D[r'][i]^2 over r' >= r, for completed columns i
+    tail = [[0] * (k + 1) for _ in range(l)]
+    # tied[j][r]: row r equals row r - 1 on the columns before j
+    tied = [[r > 0 for r in range(k)] for _ in range(l)]
     solutions = []
 
-    def feasible(partial, count):
-        # remaining diagonal must be nonnegative and fillable by <= remaining rows
-        rem_rows = inst.k - count
-        for j in range(l):
-            need = C[j][j] - partial[j][j]
-            if need < 0:
-                return False
-            if need > rem_rows * maxv[j] * maxv[j]:
-                return False
-        for a in range(l):
-            for b in range(a + 1, l):
-                if partial[a][b] > C[a][b]:
-                    return False
-        return True
+    def upper(j, r):
+        hi = isqrt(rest[j])
+        if tied[j][r]:
+            hi = min(hi, D[r - 1][j])
+        row, nj = D[r], need[j]
+        for i in range(j):
+            if row[i]:
+                hi = min(hi, nj[i] // row[i])
+        return hi
 
-    partial = [[0] * l for _ in range(l)]
+    def place(j, r, v):
+        """Set D[r][j] = v; True when the bounds still hold."""
+        D[r][j] = v
+        rest[j] -= v * v
+        row, nj, rj = D[r], need[j], rest[j]
+        ok = r + 1 < k or rj == 0
+        for i in range(j):
+            nj[i] -= v * row[i]
+            ok = ok and nj[i] * nj[i] <= rj * tail[i][r + 1]
+        return ok
 
-    def rec(start, count, chosen):
-        if count == inst.k:
-            if all(partial[a][b] == C[a][b] for a in range(l) for b in range(l)):
-                solutions.append(tuple(chosen))
-            return
-        for ri in range(start, len(rows)):
-            v = rows[ri]
-            for a in range(l):
-                for b in range(l):
-                    partial[a][b] += v[a] * v[b]
-            if feasible(partial, count + 1):
-                chosen.append(v)
-                rec(ri, count + 1, chosen)
-                chosen.pop()
-            for a in range(l):
-                for b in range(l):
-                    partial[a][b] -= v[a] * v[b]
+    def unplace(j, r):
+        v = D[r][j]
+        D[r][j] = 0
+        rest[j] += v * v
+        row, nj = D[r], need[j]
+        for i in range(j):
+            nj[i] += v * row[i]
+        return v
 
-    rec(0, 0, [])
-    canonical = sorted({tuple(sorted(sol, reverse=True)) for sol in solutions})
-    if not canonical:
+    def close(j):
+        """Column j is complete: record its suffix norms and the row groups."""
+        t = tail[j]
+        for r in range(k - 1, -1, -1):
+            t[r] = t[r + 1] + D[r][j] * D[r][j]
+        if j + 1 < l:
+            tied[j + 1] = [r > 0 and tied[j][r] and D[r - 1][j] == D[r][j] for r in range(k)]
+
+    if l == 0:
+        solutions.append(pad)
+    # depth-first over the cells in column-major order, p = j * k + r
+    nxt = [0] * (l * k)  # the next value to try in each cell, -1 once exhausted
+    p = 0 if nxt else -1
+    if nxt:
+        nxt[0] = upper(0, 0)
+    while p >= 0:
+        if nxt[p] < 0:  # cell p is exhausted: back up to the one before
+            p -= 1
+            if p >= 0:
+                nxt[p] = unplace(*divmod(p, k)) - 1
+            continue
+        j, r = divmod(p, k)
+        ok = place(j, r, nxt[p])
+        if ok and r + 1 == k:
+            close(j)
+            if j + 1 == l:
+                solutions.append(tuple(tuple(row) for row in D) + pad)
+                ok = False
+        if ok:
+            p += 1
+            nxt[p] = upper(*divmod(p, k))
+        else:
+            nxt[p] = unplace(j, r) - 1
+    if not solutions:
         raise Infeasible("no factorization D^T D = C with the required row count")
-    return canonical
+    return sorted(solutions)
 
 
 # ---------------------------------------------------------------------------

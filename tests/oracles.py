@@ -12,18 +12,23 @@ of echelonize (one full-width pass per pivot), of spin (one vector times
 one generator at a time) and of the Kronecker product (`np.kron` mod p, or
 exp/log outer sums).  `tables_from_regular` is the earlier table path: the
 simples are the factors of the regular module, each Brauer value a sum of
-lifted eigenvalues.
+lifted eigenvalues.  `dtd_solve_rows` is the earlier D^T D = C solver: it
+lists every row in the box prod(isqrt(C_jj) + 1) and tries k-multisets of
+those rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from modchar import ctab, grp, rep
 from modchar.cyclo import Cyclotomic, matrix_order
+from modchar.errors import Infeasible
 from modchar.gfla import (
     EchelonForm,
     FieldSpec,
@@ -402,3 +407,63 @@ def tables_from_regular(g: grp.PermGroup, p: int | None = None, seed: int = 1):
     classes = tuple(ctab.ClassInfo(labels[i], cls.sizes[i], cls.orders[i], True) for i in keep)
     table = ctab.CharTable(g.order, classes, tuple(chars[i] for i in order), p, dict(cls.power_maps))
     return table, tuple(factors[i][0] for i in order)
+
+
+def dtd_solve_rows(inst) -> list[tuple[tuple[int, ...], ...]]:
+    """All D >= 0 with inst.k rows and D^T D = inst.cartan, up to row order.
+
+    Depth-first over candidate rows in descending lexicographic order (each
+    multiset appears once), pruning on partial column sums.
+    """
+    C = [list(r) for r in inst.cartan]
+    l = len(C)
+    for i in range(l):
+        if C[i][i] < 1:
+            raise Infeasible("Cartan diagonal entries must be positive")
+        for j in range(l):
+            if C[i][j] != C[j][i]:
+                raise Infeasible("Cartan matrix must be symmetric")
+    maxv = [isqrt(C[j][j]) for j in range(l)]
+    rows = sorted(itertools.product(*(range(m, -1, -1) for m in maxv)), reverse=True)
+    solutions = []
+
+    def feasible(partial, count):
+        # remaining diagonal must be nonnegative and fillable by <= remaining rows
+        rem_rows = inst.k - count
+        for j in range(l):
+            need = C[j][j] - partial[j][j]
+            if need < 0:
+                return False
+            if need > rem_rows * maxv[j] * maxv[j]:
+                return False
+        for a in range(l):
+            for b in range(a + 1, l):
+                if partial[a][b] > C[a][b]:
+                    return False
+        return True
+
+    partial = [[0] * l for _ in range(l)]
+
+    def rec(start, count, chosen):
+        if count == inst.k:
+            if all(partial[a][b] == C[a][b] for a in range(l) for b in range(l)):
+                solutions.append(tuple(chosen))
+            return
+        for ri in range(start, len(rows)):
+            v = rows[ri]
+            for a in range(l):
+                for b in range(l):
+                    partial[a][b] += v[a] * v[b]
+            if feasible(partial, count + 1):
+                chosen.append(v)
+                rec(ri, count + 1, chosen)
+                chosen.pop()
+            for a in range(l):
+                for b in range(l):
+                    partial[a][b] -= v[a] * v[b]
+
+    rec(0, 0, [])
+    canonical = sorted({tuple(sorted(sol, reverse=True)) for sol in solutions})
+    if not canonical:
+        raise Infeasible("no factorization D^T D = C with the required row count")
+    return canonical

@@ -2,7 +2,11 @@
 semidihedral analysis, verification."""
 
 import dataclasses
+import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,9 @@ from modchar.errors import (
     SingularA,
 )
 from modchar.fixtures import load
+
+sys.path.insert(0, str(Path(__file__).parent))
+import oracles  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +51,69 @@ def test_dtd_endomorphism_cartan_unique():
 def test_dtd_infeasible():
     with pytest.raises(Infeasible):
         dxm.dtd_solve(dxm.CartanInstance(((3,),), 1))  # 3 is not a square
+    with pytest.raises(Infeasible):
+        dxm.dtd_solve(dxm.CartanInstance(((1, -1), (-1, 1)), 2))  # D >= 0 has D^T D >= 0
+
+
+def test_dtd_rows_beyond_the_trace_are_zero():
+    sols = dxm.dtd_solve(dxm.CartanInstance(((2, 1), (1, 1)), 5))
+    assert sols == [((1, 1), (1, 0), (0, 0), (0, 0), (0, 0))]
+    assert sols == oracles.dtd_solve_rows(dxm.CartanInstance(((2, 1), (1, 1)), 5))
+
+
+def _gram(D):
+    l = len(D[0])
+    return tuple(tuple(sum(row[a] * row[b] for row in D) for b in range(l)) for a in range(l))
+
+
+def _solve_or_infeasible(solver, inst):
+    try:
+        return solver(inst)
+    except Infeasible:
+        return "Infeasible"
+
+
+def test_dtd_equals_the_row_list_oracle_on_random_gram_matrices():
+    """C = D^T D from random small D >= 0, with k - 1, k and k + 1 rows, and
+    with one diagonal entry raised by 1 (usually infeasible)."""
+    rng = random.Random(0)
+    seen = 0
+    for _ in range(30):
+        k, l = rng.randint(1, 6), rng.randint(1, 3)
+        D = [[rng.randint(0, 2) for _ in range(l)] for _ in range(k)]
+        C = _gram(D)
+        if any(C[j][j] == 0 for j in range(l)):
+            continue
+        j = rng.randrange(l)
+        raised = tuple(tuple(C[a][b] + (a == b == j) for b in range(l)) for a in range(l))
+        for cartan, rows in ((C, k - 1), (C, k), (C, k + 1), (raised, k)):
+            inst = dxm.CartanInstance(cartan, rows)
+            new = _solve_or_infeasible(dxm.dtd_solve, inst)
+            assert new == _solve_or_infeasible(oracles.dtd_solve_rows, inst), inst
+            seen += new != "Infeasible"
+    assert seen > 20
+
+
+def _timed_solve(D):
+    t0 = time.process_time()
+    sols = dxm.dtd_solve(dxm.CartanInstance(_gram(D), len(D)))
+    assert time.process_time() - t0 < 1
+    return sols
+
+
+def test_dtd_hn_mod3_b1_cartan_determines_d():
+    D = load("hn_mod3_b1").matrix
+    assert (len(D), len(D[0])) == (9, 7)
+    assert _timed_solve(D) == [tuple(sorted(D, reverse=True))]
+
+
+def test_dtd_hn_mod2_b1_cartan_leaves_five_candidates():
+    D = load("hn_mod2_b1").matrix
+    assert (len(D), len(D[0])) == (8, 3)
+    sols = _timed_solve(D)
+    assert len(sols) == 5
+    assert tuple(sorted(D, reverse=True)) in sols
+    assert all(_gram(sol) == _gram(D) for sol in sols)
 
 
 def _state_with_basic(fixture_name):

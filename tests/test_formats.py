@@ -228,6 +228,22 @@ def test_atom_fixture_without_its_sections_exits_3(lines, tmp_path):
     assert run_main(["dxm", "atoms", "--fixture", path]) == 3
 
 
+@pytest.mark.parametrize(("body", "rows", "error"), [
+    ("collabels a b\nrow c1 : 1 0\n", [], "NotSquare"),
+    ("collabels a\nrow c1 : 100000000000000000000\n", [], "TooLarge"),
+    ("collabels a\nrow c1 : 1\n", ["--rows", "0"], "Infeasible"),
+    ("collabels a\nrow c1 : 1\n", ["--rows", "100000000000"], "TooLarge"),
+], ids=["not_square", "huge_diagonal", "zero_rows", "huge_row_count"])
+def test_cartan_fault_is_a_typed_error(body, rows, error, tmp_path, capsys):
+    """A non-square C printed the answer for its leading block, a huge
+    diagonal ended in MemoryError, --rows 0 meant the fixture's k, and a huge
+    row count ended in RecursionError."""
+    path = tmp_path / "c.txt"
+    path.write_text("FIXTURE c\nkind cartan\nmeta k 2\n" + body)
+    assert cli.main(["dxm", "dtd", "--cartan", str(path), *rows]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+
 @pytest.mark.parametrize(
     "manifest",
     ["not json\n", "[1, 2]\n", '{"prev": ""}\n', '{"hash": 3}\n', "[" * 5000 + "\n"],
