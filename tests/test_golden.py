@@ -11,6 +11,9 @@ them panel by panel.  `large729.mtx` (GF(3^6), 70 x 100, rank 50, zero columns
 matrices: q = 729 is above the lookup-table ceiling, so these pin the base-p
 digit `add`/`neg` and the log/exp `mul`.  `a5.prm` generates A5 from
 (1,2,3,4,5) and (3,4,5); its tables carry irrational values of conductor 5.
+`c7.prm` generates C7 from (1,2,3,4,5,6,7): its values have conductor 7 and
+are lifted from GF(29), whose q - 1 = 28 is a proper multiple of 7, so
+`ctab_table_c7` pins the fold of the lift down to the values' conductor.
 `dxm_dtd_rows10` solves the same Cartan equation with two rows more than the
 fixture's k, so its one solution ends in two zero rows.
 """
@@ -45,6 +48,7 @@ CASES = {
     "ctab_table_a5": "ctab table --gens a5.prm",
     "ctab_brauer_a5_p2": "ctab brauer --gens a5.prm -p 2",
     "ctab_brauer_a5_p3": "ctab brauer --gens a5.prm -p 3",
+    "ctab_table_c7": "ctab table --gens c7.prm",
     "ctab_blocks": "ctab blocks --table s4.ctb -p 2",
     "dxm_dtd": "dxm dtd --cartan hn_mod3_e_cartan",
     "dxm_dtd_rows10": "dxm dtd --cartan hn_mod3_e_cartan --rows 10",
