@@ -22,7 +22,7 @@ import numpy as np
 
 from . import grp as _grp
 from . import rep as _rep
-from .cyclo import Cyclotomic, cyclotomic_polynomial, solve_rational
+from .cyclo import Cyclotomic, cyclotomic_polynomial, solve_rational, weighted_inner
 from .errors import (
     ActionNotInvolution,
     FusionDegreeMismatch,
@@ -239,13 +239,10 @@ def restrict_table(table: CharTable, p: int) -> CharTable:
 
 def scalar(table: CharTable, a: Character, b: Character) -> Fraction:
     """(1/|G|) sum over classes of |C| a(C) conj(b(C)); exact rational."""
-    total = Cyclotomic.zero()
-    for ci, cls in enumerate(table.classes):
-        total = total + Fraction(cls.size) * a.values[ci] * b.values[ci].conj()
-    total = Fraction(1, table.group_order) * total
+    total = weighted_inner((c.size for c in table.classes), a.values, b.values)
     if not total.is_rational():
-        raise NonIntegral(f"scalar product irrational: {total}")
-    return total.as_fraction()
+        raise NonIntegral(f"scalar product irrational: {Fraction(1, table.group_order) * total}")
+    return total.as_fraction() / table.group_order
 
 
 def product(a: Character, b: Character) -> Character:

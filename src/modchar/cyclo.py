@@ -3,8 +3,13 @@
 A Cyclotomic is stored in the power basis of the n-th cyclotomic field with
 rational coefficients, reduced modulo the n-th cyclotomic polynomial and
 normalized to the minimal conductor, so equality is plain coefficient
-equality.  Brauer lifting sends the Conway generator w of GF(q) to the root
-of unity exp(2 pi i / (q-1)) in the compatible way: w^m -> zeta_{q-1}^m.
+equality.  Normalizing costs more than the arithmetic, so sums of many terms
+are gathered as one exponent list and normalized once: `weighted_inner` for
+scalar products, and `brauer_char_value`, which counts the eigenvalues of a
+p-regular element among the roots of unity of its order e and builds one
+Cyclotomic(e, counts).  The lift sends the Conway generator w of GF(q) to
+exp(2 pi i / (q-1)) in the compatible way, w^m -> zeta_{q-1}^m, so the
+eigenvalue w^(j(q-1)/e) lifts to zeta_e^j.
 """
 
 from __future__ import annotations
@@ -13,17 +18,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import numpy as np
-
-from .errors import FormatError, NonUnitGaloisExponent, NotSquarefree, PRegularViolation, SelfCheckFailed
-from .gfla import (
-    FqMatrix,
-    char_poly,
-    factorize,
-    field_make,
-    irreducible_factors,
-    mat_mul,
+from .errors import (
+    FormatError,
+    NonUnitGaloisExponent,
+    NotSquarefree,
+    PRegularViolation,
+    SelfCheckFailed,
+    ShapeMismatch,
 )
+from .gfla import FqMatrix, char_poly, factorize, field_make, mat_mul
 
 
 @lru_cache(maxsize=None)
@@ -236,6 +239,27 @@ def _coerce(x) -> Cyclotomic:
     if isinstance(x, (int, Fraction)):
         return Cyclotomic.from_rational(x)
     raise TypeError(f"cannot coerce {x!r} to Cyclotomic")
+
+
+def weighted_inner(weights, xs, ys) -> Cyclotomic:
+    """sum_i w_i x_i conj(y_i) for rationals w and equal-length sequences x, y
+    of Cyclotomics.
+
+    Every product is added into one exponent list at the lcm n of the
+    conductors (conjugation negates the exponent mod n), and the sum is
+    normalized once.
+    """
+    n = lcm(1, *(v.n for v in xs), *(v.n for v in ys))
+    out = [Fraction(0)] * n
+    for w, x, y in zip(weights, xs, ys, strict=True):
+        sx, sy = n // x.n, n // y.n
+        for i, a in enumerate(x.coeffs):
+            if a:
+                wa = w * a
+                for j, b in enumerate(y.coeffs):
+                    if b:
+                        out[(i * sx - j * sy) % n] += wa * b
+    return Cyclotomic(n, out)
 
 
 def _normalize(n: int, coeffs: list[Fraction]) -> tuple[int, list[Fraction]]:
@@ -466,15 +490,22 @@ def brauer_char_value(repm, element) -> Cyclotomic:
     """Lift the eigenvalues of the representing matrix of a p-regular element.
 
     `element` is the representing FqMatrix itself (callers with group words
-    evaluate them first).  The matrix order must be coprime to p; the
-    eigenvalues are extracted over the smallest extension GF(p^m) containing
-    them and lifted compatibly, so the result is independent of the choice.
+    evaluate them first).  Its order e must be coprime to p, so its
+    eigenvalues are e-th roots of unity and lie in the smallest extension
+    GF(p^m) with e | p^m - 1 that contains GF(q).  The characteristic
+    polynomial is divided there by x - w^(j(p^m-1)/e) for j = 0, ..., e-1,
+    as often as it goes; the count c_j lifts to c_j zeta_e^j, and the value
+    is normalized once, as Cyclotomic(e, counts).  A singular matrix is
+    refused before its order is sought.
     """
-    from .gfla import FqPolynomial
-
     mat = element
+    if mat.rows != mat.cols:
+        raise ShapeMismatch(f"representing matrix is {mat.rows} x {mat.cols}")
     F = mat.field
     p = F.p
+    cp = char_poly(mat)
+    if cp.coeffs[0] == 0:  # the constant term is +-det
+        raise PRegularViolation("singular representing matrix")
     order = matrix_order(mat)
     if order % p == 0:
         raise PRegularViolation(f"element order {order} divisible by {p}")
@@ -483,17 +514,31 @@ def brauer_char_value(repm, element) -> Cyclotomic:
     while (p**m - 1) % order:
         m += F.k
     ext = field_make(p, m)
-    emb = F.embed_into(ext)
-    cp = char_poly(mat)
-    ext_coeffs = emb[cp.coeffs]
-    cpx = FqPolynomial(ext, ext_coeffs)
-    # eigenvalue w^m lifts to zeta_{q-1}^m: count the exponents, normalize once
-    exponents = [0] * (ext.q - 1)
-    for factor, mult in irreducible_factors(cpx, seed=1):
-        if factor.degree != 1:
-            raise SelfCheckFailed("eigenvalue outside the chosen extension")
-        root = int(ext.neg(np.int64(int(factor.coeffs[0]))))
-        if root == 0:
-            raise PRegularViolation("singular representing matrix")
-        exponents[ext._log_l[root]] += mult
-    return Cyclotomic(ext.q - 1, exponents)
+    coeffs = F.embed_into(ext)[cp.coeffs].tolist()
+    step = ext.pow_el(ext.omega, (ext.q - 1) // order)
+    counts = [0] * order
+    root = 1
+    for j in range(order):
+        while len(coeffs) > 1:
+            quot, rem = _divide_linear(ext, coeffs, root)
+            if rem:
+                break
+            coeffs = quot
+            counts[j] += 1
+        root = ext.mul(root, step)
+    if len(coeffs) > 1:
+        raise SelfCheckFailed("eigenvalue outside the chosen extension")
+    return Cyclotomic(order, counts)
+
+
+def _divide_linear(F, coeffs: list[int], r: int) -> tuple[list[int], int]:
+    """Quotient and remainder of the ascending coefficients by x - r over F
+    (synthetic division)."""
+    acc = 0
+    out = []
+    for c in reversed(coeffs):
+        acc = F.add(c, F.mul(r, acc))
+        out.append(acc)
+    rem = out.pop()
+    out.reverse()
+    return out, rem

@@ -12,7 +12,9 @@ of echelonize (one full-width pass per pivot), of spin (one vector times
 one generator at a time) and of the Kronecker product (`np.kron` mod p, or
 exp/log outer sums).  `tables_from_regular` is the earlier table path: the
 simples are the factors of the regular module, each Brauer value a sum of
-lifted eigenvalues.  `dtd_solve_rows` is the earlier D^T D = C solver: it
+lifted eigenvalues, found by a full factorization of the characteristic
+polynomial.  `scalar_termwise` is the earlier scalar product, one normalized
+Cyclotomic operation per step.  `dtd_solve_rows` is the earlier D^T D = C solver: it
 lists every row in the box prod(isqrt(C_jj) + 1) and tries k-multisets of
 those rows.
 """
@@ -22,13 +24,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from modchar import ctab, grp, rep
 from modchar.cyclo import Cyclotomic, matrix_order
-from modchar.errors import Infeasible
+from modchar.errors import Infeasible, NonIntegral
 from modchar.gfla import (
     EchelonForm,
     FieldSpec,
@@ -374,6 +377,18 @@ def brauer_char_value_summed(mat: FqMatrix) -> Cyclotomic:
         root = int(ext.neg(np.int64(int(factor.coeffs[0]))))
         lifted = lifted + mult * BrauerLift(ext).lift(root)
     return lifted
+
+
+def scalar_termwise(table: ctab.CharTable, a: ctab.Character, b: ctab.Character) -> Fraction:
+    """(1/|G|) sum over classes of |C| a(C) conj(b(C)), normalizing after
+    every addition, product and conjugation."""
+    total = Cyclotomic.zero()
+    for ci, cls in enumerate(table.classes):
+        total = total + Fraction(cls.size) * a.values[ci] * b.values[ci].conj()
+    total = Fraction(1, table.group_order) * total
+    if not total.is_rational():
+        raise NonIntegral(f"scalar product irrational: {total}")
+    return total.as_fraction()
 
 
 def tables_from_regular(g: grp.PermGroup, p: int | None = None, seed: int = 1):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modchar import ctab, grp, rep
+from modchar import cli, ctab, grp, rep
 from modchar.cyclo import Cyclotomic
 from modchar.errors import (
     ActionNotInvolution,
@@ -81,6 +81,38 @@ def test_tables_match_regular_module_oracle(name, p):
         f"{d}{chr(ord('a') + degrees[:i].count(d))}" for i, d in enumerate(degrees)
     ]
     assert new.characters[0].label == "1a"
+
+
+def _scalar_or_error(fn, table, a, b):
+    try:
+        return fn(table, a, b)
+    except NonIntegral as exc:
+        return ("NonIntegral", str(exc))
+
+
+def _scalar_tables():
+    for name in ("S4", "A5", "S5"):
+        g = group(name)
+        yield ctab.ordinary_table(g)
+        for p in (2, 3, 5):
+            if ORDERS[name] % p == 0:
+                yield ctab.brauer_table(g, p)
+    yield cli.parse_table((Path(__file__).parent / "golden" / "s4.ctb").read_text())
+
+
+def test_scalar_matches_termwise_oracle():
+    for t in _scalar_tables():
+        for a in t.characters:
+            for b in t.characters:
+                got = _scalar_or_error(ctab.scalar, t, a, b)
+                assert got == _scalar_or_error(oracles.scalar_termwise, t, a, b)
+    # 3a of A5 against the indicator of the class 5a: 12 * 3a(5a) / 60 is irrational
+    t = ctab.ordinary_table(group("A5"))
+    three = next(ch for ch in t.characters if ch.label == "3a")
+    at_5a = ctab.Character(tuple(Cyclotomic.from_rational(int(c.label == "5a")) for c in t.classes))
+    got = _scalar_or_error(ctab.scalar, t, three, at_5a)
+    assert got[0] == "NonIntegral"
+    assert got == _scalar_or_error(oracles.scalar_termwise, t, three, at_5a)
 
 
 def test_tables_of_a6_against_the_literature():
