@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from modchar import cli, ctab, grp, rep
-from modchar.cyclo import Cyclotomic
+from modchar.cyclo import Cyclotomic, brauer_char_value
 from modchar.errors import (
     ActionNotInvolution,
     FusionDegreeMismatch,
@@ -15,6 +15,7 @@ from modchar.errors import (
     NotInSpan,
 )
 from modchar.fixtures import load
+from modchar.gfla import field_make
 
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles  # noqa: E402
@@ -81,6 +82,26 @@ def test_tables_match_regular_module_oracle(name, p):
         f"{d}{chr(ord('a') + degrees[:i].count(d))}" for i, d in enumerate(degrees)
     ]
     assert new.characters[0].label == "1a"
+
+
+# C7 at p None lifts from GF(29), where 28 = q - 1 is a proper multiple of the
+# conductor 7; C7 at 2 and C5 at 3 lift from GF(2^6) and GF(3^4), larger
+# than the GF(p^2) they are chopped over
+@pytest.mark.parametrize("name,p", ORACLE_CASES + [("C7", None)])
+def test_brauer_char_value_matches_summed_oracle(name, p):
+    g = group(name)
+    cls = grp.conjugacy_classes(g, p)
+    if p is None:
+        F = field_make(ctab._auxiliary_prime(g.exponent(), g.order), 1)
+        simples = ctab._tensor_closure(g, F, cls.count, 1)
+    else:
+        simples = ctab.brauer_data(g, p)[1]
+    for s in simples:
+        for i, regular in enumerate(cls.p_regular(p)):
+            if regular:
+                m = grp.element_matrix(g, s, cls.reps[i])
+                got, want = brauer_char_value(s, m), oracles.brauer_char_value_summed(m)
+                assert (got.n, got.coeffs) == (want.n, want.coeffs)
 
 
 def _scalar_or_error(fn, table, a, b):

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modchar import ctab, gfla, grp, rep
+from modchar import gfla, grp, rep
 from modchar.cyclo import (
     Cyclotomic,
     atlas_b,
@@ -123,45 +123,6 @@ def test_singular_matrix_is_refused_at_once():
         brauer_char_value(None, gfla.FqMatrix(F3, [[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(ShapeMismatch):
         brauer_char_value(None, gfla.FqMatrix(F3, [[1, 0], [0, 1], [0, 0]]))
-
-
-LIFT_GROUPS = {
-    "S3": (3, [[(1, 2)], [(1, 2, 3)]]),
-    "A4": (4, [[(1, 2), (3, 4)], [(1, 2, 3)]]),
-    "S4": (4, [[(1, 2)], [(1, 2, 3, 4)]]),
-    "A5": (5, [[(1, 2, 3, 4, 5)], [(3, 4, 5)]]),
-    "S5": (5, [[(1, 2)], [(1, 2, 3, 4, 5)]]),
-    "C7": (7, [[(1, 2, 3, 4, 5, 6, 7)]]),
-    "C5": (5, [[(1, 2, 3, 4, 5)]]),
-}
-# p None: the simples over the auxiliary prime of the ordinary table (GF(29)
-# for C7, where 28 = q - 1 is a proper multiple of the conductor 7).  C7 at 2
-# and C5 at 3 lift from GF(2^6) and GF(3^4), larger than the GF(p^2) they
-# are chopped over.
-LIFT_CASES = [
-    (name, p)
-    for name, order in {"S3": 6, "A4": 12, "S4": 24, "A5": 60, "S5": 120}.items()
-    for p in (None, 2, 3, 5)
-    if p is None or order % p == 0
-] + [("C7", None), ("C7", 2), ("C5", 3)]
-
-
-@pytest.mark.parametrize("name,p", LIFT_CASES)
-def test_brauer_char_value_matches_summed_oracle(name, p):
-    n, gens = LIFT_GROUPS[name]
-    g = grp.enumerate_group([grp.perm_from_cycles(n, c) for c in gens])
-    cls = grp.conjugacy_classes(g, p)
-    if p is None:
-        F = gfla.field_make(ctab._auxiliary_prime(g.exponent(), g.order), 1)
-        simples = ctab._tensor_closure(g, F, cls.count, 1)
-    else:
-        simples = ctab.brauer_data(g, p)[1]
-    for s in simples:
-        for i, regular in enumerate(cls.p_regular(p)):
-            if regular:
-                m = grp.element_matrix(g, s, cls.reps[i])
-                got, want = brauer_char_value(s, m), oracles.brauer_char_value_summed(m)
-                assert (got.n, got.coeffs) == (want.n, want.coeffs)
 
 
 def test_brauer_value_is_class_function():
