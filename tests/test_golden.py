@@ -14,6 +14,9 @@ digit `add`/`neg` and the log/exp `mul`.  `a5.prm` generates A5 from
 `c7.prm` generates C7 from (1,2,3,4,5,6,7): its values have conductor 7 and
 are lifted from GF(29), whose q - 1 = 28 is a proper multiple of 7, so
 `ctab_table_c7` pins the fold of the lift down to the values' conductor.
+`a5_gf4_4a.rep` is the 4-dimensional simple factor of `a5_gf4.rep` over
+GF(4), and `a5_gf4_4b.rep` the same module conjugated by a seeded invertible
+matrix, so `rep_iso` pins the intertwiner the standard-basis method finds.
 `dxm_dtd_rows10` solves the same Cartan equation with two rows more than the
 fixture's k, so its one solution ends in two zero rows.
 """
@@ -42,6 +45,7 @@ CASES = {
     "grp_classes": "grp classes --gens s4.prm -p 3",
     "rep_chop": "rep chop --rep a5_gf4.rep",
     "rep_dual": "rep dual --rep a5_gf4.rep",
+    "rep_iso": "rep iso --rep a5_gf4_4a.rep --other a5_gf4_4b.rep",
     "ctab_table": "ctab table --gens s4.prm",
     "ctab_brauer_p2": "ctab brauer --gens s4.prm -p 2",
     "ctab_brauer_p3": "ctab brauer --gens s4.prm -p 3",
