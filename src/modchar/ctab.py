@@ -319,14 +319,14 @@ def blocks(table: CharTable, p: int) -> BlockData:
     Fp = field_make(p, 1)
     phi_e = cyclotomic_polynomial(e)
     phi_poly = FqPolynomial(Fp, [c % p for c in phi_e])
-    factors = irreducible_factors(phi_poly, seed=1)
-    if not factors:
+    least = next(irreducible_factors(phi_poly, seed=1), None)  # canonical order
+    if least is None:
         raise IdealChoiceFailure("cyclotomic polynomial has no factors")
-    h = factors[0][0]  # canonical (sorted) least factor
+    h = least[0]
     m = h.degree
     E = field_make(p, m) if m > 1 else Fp
     if m > 1:
-        hx = FqPolynomial(E, Fp.embed_into(E)[h.coeffs])
+        hx = FqPolynomial(E, Fp.embed_into(E)[list(h.coeffs)])
     else:
         hx = h
     roots = [r for r, _ in _roots_in(hx)]
@@ -356,9 +356,9 @@ def blocks(table: CharTable, p: int) -> BlockData:
 def _roots_in(poly: FqPolynomial):
     out = []
     for g, mult in irreducible_factors(poly, seed=1):
-        if g.degree == 1:
-            root = int(g.field.neg(np.int64(int(g.coeffs[0]))))
-            out.append((root, mult))
+        if g.degree > 1:  # the linear factors come first
+            break
+        out.append((g.field.neg(g.coeffs[0]), mult))
     return sorted(out)
 
 

@@ -514,7 +514,7 @@ def brauer_char_value(repm, element) -> Cyclotomic:
     while (p**m - 1) % order:
         m += F.k
     ext = field_make(p, m)
-    coeffs = F.embed_into(ext)[cp.coeffs].tolist()
+    coeffs = F.embed_into(ext)[list(cp.coeffs)].tolist()
     step = ext.pow_el(ext.omega, (ext.q - 1) // order)
     counts = [0] * order
     root = 1

@@ -8,7 +8,8 @@ is table lookup, the table chosen once per field (see `FieldSpec`): XOR adds
 over GF(2^k), `% p` over prime fields, q x q add and mul tables up to q = 256,
 and above that discrete-log tables for products and base-p digits for sums;
 negation and inversion are length-q tables.  A scalar call reads Python-list
-copies of the same tables and returns a Python int.  A matrix product treats
+copies of the same tables and returns a Python int; polynomials (`FqPolynomial`)
+are tuples of such ints and loop over those lists.  A matrix product treats
 GF(p^k) as the vector space GF(p)^k: the digits of A times the GF(p)-expansion
 of B (each entry b replaced by the k x k matrix of x -> x.b) is one exact int64
 product, reduced mod p and packed back.
@@ -22,6 +23,7 @@ Every operation is deterministic, so downstream results are bit-reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,7 +264,8 @@ class FieldSpec:
     returns a Python int from list copies of the tables without a numpy call.
     Which table each op reads:
       add  p = 2: XOR.  k = 1: (a + b) % p.  q <= 256: the add table.
-           Otherwise, odd p with k > 1 and q > 256, base-p digits.
+           Otherwise, odd p with k > 1 and q > 256, base-p digits for
+           arrays and Zech logarithms for scalars.
       neg  the neg table.
       mul  arrays: (a * b) % p for k = 1, the mul table for q <= 256, and
            exp[log a + log b] above; scalars: the exp/log lists.
@@ -293,18 +296,19 @@ class FieldSpec:
             t //= p
         self._dig = dig
         self._pow = p ** np.arange(k, dtype=np.int64)
+        # digits of w^0 .. w^(q-2) by doubling: with the digits of w^0 ..
+        # w^(n-1) known, those of w^n .. w^(2n-1) are them times the k x k
+        # GF(p) matrix of x -> x.w^n, which is squared for the next step
+        step = np.zeros((k, k), dtype=np.int64)  # x -> x.w: the companion matrix
+        step[np.arange(k - 1), np.arange(1, k)] = 1
+        step[k - 1] = [(-c) % p for c in self.conway[:k]]
+        powers = np.zeros((1, k), dtype=np.int64)
+        powers[0, 0] = 1
+        while len(powers) < q - 1:
+            powers = np.vstack([powers, (powers @ step) % p])
+            step = (step @ step) % p
         exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        cur = [0] * k
-        cur[0] = 1
-        con = self.conway
-        for i in range(q - 1):
-            exp[i] = sum(c * int(pp) for c, pp in zip(cur, self._pow))
-            # multiply by x and reduce by the Conway polynomial
-            carry = cur[-1]
-            cur = [0] + cur[:-1]
-            if carry:
-                for j in range(k):
-                    cur[j] = (cur[j] - carry * con[j]) % p
+        exp[: q - 1] = powers[: q - 1] @ self._pow
         hits = np.bincount(exp[: q - 1], minlength=q)
         if hits[0] or (hits[1:] != 1).any():
             raise NotPrimitive(f"the Conway polynomial {self.conway} of {self!r} is not primitive")
@@ -328,22 +332,21 @@ class FieldSpec:
             mul = exp[np.add.outer(log, log)]
             mul[0, :] = mul[:, 0] = 0
             self._mul = mul
-        # list copies for the scalar path
-        self._exp_l, self._log_l = exp.tolist(), log.tolist()
-        self._neg_l, self._inv_l = self._neg.tolist(), inv.tolist()
-        self._add_l = None if self._add is None else self._add.tolist()
         # Zech logarithms: zech[m] = log(1 + w^m)
         ones = self.add(np.int64(1), exp[: q - 1])
         zech = np.where(ones == 0, np.int64(ZECH_ZERO), log[ones])
         self.zech = zech
+        # list copies for the scalar path
+        self._exp_l, self._log_l = exp_l, log_l = exp.tolist(), log.tolist()
+        self._neg_l, self._inv_l = self._neg.tolist(), inv.tolist()
+        self._add_s = _scalar_add(p, k, self._add, exp_l, log_l, zech.tolist())
         self.omega = int(exp[1]) if q > 2 else 1
         self.neg_one = self.neg(1)
         # axis order (d, v, f): one np.take along v lays M(B) out row-major
         mulx = np.empty((k, q, k), dtype=np.min_scalar_type(p - 1))
+        narrow = dig.astype(mulx.dtype)  # gathered whole rows: no (q, k) int64 temporary
         for d in range(k):
-            prod = self.mul(v, exp[d])
-            for f in range(k):  # one digit at a time: no (q, k) int64 temporary
-                mulx[d, :, f] = dig[prod, f]
+            np.take(narrow, self.mul(v, exp[d]), axis=0, out=mulx[d])
         self._mulx = mulx
         # products of GF(p) digits summed over m.k terms stay exact in int64
         self._max_inner = ((1 << 63) - 1) // (k * (p - 1) ** 2)
@@ -351,15 +354,9 @@ class FieldSpec:
     # -- elementwise packed arithmetic (numpy arrays or scalars) ------------
 
     def add(self, a, b):
+        if type(a) in _SCALARS and type(b) in _SCALARS:
+            return self._add_s(int(a), int(b))
         p = self.p
-        scalar = type(a) in _SCALARS and type(b) in _SCALARS
-        if scalar:
-            if p == 2:
-                return int(a) ^ int(b)
-            if self.k == 1:
-                return (int(a) + int(b)) % p
-            if self._add_l is not None:
-                return self._add_l[a][b]
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if p == 2:
@@ -368,8 +365,7 @@ class FieldSpec:
             return (a + b) % p
         if self._add is not None:
             return self._add[a, b]
-        s = ((self._dig[a] + self._dig[b]) % p) @ self._pow
-        return int(s) if scalar else s
+        return ((self._dig[a] + self._dig[b]) % p) @ self._pow
 
     def neg(self, a):
         if type(a) in _SCALARS:
@@ -479,6 +475,31 @@ class FieldSpec:
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
+
+
+def _scalar_add(p, k, table, exp_l, log_l, zech_l):
+    """a + b on Python ints in range, from Python lists only: XOR for p = 2,
+    (a + b) % p for k = 1, the add table's list copy up to q = 256, and Zech
+    logarithms above."""
+    if p == 2:
+        return operator.xor
+    if k == 1:
+        return lambda a, b: (a + b) % p
+    if table is not None:
+        rows = table.tolist()
+        return lambda a, b: rows[a][b]
+    q1 = len(log_l) - 1
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log_l[a]
+        z = zech_l[(log_l[b] - la) % q1]
+        return 0 if z == ZECH_ZERO else exp_l[la + z]
+
+    return add
 
 
 _field_mem: dict[tuple[int, int], FieldSpec] = {}
@@ -780,20 +801,33 @@ class WorkBasis:
 # ---------------------------------------------------------------------------
 
 
+def _strip(c: list) -> tuple:
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
 class FqPolynomial:
-    """Dense polynomial over GF(q), coefficients ascending, canonical form."""
+    """Dense polynomial over GF(q) in canonical form: `coeffs` is a tuple of
+    packed values as Python ints, ascending, with no trailing zeros (the zero
+    polynomial is ()).  Each method reads the field's scalar lists once and
+    loops over the ints: products through exp/log, sums through the scalar
+    add; only eval_matrix builds arrays."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs):
-        c = np.array(coeffs, dtype=np.int64)
-        n = c.size
-        while n > 0 and c[n - 1] == 0:
-            n -= 1
-        c = c[:n].copy()
-        c.flags.writeable = False
         self.field = field
-        self.coeffs = c
+        self.coeffs = _strip([int(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, field: FieldSpec, c: list) -> "FqPolynomial":
+        """From a list of Python ints in range; trailing zeros are dropped
+        from the list itself."""
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = _strip(c)
+        return f
 
     @staticmethod
     def zero(field):
@@ -809,85 +843,99 @@ class FqPolynomial:
 
     @property
     def degree(self) -> int:
-        return self.coeffs.size - 1  # -1 for the zero polynomial
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def is_zero(self):
-        return self.coeffs.size == 0
+        return not self.coeffs
 
     def __eq__(self, other):
         return (
             isinstance(other, FqPolynomial)
             and self.field == other.field
-            and bool(np.array_equal(self.coeffs, other.coeffs))
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs.tobytes()))
+        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         return f"FqPolynomial({self.field}, {list(self.coeffs)})"
 
     def key(self):
-        return (self.degree, tuple(int(c) for c in self.coeffs))
+        return (len(self.coeffs) - 1, self.coeffs)
 
     def add(self, other):
-        F = self.field
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n, dtype=np.int64)
-        b = np.zeros(n, dtype=np.int64)
-        a[: self.coeffs.size] = self.coeffs
-        b[: other.coeffs.size] = other.coeffs
-        return FqPolynomial(F, F.add(a, b))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.field._add_s
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
+        return FqPolynomial._of(self.field, out)
 
     def neg(self):
-        return FqPolynomial(self.field, self.field.neg(self.coeffs))
+        neg = self.field._neg_l
+        return FqPolynomial._of(self.field, [neg[c] for c in self.coeffs])
 
     def sub(self, other):
         return self.add(other.neg())
 
     def mul(self, other):
         F = self.field
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return FqPolynomial.zero(F)
-        n = self.coeffs.size + other.coeffs.size - 1
-        out = np.zeros(n, dtype=np.int64)
-        for i, c in enumerate(self.coeffs):
+        exp, log, add = F._exp_l, F._log_l, F._add_s
+        logs_b = [(j, log[c]) for j, c in enumerate(b) if c]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
             if c:
-                prod = F.mul(np.int64(c), other.coeffs)
-                out[i : i + other.coeffs.size] = F.add(
-                    out[i : i + other.coeffs.size], prod
-                )
-        return FqPolynomial(F, out)
+                lc = log[c]
+                for j, lb in logs_b:
+                    out[i + j] = add(out[i + j], exp[lc + lb])
+        return FqPolynomial._of(F, out)
 
     def scale(self, c):
-        return FqPolynomial(self.field, self.field.mul(self.coeffs, np.int64(c)))
+        F = self.field
+        if not c:
+            return FqPolynomial.zero(F)
+        exp, log = F._exp_l, F._log_l
+        lc = log[c]
+        return FqPolynomial._of(F, [exp[lc + log[a]] if a else 0 for a in self.coeffs])
 
     def monic(self):
         if self.is_zero():
             return self
-        lead = int(self.coeffs[-1])
+        lead = self.coeffs[-1]
         if lead == 1:
             return self
-        return self.scale(int(self.field.inv(lead)))
+        return self.scale(self.field._inv_l[lead])
 
     def divmod(self, other):
         F = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = self.coeffs.copy()
         d = other.coeffs
-        dn = d.size
-        if r.size < dn:
-            return FqPolynomial.zero(F), FqPolynomial(F, r)
-        qcoeffs = np.zeros(r.size - dn + 1, dtype=np.int64)
-        lead_inv = F.inv(d[-1])
-        for i in range(r.size - dn, -1, -1):
+        if not d:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(self.coeffs)
+        dn = len(d)
+        if len(r) < dn:
+            return FqPolynomial.zero(F), FqPolynomial._of(F, r)
+        exp, log, add = F._exp_l, F._log_l, F._add_s
+        q1 = F.q - 1
+        lneg = log[F.neg_one]
+        shift = (lneg - log[d[-1]]) % q1  # -c/lead = c.w^shift
+        logs_d = [(j, log[c]) for j, c in enumerate(d[:-1]) if c]
+        quot = [0] * (len(r) - dn + 1)
+        for i in range(len(r) - dn, -1, -1):
             c = r[i + dn - 1]
             if c:
-                fac = int(F.mul(np.int64(c), lead_inv))
-                qcoeffs[i] = fac
-                r[i : i + dn] = F.add(r[i : i + dn], F.neg(F.mul(np.int64(fac), d)))
-        return FqPolynomial(F, qcoeffs), FqPolynomial(F, r)
+                lf = (log[c] + shift) % q1
+                quot[i] = exp[lf + lneg]
+                r[i + dn - 1] = 0
+                for j, ld in logs_d:
+                    r[i + j] = add(r[i + j], exp[lf + ld])
+        return FqPolynomial._of(F, quot), FqPolynomial._of(F, r)
 
     def mod(self, other):
         return self.divmod(other)[1]
@@ -906,13 +954,14 @@ class FqPolynomial:
 
     def derivative(self):
         F = self.field
-        if self.coeffs.size <= 1:
-            return FqPolynomial.zero(F)
-        idx = np.arange(1, self.coeffs.size, dtype=np.int64) % F.p
-        # scalar multiples i * c_i: repeated addition realized via field mul by
-        # the packed image of the integer i (an element of the prime field)
-        out = F.mul(idx, self.coeffs[1:])
-        return FqPolynomial(F, out)
+        exp, log, p = F._exp_l, F._log_l, F.p
+        # i * c_i is the product with the packed image i % p of the integer i
+        # (an element of the prime field)
+        out = [
+            exp[log[i % p] + log[c]] if i % p and c else 0
+            for i, c in enumerate(self.coeffs[1:], 1)
+        ]
+        return FqPolynomial._of(F, out)
 
     def eval_matrix(self, m: FqMatrix) -> FqMatrix:
         """Horner evaluation at a square matrix argument."""
@@ -920,11 +969,11 @@ class FqPolynomial:
         n = m.rows
         if self.is_zero():
             return FqMatrix.zeros(F, n, n)
-        acc = FqMatrix(F, F.mul(np.eye(n, dtype=np.int64), np.int64(int(self.coeffs[-1]))))
+        acc = FqMatrix(F, F.mul(np.eye(n, dtype=np.int64), self.coeffs[-1]))
         for c in self.coeffs[-2::-1]:
             acc = mat_mul(acc, m)
             if c:
-                diag = F.mul(np.eye(n, dtype=np.int64), np.int64(int(c)))
+                diag = F.mul(np.eye(n, dtype=np.int64), c)
                 acc = FqMatrix(F, F.add(acc.arr, diag))
         return acc
 
@@ -933,16 +982,14 @@ class FqPolynomial:
         coefficient of f with the inverse Frobenius applied."""
         F = self.field
         p = F.p
-        if not self.is_zero() and (self.coeffs.size - 1) % p:
+        if not self.is_zero() and (len(self.coeffs) - 1) % p:
             raise SelfCheckFailed(f"frobenius_root of a polynomial of degree {self.degree}, prime to p = {p}")
-        picked = self.coeffs[::p]
         # coefficient a -> a^(p^(k-1)) is the inverse of Frobenius on GF(p^k)
         e = p ** (F.k - 1)
-        out = np.array([F.pow_el(int(a), e) for a in picked], dtype=np.int64)
-        return FqPolynomial(F, out)
+        return FqPolynomial._of(F, [F.pow_el(a, e) for a in self.coeffs[::p]])
 
     def format(self) -> str:
-        return " ".join(str(int(c)) for c in self.coeffs)
+        return " ".join(map(str, self.coeffs))
 
 
 # -- minimal / characteristic polynomials -----------------------------------
@@ -964,9 +1011,7 @@ def _krylov(m: FqMatrix, v: np.ndarray, quotient: WorkBasis | None):
         red = local.reduce(aug)
         if not red[:n].any():
             # red holds the bookkeeping of the dependency; make x^t monic
-            lead = red[n : n + t + 1]
-            c = F.inv(lead[t])
-            return FqPolynomial(F, F.mul(np.int64(int(c)), lead)), [row[:n] for row in local.rows]
+            return FqPolynomial(F, red[n : n + t + 1].tolist()).monic(), [row[:n] for row in local.rows]
         local.insert(aug)
         v = F.matmul(v[None, :], m.arr)[0]
         t += 1
@@ -1070,26 +1115,6 @@ def squarefree_parts(f: FqPolynomial) -> list[tuple[FqPolynomial, int]]:
     return out
 
 
-def _distinct_degree(f: FqPolynomial) -> list[tuple[FqPolynomial, int]]:
-    F = f.field
-    out = []
-    x = FqPolynomial.x(F)
-    h = x
-    g = f
-    d = 0
-    while g.degree >= 1 and d < g.degree:
-        d += 1
-        h = _pow_mod(h, F.q, g)
-        gd = h.sub(x).gcd(g)
-        if gd.degree >= 1:
-            out.append((gd, d))
-            g = g.divmod(gd)[0]
-            h = h.mod(g)
-    if g.degree >= 1:
-        out.append((g, g.degree))
-    return out
-
-
 def _equal_degree(f: FqPolynomial, d: int, rng) -> list[FqPolynomial]:
     F = f.field
     n = f.degree
@@ -1121,18 +1146,45 @@ def _equal_degree(f: FqPolynomial, d: int, rng) -> list[FqPolynomial]:
         return _equal_degree(left, d, rng) + _equal_degree(right, d, rng)
 
 
-def irreducible_factors(f: FqPolynomial, seed: int = 1) -> list[tuple[FqPolynomial, int]]:
-    """Monic irreducible factors with multiplicities, canonically sorted."""
+def irreducible_factors(f: FqPolynomial, seed: int = 1):
+    """Monic irreducible factors with multiplicities, yielded lazily in
+    canonical (key) order: every factor of degree 1, then of degree 2, and so
+    on.  Degree d costs one x^(q^d) and one gcd per squarefree part (a part
+    of degree below 2d is irreducible and waits for its own degree), so a
+    caller that stops at a low-degree factor never factors further.  The
+    factors are unique, so they do not depend on how the seeded splitting
+    consumes its random stream."""
     import random
 
     rng = random.Random(seed ^ 0x5EED)
-    collected: dict[tuple, tuple[FqPolynomial, int]] = {}
-    for g, mult in squarefree_parts(f):
-        for part, d in _distinct_degree(g):
-            for irr in _equal_degree(part, d, rng):
-                k = irr.key()
-                if k in collected:
-                    collected[k] = (irr, collected[k][1] + mult)
-                else:
-                    collected[k] = (irr, mult)
-    return [collected[k] for k in sorted(collected)]
+    F = f.field
+    x = FqPolynomial.x(F)
+    # (unfactored rest of a squarefree part, x^(q^d) mod the rest, multiplicity)
+    parts = [(g, x, mult) for g, mult in squarefree_parts(f)]
+    whole: list[tuple[FqPolynomial, int]] = []  # irreducible rests
+    d = 0
+    while parts or whole:
+        d += 1
+        batch = [(g, mult) for g, mult in whole if g.degree == d]
+        whole = [(g, mult) for g, mult in whole if g.degree > d]
+        rest = []
+        for g, h, mult in parts:
+            if g.degree < 2 * d:
+                (batch if g.degree == d else whole).append((g, mult))
+                continue
+            h = _pow_mod(h, F.q, g)
+            gd = h.sub(x).gcd(g)
+            if gd.degree >= 1:
+                batch.extend((irr, mult) for irr in _equal_degree(gd, d, rng))
+                g = g.divmod(gd)[0]
+                if g.degree < 1:
+                    continue
+                h = h.mod(g)
+            rest.append((g, h, mult))
+        parts = rest
+        merged: dict[tuple, tuple[FqPolynomial, int]] = {}
+        for irr, mult in batch:
+            k = irr.key()
+            merged[k] = (merged[k][0], merged[k][1] + mult) if k in merged else (irr, mult)
+        for k in sorted(merged):
+            yield merged[k]

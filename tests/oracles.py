@@ -16,7 +16,12 @@ lifted eigenvalues, found by a full factorization of the characteristic
 polynomial.  `scalar_termwise` is the earlier scalar product, one normalized
 Cyclotomic operation per step.  `dtd_solve_rows` is the earlier D^T D = C solver: it
 lists every row in the box prod(isqrt(C_jj) + 1) and tries k-multisets of
-those rows.
+those rows.  `irreducible_factors_full` is the earlier eager factorization
+(squarefree, distinct-degree over every degree up to the part's, then
+equal-degree, one sorted list at the end), `is_irreducible_full` the Norton
+loop over it and `iso_full` the standard-basis isomorphism test on it.
+`field_tables_per_power` builds a field's tables from its exp table computed
+one power of w at a time.
 """
 
 from __future__ import annotations
@@ -38,14 +43,16 @@ from modchar.gfla import (
     FqMatrix,
     FqPolynomial,
     WorkBasis,
+    _equal_degree,
+    _pow_mod,
     char_poly,
     echelonize,
     field_make,
     inverse,
-    irreducible_factors,
     mat_mul,
     nullspace,
     row_space,
+    squarefree_parts,
 )
 
 
@@ -370,9 +377,9 @@ def brauer_char_value_summed(mat: FqMatrix) -> Cyclotomic:
     while (F.p**m - 1) % order:
         m += F.k
     ext = field_make(F.p, m)
-    cpx = FqPolynomial(ext, F.embed_into(ext)[char_poly(mat).coeffs])
+    cpx = FqPolynomial(ext, F.embed_into(ext)[list(char_poly(mat).coeffs)])
     lifted = Cyclotomic.zero()
-    for factor, mult in irreducible_factors(cpx, seed=1):
+    for factor, mult in irreducible_factors_full(cpx, seed=1):
         assert factor.degree == 1
         root = int(ext.neg(np.int64(int(factor.coeffs[0]))))
         lifted = lifted + mult * BrauerLift(ext).lift(root)
@@ -482,3 +489,118 @@ def dtd_solve_rows(inst) -> list[tuple[tuple[int, ...], ...]]:
     if not canonical:
         raise Infeasible("no factorization D^T D = C with the required row count")
     return canonical
+
+
+def _distinct_degree(f: FqPolynomial) -> list[tuple[FqPolynomial, int]]:
+    F = f.field
+    out = []
+    x = FqPolynomial.x(F)
+    h = x
+    g = f
+    d = 0
+    while g.degree >= 1 and d < g.degree:
+        d += 1
+        h = _pow_mod(h, F.q, g)
+        gd = h.sub(x).gcd(g)
+        if gd.degree >= 1:
+            out.append((gd, d))
+            g = g.divmod(gd)[0]
+            h = h.mod(g)
+    if g.degree >= 1:
+        out.append((g, g.degree))
+    return out
+
+
+def irreducible_factors_full(f: FqPolynomial, seed: int = 1) -> list[tuple[FqPolynomial, int]]:
+    """Monic irreducible factors with multiplicities, canonically sorted."""
+    rng = random.Random(seed ^ 0x5EED)
+    collected: dict[tuple, tuple[FqPolynomial, int]] = {}
+    for g, mult in squarefree_parts(f):
+        for part, d in _distinct_degree(g):
+            for irr in _equal_degree(part, d, rng):
+                k = irr.key()
+                if k in collected:
+                    collected[k] = (irr, collected[k][1] + mult)
+                else:
+                    collected[k] = (irr, mult)
+    return [collected[k] for k in sorted(collected)]
+
+
+def is_irreducible_full(r: rep.Representation, seed: int = 1):
+    """Norton's criterion as `rep.is_irreducible`, every factor list complete."""
+    F = r.field
+    if r.dim == 1:
+        return True, rep.IrreducibilityCertificate(rep.AlgebraWord(()), FqPolynomial.x(F), 1)
+    r_t = rep._transpose_rep(r)
+    stream = rep.word_stream(r.ngens, F.p, seed)
+    for _ in range(rep.WORD_BUDGET * rep.WORD_ESCALATIONS):
+        word = next(stream)
+        w = word.evaluate(r)
+        if w.is_zero():
+            continue
+        for f, _mult in irreducible_factors_full(char_poly(w), seed):
+            fw = f.eval_matrix(w)
+            ker = nullspace(fw.transpose())
+            nu = ker.rows
+            if nu == 0:
+                continue
+            sub = rep.spin(r, FqMatrix(F, ker.arr[:1]))
+            if 0 < sub.rows < r.dim:
+                return False, sub
+            if nu == f.degree:
+                subt = rep.spin(r_t, FqMatrix(F, nullspace(fw).arr[:1]))
+                if subt.rows == r.dim:
+                    return True, rep.IrreducibilityCertificate(word, f, nu)
+                return False, nullspace(subt)
+            for i in range(1, nu):
+                sub = rep.spin(r, FqMatrix(F, ker.arr[i : i + 1]))
+                if 0 < sub.rows < r.dim:
+                    return False, sub
+    raise rep.Undecided("no verdict within the word budget")
+
+
+_rep_iso = rep.iso  # the library's function, even while a test wraps rep.iso
+
+
+def iso_full(a: rep.Representation, b: rep.Representation, seed: int = 1):
+    """`rep.iso` with each factor list complete before its first factor is
+    read (the function body is otherwise the one in `rep`)."""
+    lazy = rep.irreducible_factors
+    rep.irreducible_factors = lambda f, s: iter(irreducible_factors_full(f, s))
+    try:
+        return _rep_iso(a, b, seed)
+    finally:
+        rep.irreducible_factors = lazy
+
+
+def field_tables_per_power(F: FieldSpec) -> dict[str, np.ndarray]:
+    """exp, log, neg, inv, add, mul and mulx of F from w^0 .. w^(q-2), each
+    the previous power times w reduced by the Conway polynomial."""
+    p, k, q = F.p, F.k, F.q
+    pw = [p**i for i in range(k)]
+    exp = np.zeros(2 * (q - 1), dtype=np.int64)
+    cur = [1] + [0] * (k - 1)
+    for i in range(q - 1):
+        exp[i] = sum(c * pp for c, pp in zip(cur, pw))
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
+        for j in range(k):
+            cur[j] = (cur[j] - carry * F.conway[j]) % p
+    exp[q - 1 :] = exp[: q - 1]
+    log = np.zeros(q, dtype=np.int64)
+    log[exp[: q - 1]] = np.arange(q - 1)
+    v = np.arange(q, dtype=np.int64)
+    dig = np.stack([(v // pp) % p for pp in pw], axis=1)
+    tables = {"exp": exp, "log": log, "neg": ((-dig) % p) @ np.array(pw)}
+    tables["inv"] = np.where(v == 0, 0, exp[(q - 1 - log) % (q - 1)])
+
+    def mul(a, b):
+        return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
+
+    if k > 1 and q <= 256:
+        a, b = np.meshgrid(v, v, indexing="ij")
+        if p > 2:
+            tables["add"] = ((dig[a] + dig[b]) % p) @ np.array(pw)
+        tables["mul"] = mul(a, b)
+    tables["mulx"] = np.stack([dig[mul(v, exp[d])] for d in range(k)])
+    return tables

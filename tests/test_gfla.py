@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modchar import gfla
 from modchar.errors import (
@@ -412,3 +414,164 @@ def test_inverse_across_panels(p, k):
         singular = gfla.FqMatrix(F, F.matmul(rng.integers(0, F.q, (n, n - 5)), rng.integers(0, F.q, (n - 5, n))))
         with pytest.raises(ShapeMismatch):
             gfla.inverse(singular)
+
+
+# -- polynomials on Python ints and the lazy factor stream ----------------------
+
+STREAM_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (29, 1)]
+
+
+def _random_monic(F, rng, degree):
+    return gfla.FqPolynomial(F, [rng.randrange(F.q) for _ in range(degree)] + [1])
+
+
+def _stream_cases(F, rng, count):
+    """Products of random monic factors of degree 1..4, some of them squared
+    or cubed, and p-th powers (zero derivative: `frobenius_root`)."""
+    one = gfla.FqPolynomial.one(F)
+    for i in range(count):
+        f = one
+        for _ in range(rng.randint(1, 4)):
+            g = _random_monic(F, rng, rng.randint(1, 4))
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                f = f.mul(g)
+        if i % 5 == 0:
+            g = _random_monic(F, rng, rng.randint(1, 3 if F.p < 29 else 1))
+            power = one
+            for _ in range(F.p):
+                power = power.mul(g)
+            f = f.mul(power) if i % 10 else power
+        yield f
+
+
+@pytest.mark.parametrize("p,k", STREAM_FIELDS)
+def test_factor_stream_matches_eager_oracle(p, k):
+    F = gfla.field_make(p, k)
+    rng = random.Random(100 * p + k)
+    for f in _stream_cases(F, rng, 60):
+        for seed in (1, 7):
+            got = list(gfla.irreducible_factors(f, seed))
+            assert got == oracles.irreducible_factors_full(f, seed), (F, f.coeffs)
+    assert list(gfla.irreducible_factors(gfla.FqPolynomial.one(F))) == []
+
+
+def test_factor_stream_stops_at_the_degree_it_reads(monkeypatch):
+    """Over GF(29), (x - 3)(x^2 - 2)(x^2 - 3) is squarefree with one linear
+    factor (2 and 3 are non-squares mod 29): the linear factor arrives after
+    the degree-1 gcd alone, and only reading on takes x^(q^2)."""
+    F = gfla.field_make(29, 1)
+    f = gfla.FqPolynomial(F, [26, 1]).mul(gfla.FqPolynomial(F, [27, 0, 1])).mul(gfla.FqPolynomial(F, [26, 0, 1]))
+    calls = []
+    pow_mod = gfla._pow_mod
+
+    def counted(base, e, mod):
+        calls.append((e, mod.degree))
+        return pow_mod(base, e, mod)
+
+    monkeypatch.setattr(gfla, "_pow_mod", counted)
+    stream = gfla.irreducible_factors(f, seed=1)
+    assert next(stream) == (gfla.FqPolynomial(F, [26, 1]), 1)
+    assert calls == [(29, 5)]  # x^q mod f for the degree-1 gcd, nothing else
+    rest = list(stream)
+    assert [g.degree for g, _ in rest] == [2, 2]
+    assert (29, 4) in calls[1:]  # x^(q^2) mod the quartic rest
+
+
+POLY_FIELDS = STREAM_FIELDS + [(3, 3), (2, 8)]
+
+
+@st.composite
+def polys(draw, count):
+    p, k = draw(st.sampled_from(POLY_FIELDS))
+    F = gfla.field_make(p, k)
+    coeffs = st.lists(st.integers(0, F.q - 1), max_size=9)
+    return [gfla.FqPolynomial(F, draw(coeffs)) for _ in range(count)]
+
+
+def _int_coeffs(*fs):
+    for f in fs:
+        assert type(f.coeffs) is tuple and all(type(c) is int for c in f.coeffs), f
+        assert not f.coeffs or f.coeffs[-1] != 0, f
+        assert f.format() == " ".join(str(c) for c in f.coeffs)
+
+
+@given(polys(2))
+def test_poly_divmod_property(ab):
+    a, b = ab
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    q, r = a.divmod(b)
+    assert q.mul(b).add(r) == a
+    assert r.degree < b.degree
+    _int_coeffs(q, r)
+
+
+@given(polys(2))
+def test_poly_gcd_property(ab):
+    a, b = ab
+    g = a.gcd(b)
+    _int_coeffs(g)
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+        return
+    assert g.coeffs[-1] == 1
+    assert a.mod(g).is_zero() and b.mod(g).is_zero()
+    ell = a.lcm(b)
+    _int_coeffs(ell)
+    if not (a.is_zero() or b.is_zero()):
+        assert ell.mod(a.monic()).is_zero() and ell.mod(b.monic()).is_zero()
+
+
+@given(polys(2))
+def test_poly_derivative_product_rule(ab):
+    a, b = ab
+    lhs = a.mul(b).derivative()
+    assert lhs == a.derivative().mul(b).add(a.mul(b.derivative()))
+    _int_coeffs(lhs, a.neg(), a.sub(b), a.monic(), a.scale(1), a.scale(0))
+
+
+@given(polys(2))
+def test_poly_eq_hash_key_agree(ab):
+    a, b = ab
+    F = a.field
+    for same in (gfla.FqPolynomial(F, list(a.coeffs) + [0, 0]),
+                 gfla.FqPolynomial(F, np.array(a.coeffs + (0,), dtype=np.int64)),
+                 gfla.FqPolynomial(F, [np.int64(c) for c in a.coeffs])):
+        _int_coeffs(same)
+        assert same == a and hash(same) == hash(a) and same.key() == a.key()
+    assert (a == b) == (a.key() == b.key()) == (a.coeffs == b.coeffs)
+    assert a.key() == (a.degree, a.coeffs)
+
+
+def test_poly_results_hold_python_ints():
+    """char_poly and min_poly come out of int64 Krylov rows; their
+    coefficients and format() must still be Python ints."""
+    F = gfla.field_make(3, 2)
+    m = gfla.FqMatrix(F, np.random.default_rng(3).integers(0, F.q, (6, 6)))
+    for f in (gfla.char_poly(m), gfla.min_poly(m)):
+        _int_coeffs(f)
+        assert f.eval_matrix(m).is_zero()
+    for g, _mult in gfla.irreducible_factors(gfla.char_poly(m)):
+        _int_coeffs(g)
+
+
+# -- field tables built by doubling against one power at a time ----------------
+
+DOUBLING_FIELDS = [(2, k) for k in range(1, 17)] + [(3, k) for k in range(1, 7)] + [(251, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("p,k", DOUBLING_FIELDS)
+def test_field_tables_match_per_power_oracle(p, k):
+    F = gfla.field_make(p, k)
+    want = oracles.field_tables_per_power(F)
+    for name in ("exp", "log", "neg", "inv"):
+        assert np.array_equal(getattr(F, f"_{name}"), want[name]), name
+    for name in ("add", "mul"):
+        got = getattr(F, f"_{name}")
+        assert (got is None) == (name not in want), name
+        assert got is None or np.array_equal(got, want[name]), name
+    assert F._mulx.shape == (k, F.q, k)
+    for d in range(k):
+        assert np.array_equal(F._mulx[d], want["mulx"][d]), d

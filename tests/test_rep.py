@@ -1,10 +1,16 @@
 """Module operations: spin, split, chop, iso, dual, tensor, hom, socle."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from modchar import gfla, grp, rep
+from modchar import ctab, gfla, grp, rep
 from modchar.errors import NotInvariant, ZeroModule
+
+sys.path.insert(0, os.path.dirname(__file__))
+import oracles  # noqa: E402
 
 F2 = gfla.field_make(2, 1)
 F3 = gfla.field_make(3, 1)
@@ -370,3 +376,85 @@ def test_socle_multiplicity_non_split_simple():
     layers = rep.socle_series(reg, simples, 1)
     assert len(layers) == 1
     assert sorted(m for _si, m in layers[0]) == [1, 1]
+
+
+# -- Norton and iso on the lazy factor stream against the eager oracles --------
+
+
+@pytest.fixture
+def against_eager(monkeypatch):
+    """Check every rep.is_irreducible and rep.iso call (chop, socle_series and
+    ctab reach them through the module) against the same test run on
+    complete factor lists: the same verdict with the same certificate (word,
+    factor, nullity) or witness rows, and the same intertwiner."""
+    calls = {"norton": 0, "iso": 0}
+    norton, iso = rep.is_irreducible, rep.iso
+
+    def checked_norton(r, seed=1):
+        got = norton(r, seed)
+        assert got == oracles.is_irreducible_full(r, seed), r.label
+        calls["norton"] += 1
+        return got
+
+    def checked_iso(a, b, seed=1):
+        got = iso(a, b, seed)
+        assert got == oracles.iso_full(a, b, seed), (a.label, b.label)
+        calls["iso"] += 1
+        return got
+
+    monkeypatch.setattr(rep, "is_irreducible", checked_norton)
+    monkeypatch.setattr(rep, "iso", checked_iso)
+    return calls
+
+
+def _modules_chopped_above():
+    a4 = grp.enumerate_group([grp.perm_from_cycles(4, [(1, 2), (3, 4)]), grp.perm_from_cycles(4, [(1, 2, 3)])])
+    c3 = grp.enumerate_group([grp.perm_from_cycles(3, [(1, 2, 3)])])
+    c = c3_two_dim()
+    cyc = rep.Representation(F2, 3, (grp.perm_matrices([(1, 2, 0)], F2)[0],), "cyc")
+    g0, g1 = grp.perm_matrices([(1, 0, 2), (1, 2, 0)], F2)
+    return [
+        grp.regular_rep(s3(), F3),
+        grp.perm_rep(a4, F4),
+        c,
+        grp.regular_rep(s3(), F4),
+        rep.tensor(c, c),
+        rep.tensor(c, cyc),
+        rep.tensor(cyc, c),
+        rep.Representation(F2, 3, (g0, g1)),
+        rep.Representation(F2, 2, (gfla.FqMatrix.identity(F2, 2),)),
+        rep.Representation(F2, 2, (gfla.FqMatrix(F2, [[1, 0], [1, 1]]),)),
+        grp.regular_rep(c3, F2),
+        grp.perm_rep(s3(), F3),
+    ]
+
+
+def test_norton_and_iso_match_eager_factoring_on_chopped_modules(against_eager):
+    for m in _modules_chopped_above():
+        rep.chop(m, 1)
+        rep.composition_series(m, 1)
+    assert against_eager["norton"] >= 30 and against_eager["iso"] >= 5
+
+
+def test_iso_pairs_match_eager_factoring(against_eager):
+    c = c3_two_dim()
+    t = gfla.FqMatrix(F2, [[1, 1], [0, 1]])
+    conj = rep.Representation(F2, 2, (gfla.mat_mul(gfla.mat_mul(t, c.gens[0]), gfla.inverse(t)),), "conj")
+    sq = rep.Representation(F2, 2, (gfla.mat_mul(c.gens[0], c.gens[0]),), "sq")
+    pairs = [(c, c), (c, trivial(F2)), (c, conj), (c, sq), (c, rep.tensor(c, trivial(F2))),
+             (c, rep.dual(rep.dual(c)))]
+    for a, b in pairs:
+        rep.iso(a, b, 1)
+    assert against_eager["iso"] == len(pairs)
+
+
+@pytest.mark.parametrize("name,p", [("S4", 2), ("S4", 3), ("A5", 2), ("A5", 3)])
+def test_norton_and_iso_match_eager_factoring_in_tensor_closure(against_eager, name, p):
+    if name == "S4":
+        g = grp.enumerate_group([grp.perm_from_cycles(4, [(1, 2)]), grp.perm_from_cycles(4, [(1, 2, 3, 4)])])
+    else:
+        g = grp.enumerate_group([grp.perm_from_cycles(5, [(1, 2, 3)]), grp.perm_from_cycles(5, [(1, 2, 3, 4, 5)])])
+    count = sum(grp.conjugacy_classes(g, p).p_regular(p))
+    simples = ctab._tensor_closure(g, gfla.field_make(p, 2), count, 1)
+    assert len(simples) == count
+    assert against_eager["norton"] > count and against_eager["iso"] > 0
