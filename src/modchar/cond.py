@@ -133,7 +133,7 @@ def k_orbits(degree: int, k_perms) -> list[list[int]]:
     return orbits
 
 
-def condense_perm(field, degree: int, k_gens, g_perms, k_order: int | None = None):
+def condense_perm(field, degree: int, k_gens, g_perms):
     """Condensed matrices of the permutations g_perms on the orbit-sum basis.
 
     Entry (i, j) of the matrix for g is |O_i intersect O_j g^-1| / |O_j|,
@@ -265,10 +265,15 @@ def condensed_dim(table, chi, k_class_sizes, k_class_fusion) -> int:
     """<1_K, chi restricted to K> from exact character values.
 
     k_class_sizes: sizes of the K-classes; k_class_fusion: index of the
-    ambient class each K-class fuses into.
+    ambient class of `table` each K-class fuses into, and chi has one value
+    per class of `table`.
     """
     if len(k_class_sizes) != len(k_class_fusion):
         raise FusionIncomplete("class sizes and fusion of different lengths")
+    if len(chi.values) != table.nclasses:
+        raise FusionIncomplete(f"{len(chi.values)} character values for {table.nclasses} classes")
+    if not all(t in range(table.nclasses) for t in k_class_fusion):
+        raise FusionIncomplete(f"a fusion target lies outside the {table.nclasses} classes")
     total = Cyclotomic.zero()
     k_order = sum(k_class_sizes)
     for size, target in zip(k_class_sizes, k_class_fusion):

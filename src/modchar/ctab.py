@@ -139,7 +139,7 @@ def _lift_table(g: _grp.PermGroup, classData, simples, p=None):
     flags = classData.p_regular(p)
     keep = [i for i in range(classData.count) if flags[i]]
     values = [
-        tuple(brauer_char_value(s, _grp.element_matrix(g, s, classData.reps[i])) for i in keep)
+        tuple(brauer_char_value(_grp.element_matrix(g, s, classData.reps[i])) for i in keep)
         for s in simples
     ]
     labels = classData.labels()

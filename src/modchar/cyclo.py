@@ -26,7 +26,7 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .gfla import FqMatrix, char_poly, factorize, field_make, mat_mul
+from .gfla import FIELD_CEILING, FqMatrix, FqPolynomial, char_poly, factorize, field_make, mat_mul
 
 
 @lru_cache(maxsize=None)
@@ -476,17 +476,20 @@ def atlas_name(v: Cyclotomic) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def matrix_order(m: FqMatrix, bound: int = 10**6) -> int:
+def matrix_order(m: FqMatrix) -> int:
+    """The multiplicative order of the invertible square matrix m, sought
+    below FIELD_CEILING: the lift needs the order e to divide p^m - 1 for a
+    field GF(p^m) within the ceiling, so no larger order can be lifted."""
     ident = FqMatrix.identity(m.field, m.rows)
     cur = m
-    for k in range(1, bound + 1):
+    for k in range(1, FIELD_CEILING):
         if cur == ident:
             return k
         cur = mat_mul(cur, m)
-    raise PRegularViolation("matrix order exceeds the search bound")
+    raise PRegularViolation(f"matrix order is at least {FIELD_CEILING}, beyond any liftable order")
 
 
-def brauer_char_value(repm, element) -> Cyclotomic:
+def brauer_char_value(element) -> Cyclotomic:
     """Lift the eigenvalues of the representing matrix of a p-regular element.
 
     `element` is the representing FqMatrix itself (callers with group words
@@ -514,31 +517,19 @@ def brauer_char_value(repm, element) -> Cyclotomic:
     while (p**m - 1) % order:
         m += F.k
     ext = field_make(p, m)
-    coeffs = F.embed_into(ext)[list(cp.coeffs)].tolist()
+    poly = FqPolynomial(ext, F.embed_into(ext)[list(cp.coeffs)].tolist())
     step = ext.pow_el(ext.omega, (ext.q - 1) // order)
     counts = [0] * order
     root = 1
     for j in range(order):
-        while len(coeffs) > 1:
-            quot, rem = _divide_linear(ext, coeffs, root)
-            if rem:
+        linear = FqPolynomial(ext, [ext.neg(root), 1])
+        while poly.degree > 0:
+            quot, rem = poly.divmod(linear)
+            if not rem.is_zero():
                 break
-            coeffs = quot
+            poly = quot
             counts[j] += 1
         root = ext.mul(root, step)
-    if len(coeffs) > 1:
+    if poly.degree > 0:
         raise SelfCheckFailed("eigenvalue outside the chosen extension")
     return Cyclotomic(order, counts)
-
-
-def _divide_linear(F, coeffs: list[int], r: int) -> tuple[list[int], int]:
-    """Quotient and remainder of the ascending coefficients by x - r over F
-    (synthetic division)."""
-    acc = 0
-    out = []
-    for c in reversed(coeffs):
-        acc = F.add(c, F.mul(r, acc))
-        out.append(acc)
-    rem = out.pop()
-    out.reverse()
-    return out, rem

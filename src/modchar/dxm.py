@@ -40,10 +40,6 @@ def _vec(xs) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def _vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -709,7 +705,7 @@ def sd16_analyze(inst: SD16Instance) -> SD16Result:
 
 
 def verify_matrix(D, ordinary_vectors, brauer_vectors) -> bool:
-    """chi_i = sum_j D[i][j] phi_j exactly, D >= 0 integral, D^T D symmetric."""
+    """chi_i = sum_j D[i][j] phi_j exactly, with D >= 0 integral."""
     k = len(D)
     l = len(D[0]) if k else 0
     if len(ordinary_vectors) != k or len(brauer_vectors) != l:
@@ -726,10 +722,4 @@ def verify_matrix(D, ordinary_vectors, brauer_vectors) -> bool:
                 acc = [x + D[i][j] * y for x, y in zip(acc, brauer_vectors[j])]
         if list(ordinary_vectors[i]) != acc:
             return False
-    for a in range(l):
-        for b in range(l):
-            saa = sum(D[i][a] * D[i][b] for i in range(k))
-            sbb = sum(D[i][b] * D[i][a] for i in range(k))
-            if saa != sbb:
-                return False
     return True

@@ -9,7 +9,10 @@ over GF(2^k), `% p` over prime fields, q x q add and mul tables up to q = 256,
 and above that discrete-log tables for products and base-p digits for sums;
 negation and inversion are length-q tables.  A scalar call reads Python-list
 copies of the same tables and returns a Python int; polynomials (`FqPolynomial`)
-are tuples of such ints and loop over those lists.  A matrix product treats
+are tuples of such ints and loop over those lists.  They are the one polynomial
+type: the MeatAxe, the factoring, the Brauer lift and the Conway search use it.
+The search builds GF(p) first and tests candidates over it for primitivity
+alone, which implies irreducibility.  A matrix product treats
 GF(p^k) as the vector space GF(p)^k: the digits of A times the GF(p)-expansion
 of B (each entry b replaced by the k x k matrix of x -> x.b) is one exact int64
 product, reduced mod p and packed back.
@@ -72,166 +75,66 @@ def factorize(n: int) -> dict[int, int]:
 # Computed from the definition: the minimal monic primitive polynomial of
 # degree k over GF(p) compatible with the Conway polynomials of all proper
 # subfields, minimality taken in the standard alternating-sign lexicographic
-# order.  Results are cached in memory only: nothing outside the process is
-# read back, so a field's tables never rest on an unchecked polynomial.
+# order.  Degree 1 needs no polynomial code: it is x - g for the least
+# primitive root g mod p, so GF(p) can be built first.  Larger degrees are
+# tested as `FqPolynomial`s over GF(p).  A candidate f in which x has order
+# p^k - 1 is primitive, and also irreducible: GF(p)[x]/f then has p^k - 1
+# units out of p^k elements, so it is a field.  Results are cached in memory
+# only: nothing outside the process is read back, so a field's tables never
+# rest on an unchecked polynomial.
 # ---------------------------------------------------------------------------
 
 _conway_mem: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
-def _pol_mulmod(a, b, f, p):
-    """Product of coefficient tuples a*b reduced mod the monic poly f, over GF(p)."""
-    k = len(f) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    for i in range(len(res) - 1, k - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(k):
-                res[i - k + j] = (res[i - k + j] - c * f[j]) % p
-    while len(res) > k:
-        res.pop()
-    while len(res) < k:
-        res.append(0)
-    return tuple(res)
-
-
-def _pol_powmod(a, e, f, p):
-    k = len(f) - 1
-    res = tuple([1] + [0] * (k - 1))
-    base = a
-    while e:
-        if e & 1:
-            res = _pol_mulmod(res, base, f, p)
-        base = _pol_mulmod(base, base, f, p)
-        e >>= 1
-    return res
-
-
-def _x_mod(f, p):
-    k = len(f) - 1
-    if k == 1:
-        return ((-f[0]) % p,)
-    return tuple(1 if i == 1 else 0 for i in range(k))
-
-
-def _is_one(a) -> bool:
-    return a[0] == 1 and all(c == 0 for c in a[1:])
-
-
-def _is_irreducible(f, p) -> bool:
-    """Rabin test: x^(p^k) = x mod f and gcd degree conditions via powers."""
-    k = len(f) - 1
-    x = _x_mod(f, p)
-    xq = _pol_powmod(x, p**k, f, p)
-    if xq != x:
-        return False
-    for r in factorize(k):
-        xe = _pol_powmod(x, p ** (k // r), f, p)
-        # gcd(x^(p^(k/r)) - x, f) must be 1; since f could only share an
-        # irreducible factor of degree dividing k/r, it suffices that the
-        # difference is nonzero and, if it has an inverse mod f, coprime.
-        diff = tuple((a - b) % p for a, b in zip(xe, x))
-        if all(c == 0 for c in diff):
-            return False
-        if not _pol_is_unit(diff, p, f):
-            return False
-    return True
-
-
-def _pol_is_unit(a, p, f) -> bool:
-    """True when gcd(a, f) = 1, computed by the Euclidean algorithm."""
-    A = [c % p for c in f]
-    B = list(a)
-    while any(B):
-        while A and A[-1] == 0:
-            A.pop()
-        while B and B[-1] == 0:
-            B.pop()
-        if not B:
-            break
-        if len(A) < len(B):
-            A, B = B, A
-            continue
-        inv = pow(B[-1], p - 2, p)
-        shift = len(A) - len(B)
-        c = A[-1] * inv % p
-        for i, bc in enumerate(B):
-            A[i + shift] = (A[i + shift] - c * bc) % p
-    while A and A[-1] == 0:
-        A.pop()
-    return len(A) == 1
-
-
-def _is_primitive(f, p) -> bool:
-    k = len(f) - 1
-    q1 = p**k - 1
-    x = _x_mod(f, p)
-    for r in factorize(q1):
-        if _is_one(_pol_powmod(x, q1 // r, f, p)):
-            return False
-    return True
-
-
-def _is_compatible(f, p, k) -> bool:
-    q1 = p**k - 1
-    x = _x_mod(f, p)
-    for d in range(1, k):
-        if k % d:
-            continue
-        sub = conway_polynomial(p, d)
-        y = _pol_powmod(x, q1 // (p**d - 1), f, p)
-        acc = tuple([sub[0] % p] + [0] * (k - 1))
-        ypow = tuple([1] + [0] * (k - 1))
-        for c in sub[1:]:
-            ypow = _pol_mulmod(ypow, y, f, p)
-            if c:
-                acc = tuple((ai + c * yi) % p for ai, yi in zip(acc, ypow))
-        if any(acc):
-            return False
-    return True
-
-
 def conway_polynomial(p: int, k: int) -> tuple[int, ...]:
     """Coefficients (ascending, length k+1) of the Conway polynomial of GF(p^k)."""
     key = (p, k)
-    if key in _conway_mem:
-        return _conway_mem[key]
+    if key not in _conway_mem:
+        q1 = p**k - 1
+        cofactors = [q1 // r for r in factorize(q1)]
+        if k == 1:
+            g = next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in cofactors))
+            _conway_mem[key] = ((-g) % p, 1)
+        else:
+            _conway_mem[key] = _conway_search(p, k, cofactors)
+    return _conway_mem[key]
+
+
+def _conway_search(p: int, k: int, cofactors: list[int]) -> tuple[int, ...]:
+    F = field_make(p, 1)
+    x = FqPolynomial.x(F)
+    q1 = p**k - 1
+    # Conway(p, d) must vanish at x^((p^k-1)/(p^d-1)), the image of its root.
+    # For d = 1 that says x^((p^k-1)/(p-1)) = g, so x^(p^k-1) = g^(p-1) = 1,
+    # and no x^(p^k-1)/r = 1 for a prime r | p^k - 1 leaves x of order p^k - 1.
+    subfields = [(conway_polynomial(p, d), q1 // (p**d - 1)) for d in range(1, k) if k % d == 0]
     # candidates ordered by the tuple (c_{k-1},...,c_0) with
     # f(x) = x^k - c_{k-1} x^(k-1) + c_{k-2} x^(k-2) - ...
-    found = None
     for idx in range(p**k):
         # idx in base p, most significant digit first, is (c_{k-1}, ..., c_0)
-        cvals = []
-        t = idx
-        for _ in range(k):
-            cvals.append(t % p)
-            t //= p
-        cvals.reverse()
         coeffs = [0] * (k + 1)
         coeffs[k] = 1
         for j in range(k):
-            sign = -1 if ((k - j) % 2) else 1
-            coeffs[j] = (sign * cvals[k - 1 - j]) % p
-        f = tuple(coeffs)
-        if f[0] == 0:  # root 0 is never a unit, let alone primitive
+            idx, c = divmod(idx, p)
+            coeffs[j] = (-c) % p if (k - j) % 2 else c
+        if coeffs[0] == 0:  # root 0 is never a unit, let alone primitive
             continue
-        if not _is_irreducible(f, p):
+        f = FqPolynomial._of(F, coeffs)
+        if not all(_horner_mod(sub, _pow_mod(x, e, f), f).is_zero() for sub, e in subfields):
             continue
-        if not _is_primitive(f, p):
-            continue
-        if not _is_compatible(f, p, k):
-            continue
-        found = f
-        break
-    if found is None:
-        raise FieldTooLarge(f"no Conway polynomial found for GF({p}^{k})")
-    _conway_mem[key] = found
-    return found
+        if not any(_pow_mod(x, e, f).coeffs == (1,) for e in cofactors):
+            return f.coeffs
+    raise FieldTooLarge(f"no Conway polynomial found for GF({p}^{k})")
+
+
+def _horner_mod(coeffs, y: FqPolynomial, f: FqPolynomial) -> FqPolynomial:
+    """The polynomial with ascending prime-field coefficients, evaluated at y mod f."""
+    F = f.field
+    acc = FqPolynomial.zero(F)
+    for c in reversed(coeffs):
+        acc = acc.mul(y).add(FqPolynomial._of(F, [c])).mod(f)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +720,11 @@ class FqPolynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs):
+        c = [int(a) for a in coeffs]
+        if not all(0 <= a < field.q for a in c):
+            raise ShapeMismatch("coefficient out of range for the field")
         self.field = field
-        self.coeffs = _strip([int(c) for c in coeffs])
+        self.coeffs = _strip(c)
 
     @classmethod
     def _of(cls, field: FieldSpec, c: list) -> "FqPolynomial":

@@ -5,7 +5,7 @@ import pytest
 
 from modchar import cond, ctab, gfla, grp, rep
 from modchar.cyclo import Cyclotomic
-from modchar.errors import NotInImage, OrderDivisibleByP
+from modchar.errors import FusionIncomplete, NotInImage, OrderDivisibleByP
 
 F2 = gfla.field_make(2, 1)
 F4 = gfla.field_make(2, 2)
@@ -157,6 +157,20 @@ def test_condensed_dim_examples():
     regchar = ctab.Character(regvals, "ordinary", "reg")
     assert cond.condensed_dim(t, regchar, kcls.sizes, fusion) == 8
 
+
+def test_condensed_dim_checks_fusion_against_the_table():
+    """Fusion targets must be classes of the table, and chi must have one
+    value per class: -1 used to read the last class, 5 an IndexError."""
+    c2 = grp.enumerate_group([grp.perm_from_cycles(2, [(1, 2)])])
+    t = ctab.ordinary_table(c2)
+    two = Cyclotomic.from_rational(2)
+    reg = ctab.Character((two, Cyclotomic.zero()), "ordinary", "reg")
+    assert cond.condensed_dim(t, reg, (1,), (0,)) == 2
+    for fusion in ((-1,), (5,), (0, 2)):
+        with pytest.raises(FusionIncomplete):
+            cond.condensed_dim(t, reg, (1,) * len(fusion), fusion)
+    with pytest.raises(FusionIncomplete):
+        cond.condensed_dim(t, ctab.Character((two,), "ordinary", "short"), (1,), (0,))
 
 def test_rank_equals_condensed_dim():
     g, nat, k, setup = setup_s4_c3()

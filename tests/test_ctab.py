@@ -100,7 +100,7 @@ def test_brauer_char_value_matches_summed_oracle(name, p):
         for i, regular in enumerate(cls.p_regular(p)):
             if regular:
                 m = grp.element_matrix(g, s, cls.reps[i])
-                got, want = brauer_char_value(s, m), oracles.brauer_char_value_summed(m)
+                got, want = brauer_char_value(m), oracles.brauer_char_value_summed(m)
                 assert (got.n, got.coeffs) == (want.n, want.coeffs)
 
 

@@ -222,7 +222,7 @@ def test_refine_noop_cases():
     member = state.proj_basic[0].coeffs
     out = dxm.refine_by_relation(state, "member", member)
     assert out.proj_basic == state.proj_basic
-    nonneg = dxm._vadd(state.proj_basic[0].coeffs, state.proj_basic[1].coeffs)
+    nonneg = tuple(a + b for a, b in zip(state.proj_basic[0].coeffs, state.proj_basic[1].coeffs))
     out = dxm.refine_by_relation(state, "sum", nonneg)
     assert out.proj_basic == state.proj_basic
 

@@ -447,6 +447,25 @@ def test_src_has_no_assert_statement():
     assert found == []
 
 
+def test_src_has_no_unused_parameter():
+    """A parameter its function never reads is dead API that callers still
+    have to fill; self, cls and names starting with _ are exempt."""
+    import ast
+
+    src = Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found += [f"{path.name}:{getattr(node, 'name', 'lambda')}.{x.arg}" for x in params
+                      if x.arg not in read and x.arg not in ("self", "cls") and not x.arg.startswith("_")]
+    assert found == []
+
 def test_former_asserts_raise_typed_errors():
     from modchar import cond, cyclo
     from modchar.errors import NonIntegral, NotSquarefree, SelfCheckFailed

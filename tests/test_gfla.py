@@ -1,5 +1,7 @@
 """Field kernel tests: Conway polynomials, arithmetic, echelon, polynomials."""
 
+import functools
+import hashlib
 import json
 import os
 import random
@@ -27,11 +29,16 @@ import oracles  # noqa: E402
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+@functools.lru_cache(maxsize=None)
 def brute_force_conway(p, k):
-    """Independent search, written from the definition: minimal in the
-    alternating-sign order among monic primitive polynomials compatible with
-    all proper subfield Conway polynomials."""
-    candidates = []
+    """Independent search, written from the definition on plain integer
+    tuples: the least monic f of degree k, in the alternating-sign order, in
+    which x has order p^k - 1 (so f is primitive, hence irreducible) and
+    which is compatible with the proper subfields: the polynomial this search
+    gives for each proper divisor d of k vanishes at x^((p^k-1)/(p^d-1)) mod f.
+    The order of x is found by multiplying by x mod f again and again."""
+    q1 = p**k - 1
+    one = (1,) + (0,) * (k - 1)
     for idx in range(p**k):
         digits = []
         t = idx
@@ -39,22 +46,48 @@ def brute_force_conway(p, k):
             digits.append(t % p)
             t //= p
         cvals = list(reversed(digits))
-        coeffs = [0] * (k + 1)
-        coeffs[k] = 1
+        f = [0] * (k + 1)
+        f[k] = 1
         for j in range(k):
-            coeffs[j] = ((-1) ** ((k - j) % 2) * cvals[k - 1 - j]) % p
-        candidates.append(tuple(coeffs))
-    for f in candidates:  # already in the alternating lexicographic order
-        if f[0] == 0:
+            f[j] = ((-1) ** ((k - j) % 2) * cvals[k - 1 - j]) % p
+        # powers[i] = x^i mod f, as a tuple of k coefficients, until x^i = 1
+        powers = [one]
+        while len(powers) <= q1:
+            v = powers[-1]
+            powers.append(tuple((a - v[-1] * b) % p for a, b in zip((0,) + v[:-1], f)))
+            if powers[-1] == one:
+                break
+        if len(powers) != q1 + 1 or powers[-1] != one:
             continue
-        if not gfla._is_irreducible(f, p):
-            continue
-        if not gfla._is_primitive(f, p):
-            continue
-        if not gfla._is_compatible(f, p, k):
-            continue
-        return f
+        for d in range(1, k):
+            if k % d:
+                continue
+            e = q1 // (p**d - 1)
+            value = [0] * k
+            for j, c in enumerate(brute_force_conway(p, d)):
+                value = [(a + c * b) % p for a, b in zip(value, powers[e * j % q1])]
+            if any(value):
+                break
+        else:
+            return tuple(f)
     raise AssertionError("no candidate")
+
+
+def _fields_up_to(limit):
+    return [(p, k) for p in range(2, limit + 1) if gfla.is_prime(p) for k in range(1, 17) if p**k <= limit]
+
+
+@pytest.mark.parametrize("p,k", _fields_up_to(125))
+def test_conway_matches_brute_force(p, k):
+    assert gfla.conway_polynomial(p, k) == brute_force_conway(p, k)
+
+
+def test_conway_digest_up_to_4096():
+    """All 604 fields with p^k <= 4096, p ascending and then k ascending."""
+    listed = repr([(p, k, gfla.conway_polynomial(p, k)) for p, k in _fields_up_to(4096)])
+    assert hashlib.sha256(listed.encode()).hexdigest() == (
+        "b41d54e2015224ecbbd8d0d8eb0e54ff4f3f65c6ceb04656a7f1e35ef2766aae"
+    )
 
 
 def test_conway_prime_fields():
@@ -555,6 +588,17 @@ def test_poly_results_hold_python_ints():
         assert f.eval_matrix(m).is_zero()
     for g, _mult in gfla.irreducible_factors(gfla.char_poly(m)):
         _int_coeffs(g)
+
+
+
+def test_poly_rejects_coefficients_out_of_range():
+    """Like FqMatrix: -1 used to index the scalar lists from the end (a silent
+    wrong product over GF(4)), and 7 ended in an IndexError."""
+    F = gfla.field_make(2, 2)
+    for bad in ([-1, 1], [7, 1], [0, 4]):
+        with pytest.raises(ShapeMismatch):
+            gfla.FqPolynomial(F, bad)
+    assert gfla.FqPolynomial(F, [3, 1]).mul(gfla.FqPolynomial(F, [1, 1])).coeffs == (3, 2, 1)
 
 
 # -- field tables built by doubling against one power at a time ----------------
