@@ -172,6 +172,7 @@ def test_condensed_dim_checks_fusion_against_the_table():
     with pytest.raises(FusionIncomplete):
         cond.condensed_dim(t, ctab.Character((two,), "ordinary", "short"), (1,), (0,))
 
+
 def test_rank_equals_condensed_dim():
     g, nat, k, setup = setup_s4_c3()
     t = ctab.ordinary_table(g)

@@ -137,6 +137,7 @@ def test_large_matrix_order_is_refused_quickly():
         brauer_char_value(gfla.FqMatrix(F2, rows))
     assert time.process_time() - t0 < 10.0
 
+
 def test_brauer_value_is_class_function():
     F9 = gfla.field_make(3, 2)
     g = grp.enumerate_group([grp.perm_from_cycles(3, [(1, 2)]), grp.perm_from_cycles(3, [(1, 2, 3)])])

@@ -466,6 +466,7 @@ def test_src_has_no_unused_parameter():
                       if x.arg not in read and x.arg not in ("self", "cls") and not x.arg.startswith("_")]
     assert found == []
 
+
 def test_former_asserts_raise_typed_errors():
     from modchar import cond, cyclo
     from modchar.errors import NonIntegral, NotSquarefree, SelfCheckFailed
