@@ -23,7 +23,7 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .gfla import FqMatrix, WorkBasis, echelonize, mat_mul
+from .gfla import FqMatrix, echelonize, mat_mul, rank
 from .rep import Representation, spin
 from .cyclo import Cyclotomic
 
@@ -202,22 +202,18 @@ class TensorCondenser:
         """Canonical RREF basis of (a (x) b) e as flattened row vectors."""
         if self._basis is not None:
             return self._basis
-        F = self.field
-        na, nb = self.a.dim, self.b.dim
-        wb = WorkBasis(F, na * nb)
-        for i in range(na):
-            for j in range(nb):
-                X = np.zeros((na, nb), dtype=np.int64)
-                X[i, j] = 1
-                wb.insert(self.apply_e(X).reshape(-1))
-        self._basis = wb.matrix()
+        n = self.a.dim * self.b.dim
+        units = np.eye(n, dtype=np.int64).reshape(n, self.a.dim, self.b.dim)
+        images = np.array([self.apply_e(X).reshape(-1) for X in units], dtype=np.int64).reshape(n, n)
+        ech = echelonize(FqMatrix(self.field, images))
+        self._basis = FqMatrix(self.field, ech.matrix.arr[: ech.rank])
+        self._pivots = list(ech.pivots)
         return self._basis
 
     def condense_word(self, word) -> FqMatrix:
         """Matrix of e.g.e on (a (x) b)e for the group word g."""
         F = self.field
         basis = self.image_basis()
-        piv = echelonize(basis).pivots
         ga = word.evaluate(self.a)
         gb = word.evaluate(self.b)
         rows = []
@@ -227,7 +223,7 @@ class TensorCondenser:
             Y = F.matmul(F.matmul(ga.arr.T, X), gb.arr)
             rows.append(self.apply_e(Y).reshape(-1))
         img = np.array(rows, dtype=np.int64)
-        return FqMatrix(F, img[:, list(piv)])
+        return FqMatrix(F, img[:, self._pivots])
 
 
 def condense_tensor(a: Representation, b: Representation, k_words, g_word) -> FqMatrix:
@@ -249,12 +245,8 @@ def uncondense(setup: CondensationSetup, u: FqMatrix) -> FqMatrix:
     if u.cols == setup.rank:
         embedded = FqMatrix(F, F.matmul(u.arr, setup.image_basis.arr))
     elif u.cols == setup.rep.dim:
-        wb = WorkBasis(F, setup.rep.dim)
-        for row in setup.image_basis.arr:
-            wb.insert(row.copy())
-        for row in u.arr:
-            if not wb.contains(row):
-                raise NotInImage("subspace is not inside Ve")
+        if rank(FqMatrix(F, np.vstack([setup.image_basis.arr, u.arr]))) > setup.rank:
+            raise NotInImage("subspace is not inside Ve")
         embedded = u
     else:
         raise ShapeMismatch("subspace width matches neither Ve nor V")

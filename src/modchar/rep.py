@@ -7,7 +7,11 @@ so the image of H is its row space.
 
 Chopping follows MeatAxe practice: a seeded deterministic stream of algebra
 words, null spaces of irreducible factors of their characteristic
-polynomials, and Norton's irreducibility test.
+polynomials, and Norton's irreducibility test.  The isomorphism test takes
+its seed va from the same kind of null space and spins (va, vb) in a (+) b
+for each candidate vb: when an intertwiner sends va to vb, the submodule
+spun is its graph, with RREF [I | H].  The layered spin and echelonize are
+the only eliminations here.
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ from .gfla import (
     FieldSpec,
     FqMatrix,
     FqPolynomial,
-    WorkBasis,
     echelonize,
     inverse,
     irreducible_factors,
     mat_kron,
     mat_mul,
     nullspace,
+    rank,
     row_space,
 )
 
@@ -291,36 +295,21 @@ def chop(rep: Representation, seed: int = 1) -> list[tuple[Representation, int]]
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (standard basis), dual, tensor, hom
+# isomorphism (graph spin), dual, tensor, hom
 # ---------------------------------------------------------------------------
-
-
-def _standard_basis(rep: Representation, v: np.ndarray):
-    """Spin v recording a deterministic schedule; returns (basis rows in
-    discovery order, schedule) where schedule entries are (source, gen)."""
-    F = rep.field
-    rows = [v.copy()]
-    schedule = []
-    basis = WorkBasis(F, rep.dim)
-    basis.insert(v.copy())
-    i = 0
-    while i < len(rows) and len(rows) < rep.dim:
-        for gi, g in enumerate(rep.gens):
-            w = F.matmul(rows[i][None, :], g.arr)[0]
-            if basis.insert(w):
-                rows.append(w)
-                schedule.append((i, gi))
-                if len(rows) == rep.dim:
-                    break
-        i += 1
-    return rows, schedule
 
 
 def iso(a: Representation, b: Representation, seed: int = 1):
     """An intertwiner H (a_g . H = H . b_g, invertible) or None.
 
-    Both modules are expected simple (the standard-basis method); for
-    non-simple inputs the answer may be Undecided.
+    A word w and an irreducible factor f of its characteristic polynomial
+    with nullity deg f on a give the seed va, the first kernel vector of f(w)
+    on a.  For each projective point vb of that kernel on b, (va, vb) is spun
+    in a (+) b.  If an intertwiner H with va.H = vb exists, the spun
+    submodule is its graph, whose RREF is exactly [I | H]; H is unique once
+    va generates a.  Both modules are expected simple: a seed that does not
+    generate a moves on to the next word, so non-simple inputs may end
+    Undecided.
     """
     if a.ngens != b.ngens:
         raise GeneratorCountMismatch("different generator counts")
@@ -329,6 +318,11 @@ def iso(a: Representation, b: Representation, seed: int = 1):
     if a.dim == 0:
         return FqMatrix.zeros(a.field, 0, 0)
     F = a.field
+    n = a.dim
+    z = np.zeros((n, n), dtype=np.int64)
+    ab = Representation(
+        F, 2 * n, tuple(FqMatrix(F, np.block([[ga.arr, z], [z, gb.arr]])) for ga, gb in zip(a.gens, b.gens))
+    )
     from .gfla import char_poly as _char_poly
 
     stream = word_stream(a.ngens, F.p, seed)
@@ -353,26 +347,18 @@ def iso(a: Representation, b: Representation, seed: int = 1):
         kerb = nullspace(f.eval_matrix(wb).transpose())
         if kerb.rows != kera.rows:
             return None
-        va = kera.arr[0]
-        rows_a, schedule = _standard_basis(a, va)
-        if len(rows_a) < a.dim:
-            continue  # v does not generate; only possible for non-simple input
-        A = FqMatrix(F, np.array(rows_a))
-        Ainv = inverse(A)
         # the matching seed is any projective point of ker_b, not just a
         # basis vector; enumerate them all (deg f is small)
         for vb in _projective_points(F, kerb.arr):
-            rows_b = [vb.copy()]
-            for src, gi in schedule:
-                rows_b.append(F.matmul(rows_b[src][None, :], b.gens[gi].arr)[0])
-            B = FqMatrix(F, np.array(rows_b))
-            ech = echelonize(B)
-            if ech.rank < b.dim:
-                continue
-            H = mat_mul(Ainv, B)
-            if _intertwines(a, b, H):
-                return H
-        return None
+            S = spin(ab, FqMatrix(F, np.hstack([kera.arr[0], vb])[None, :]))
+            if S.arr[:, :n].any(axis=1).sum() < n:
+                break  # va does not generate a; only possible for non-simple input
+            if S.rows == n:
+                H = FqMatrix(F, S.arr[:, n:].copy())
+                if rank(H) == n:
+                    return H
+        else:
+            return None
     raise Undecided("no standard-basis word found")
 
 
@@ -391,13 +377,6 @@ def _projective_points(F, basis_rows):
                 if c:
                     v = F.add(v, F.mul(np.int64(c), row))
             yield v
-
-
-def _intertwines(a, b, H):
-    for ga, gb in zip(a.gens, b.gens):
-        if mat_mul(ga, H) != mat_mul(H, gb):
-            return False
-    return True
 
 
 def dual(rep: Representation) -> Representation:
@@ -457,7 +436,7 @@ def socle(rep: Representation, simples) -> tuple[FqMatrix, list[tuple[int, int]]
     division matters for simples that are not absolutely irreducible.
     """
     F = rep.field
-    basis = WorkBasis(F, rep.dim)
+    rows = [np.zeros((0, rep.dim), dtype=np.int64)]
     counts = []
     for si, s in enumerate(simples):
         maps = hom(s, rep)
@@ -466,10 +445,8 @@ def socle(rep: Representation, simples) -> tuple[FqMatrix, list[tuple[int, int]]
             if len(maps) % end_dim:
                 raise SelfCheckFailed(f"dim Hom(S, V) = {len(maps)} is not a multiple of dim End(S) = {end_dim}")
             counts.append((si, len(maps) // end_dim))
-        for H in maps:
-            for row in H.arr:
-                basis.insert(row.copy())
-    return basis.matrix(), counts
+        rows += [H.arr for H in maps]
+    return row_space(FqMatrix(F, np.vstack(rows))), counts
 
 
 def socle_series(rep: Representation, simples, seed: int = 1):
@@ -537,15 +514,14 @@ def composition_series(rep: Representation, seed: int = 1) -> CompositionSeries:
         verdict, witness = is_irreducible(r, seed)
         if verdict:
             return [FqMatrix.identity(F, r.dim)]
-        sub_rep, _q = split(r, witness)
-        U = row_space(witness)
+        sub_rep, quot_rep = split(r, witness)
+        ech = echelonize(witness)
+        U = FqMatrix(F, ech.matrix.arr[: ech.rank])
         inner = find_chain(sub_rep)  # bases in sub coordinates
         chain = [FqMatrix(F, F.matmul(c.arr, U.arr)) for c in inner[:-1]]
         chain.append(U)
         # lift the quotient's chain through the canonical completion
-        piv = list(echelonize(U).pivots)
-        comp = [j for j in range(r.dim) if j not in piv]
-        _s, quot_rep = split(r, U)
+        comp = [j for j in range(r.dim) if j not in ech.pivots]
         outer = find_chain(quot_rep)
         for c in outer:
             lifted = np.zeros((c.rows, r.dim), dtype=np.int64)
@@ -558,19 +534,16 @@ def composition_series(rep: Representation, seed: int = 1) -> CompositionSeries:
     prev = FqMatrix.zeros(F, 0, rep.dim)
     sizes = []
     for link in chain:
-        wb = WorkBasis(F, rep.dim)
-        for r in prev.arr:
-            wb.insert(r.copy())
-        new_rows = []
-        for r in link.arr:
-            if wb.insert(r.copy()):
-                # keep the raw link row: it lies inside this chain term, which
-                # is what makes the adapted matrix block-triangular
-                new_rows.append(r.copy())
+        # the link rows outside the span of prev and of the link rows before
+        # them: the pivot columns of [prev; link]^T.  Keep the raw link rows:
+        # they lie inside this chain term, which is what makes the adapted
+        # matrix block-triangular
+        ech = echelonize(FqMatrix(F, np.vstack([prev.arr, link.arr]).T))
+        new_rows = link.arr[[c - prev.rows for c in ech.pivots[prev.rows :]]]
         sizes.append(len(new_rows))
-        rows.extend(new_rows)
+        rows.append(new_rows)
         prev = link
-    A = FqMatrix(F, np.array(rows, dtype=np.int64))
+    A = FqMatrix(F, np.vstack(rows))
     Ainv = inverse(A)
     series = CompositionSeries(rep, tuple(chain), (), A, Ainv, tuple(sizes))
     blocks = [series.diagonal_blocks(g) for g in rep.gens]

@@ -19,7 +19,9 @@ lists every row in the box prod(isqrt(C_jj) + 1) and tries k-multisets of
 those rows.  `irreducible_factors_full` is the earlier eager factorization
 (squarefree, distinct-degree over every degree up to the part's, then
 equal-degree, one sorted list at the end), `is_irreducible_full` the Norton
-loop over it and `iso_full` the standard-basis isomorphism test on it.
+loop over it and `iso_full` `rep.iso` on it.  `iso_standard_basis` is the
+earlier isomorphism test: Parker's standard basis spun one vector times one
+generator at a time, its schedule replayed from each candidate point.
 `field_tables_per_power` builds a field's tables from its exp table computed
 one power of w at a time.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from modchar import ctab, grp, rep
 from modchar.cyclo import Cyclotomic, matrix_order
-from modchar.errors import Infeasible, NonIntegral
+from modchar.errors import GeneratorCountMismatch, Infeasible, NonIntegral, Undecided
 from modchar.gfla import (
     EchelonForm,
     FieldSpec,
@@ -49,6 +51,7 @@ from modchar.gfla import (
     echelonize,
     field_make,
     inverse,
+    irreducible_factors,
     mat_mul,
     nullspace,
     row_space,
@@ -571,6 +574,80 @@ def iso_full(a: rep.Representation, b: rep.Representation, seed: int = 1):
         return _rep_iso(a, b, seed)
     finally:
         rep.irreducible_factors = lazy
+
+
+def _standard_basis(r: rep.Representation, v: np.ndarray):
+    """Spin v recording a deterministic schedule; returns (basis rows in
+    discovery order, schedule) where schedule entries are (source, gen)."""
+    F = r.field
+    rows = [v.copy()]
+    schedule = []
+    basis = WorkBasis(F, r.dim)
+    basis.insert(v.copy())
+    i = 0
+    while i < len(rows) and len(rows) < r.dim:
+        for gi, g in enumerate(r.gens):
+            w = F.matmul(rows[i][None, :], g.arr)[0]
+            if basis.insert(w):
+                rows.append(w)
+                schedule.append((i, gi))
+                if len(rows) == r.dim:
+                    break
+        i += 1
+    return rows, schedule
+
+
+def _intertwines(a, b, H):
+    return all(mat_mul(ga, H) == mat_mul(H, gb) for ga, gb in zip(a.gens, b.gens))
+
+
+def iso_standard_basis(a: rep.Representation, b: rep.Representation, seed: int = 1):
+    """The earlier `rep.iso`: the standard basis A of a spun from va, for
+    each point vb the schedule replayed from vb in b as B, then A^-1 B
+    accepted when B has full rank and it intertwines."""
+    if a.ngens != b.ngens:
+        raise GeneratorCountMismatch("different generator counts")
+    if a.field != b.field or a.dim != b.dim:
+        return None
+    if a.dim == 0:
+        return FqMatrix.zeros(a.field, 0, 0)
+    F = a.field
+    stream = rep.word_stream(a.ngens, F.p, seed)
+    for _ in range(rep.WORD_BUDGET):
+        word = next(stream)
+        wa = word.evaluate(a)
+        wb = word.evaluate(b)
+        cpa = char_poly(wa)
+        if cpa != char_poly(wb):
+            return None
+        usable = None
+        for f, _m in irreducible_factors(cpa, seed):
+            kera = nullspace(f.eval_matrix(wa).transpose())
+            if kera.rows == f.degree:
+                usable = (f, kera)
+                break
+        if usable is None:
+            continue
+        f, kera = usable
+        kerb = nullspace(f.eval_matrix(wb).transpose())
+        if kerb.rows != kera.rows:
+            return None
+        rows_a, schedule = _standard_basis(a, kera.arr[0])
+        if len(rows_a) < a.dim:
+            continue
+        Ainv = inverse(FqMatrix(F, np.array(rows_a)))
+        for vb in rep._projective_points(F, kerb.arr):
+            rows_b = [vb.copy()]
+            for src, gi in schedule:
+                rows_b.append(F.matmul(rows_b[src][None, :], b.gens[gi].arr)[0])
+            B = FqMatrix(F, np.array(rows_b))
+            if echelonize(B).rank < b.dim:
+                continue
+            H = mat_mul(Ainv, B)
+            if _intertwines(a, b, H):
+                return H
+        return None
+    raise Undecided("no standard-basis word found")
 
 
 def field_tables_per_power(F: FieldSpec) -> dict[str, np.ndarray]:

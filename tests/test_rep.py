@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from modchar import ctab, gfla, grp, rep
-from modchar.errors import NotInvariant, ZeroModule
+from modchar.errors import NotInvariant, Undecided, ZeroModule
 
 sys.path.insert(0, os.path.dirname(__file__))
 import oracles  # noqa: E402
@@ -245,6 +245,9 @@ def test_socle_series_examples():
         for si, m in layer:
             totals[si] = totals.get(si, 0) + m
     assert totals == {0: 3, 1: 3}
+    # the socle itself: a canonical basis of dimension sum(mult * dim S)
+    soc, counts = rep.socle(reg, simples)
+    assert soc == gfla.row_space(soc) and soc.rows == sum(m * simples[si].dim for si, m in counts) == 2
 
 
 def test_radical_chain_oracle():
@@ -378,7 +381,7 @@ def test_socle_multiplicity_non_split_simple():
     assert sorted(m for _si, m in layers[0]) == [1, 1]
 
 
-# -- Norton and iso on the lazy factor stream against the eager oracles --------
+# -- Norton and iso against the eager-factoring and standard-basis oracles ----
 
 
 @pytest.fixture
@@ -386,7 +389,8 @@ def against_eager(monkeypatch):
     """Check every rep.is_irreducible and rep.iso call (chop, socle_series and
     ctab reach them through the module) against the same test run on
     complete factor lists: the same verdict with the same certificate (word,
-    factor, nullity) or witness rows, and the same intertwiner."""
+    factor, nullity) or witness rows, and the same intertwiner.  Each iso
+    answer must also equal the standard-basis oracle's (None or the same H)."""
     calls = {"norton": 0, "iso": 0}
     norton, iso = rep.is_irreducible, rep.iso
 
@@ -399,6 +403,7 @@ def against_eager(monkeypatch):
     def checked_iso(a, b, seed=1):
         got = iso(a, b, seed)
         assert got == oracles.iso_full(a, b, seed), (a.label, b.label)
+        assert got == oracles.iso_standard_basis(a, b, seed), (a.label, b.label)
         calls["iso"] += 1
         return got
 
@@ -458,3 +463,78 @@ def test_norton_and_iso_match_eager_factoring_in_tensor_closure(against_eager, n
     simples = ctab._tensor_closure(g, gfla.field_make(p, 2), count, 1)
     assert len(simples) == count
     assert against_eager["norton"] > count and against_eager["iso"] > 0
+
+
+@pytest.mark.parametrize("name,p", [("A4", 2), ("S3", 3)])
+def test_iso_matches_standard_basis_on_a_condensed_regular_chop(against_eager, name, p):
+    """As the condense workload does: chop the regular module over GF(p^2)
+    and find each Brauer simple among its factors."""
+    if name == "A4":
+        g = grp.enumerate_group([grp.perm_from_cycles(4, [(1, 2), (3, 4)]), grp.perm_from_cycles(4, [(1, 2, 3)])])
+    else:
+        g = s3()
+    _tbr, simples = ctab.brauer_data(g, p)
+    F = gfla.field_make(p, 2)
+    factors = rep.chop(grp.regular_rep(g, F), 1)
+    for s in simples:
+        assert sum(rep.iso(f, s, 1) is not None for f, _m in factors) == 1
+    assert against_eager["iso"] >= len(simples) * len(factors)
+
+
+def test_iso_moves_on_from_a_seed_that_does_not_generate(monkeypatch):
+    """On S (+) T with S, T non-isomorphic simples every usable kernel lies in
+    one summand (the nullity of f(w) on each summand is a multiple of deg f),
+    so no seed generates: each word is passed over, and both tests end
+    Undecided instead of answering None."""
+    g = gfla.FqMatrix(F2, [[1, 0, 0], [0, 0, 1], [0, 1, 1]])
+    a = rep.Representation(F2, 3, (g,), "1+2")
+    spun = []
+    spin = rep.spin
+
+    def recording_spin(r, seeds):
+        out = spin(r, seeds)
+        spun.append((r.dim, out))
+        return out
+
+    monkeypatch.setattr(rep, "spin", recording_spin)
+    with pytest.raises(Undecided):
+        rep.iso(a, a, 1)
+    with pytest.raises(Undecided):
+        oracles.iso_standard_basis(a, a, 1)
+    # the graph spins in a (+) a: each left block has rank below dim a
+    graphs = [S for d, S in spun if d == 2 * a.dim]
+    assert graphs and all(S.arr[:, : a.dim].any(axis=1).sum() < a.dim for S in graphs)
+
+
+def _path_algebra_modules():
+    """Over the algebra of upper triangular 2x2 matrices (generators e2, e1
+    and the arrow a): the projective P1 (top S1, socle S2) and S1 (+) S2."""
+    e1, e2, a = (gfla.FqMatrix(F2, m) for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]))
+    proj = rep.Representation(F2, 2, (e2, e1, a), "P1")
+    semi = rep.Representation(F2, 2, (e2, e1, gfla.FqMatrix.zeros(F2, 2, 2)), "S1+S2")
+    return proj, semi
+
+
+def test_iso_refuses_a_singular_homomorphism_from_a_generating_seed(monkeypatch):
+    """The first word, e2, has the kernel vector p1 on P1, which generates P1.
+    The graph spin of (p1, s1) is the graph of P1 -> S1, [I | H] with H of
+    rank 1, so the only candidate fails, and the answer is None at once:
+    one graph spin, no further word."""
+    proj, semi = _path_algebra_modules()
+    spins = []
+    spin = rep.spin
+    monkeypatch.setattr(rep, "spin", lambda r, seeds: spins.append(r.dim) or spin(r, seeds))
+    assert rep.iso(proj, semi, 1) is None
+    assert spins == [4]
+    assert oracles.iso_standard_basis(proj, semi, 1) is None
+
+
+def test_iso_needs_the_seed_itself_to_generate():
+    """From S1 (+) S2 to P1 the graph spin of (s1, p1) has dim S1 (+) S2 rows
+    but a left block of rank 1: s1 does not generate, so that word is passed
+    over, and no later seed generates S1 (+) S2 either."""
+    proj, semi = _path_algebra_modules()
+    with pytest.raises(Undecided):
+        rep.iso(semi, proj, 1)
+    with pytest.raises(Undecided):
+        oracles.iso_standard_basis(semi, proj, 1)
