@@ -62,9 +62,13 @@ def write_text(path: str, text: str):
 
 def format_matrix(m: gfla.FqMatrix) -> str:
     lines = [f"MTX q={m.field.q} r={m.rows} c={m.cols}"]
-    for row in m.arr:
-        lines.append(" ".join(str(int(x)) for x in row))
+    lines += _rows(m.arr)
     return "\n".join(lines) + "\n"
+
+
+def _rows(arr) -> list[str]:
+    """One line of space-separated integers per row of a 2-dimensional array."""
+    return [" ".join(map(str, row)) for row in arr.tolist()]
 
 
 def parse_matrix(text: str) -> gfla.FqMatrix:
@@ -94,8 +98,7 @@ def _field_of(q: int) -> gfla.FieldSpec:
 
 def format_perms(perms: list, degree: int) -> str:
     lines = [f"PRM n={degree} k={len(perms)}"]
-    for p in perms:
-        lines.append(" ".join(str(i + 1) for i in p))
+    lines += _rows(np.array(perms, dtype=np.int64).reshape(len(perms), degree) + 1)
     return "\n".join(lines) + "\n"
 
 
@@ -111,8 +114,7 @@ def parse_perms(text: str):
 def format_rep(r: rep.Representation) -> str:
     lines = [f"REP q={r.field.q} d={r.dim} k={r.ngens}"]
     for g in r.gens:
-        for row in g.arr:
-            lines.append(" ".join(str(int(x)) for x in row))
+        lines += _rows(g.arr)
     return "\n".join(lines) + "\n"
 
 

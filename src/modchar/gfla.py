@@ -14,8 +14,10 @@ type: the MeatAxe, the factoring, the Brauer lift and the Conway search use it.
 The search builds GF(p) first and tests candidates over it for primitivity
 alone, which implies irreducibility.  A matrix product treats
 GF(p^k) as the vector space GF(p)^k: the digits of A times the GF(p)-expansion
-of B (each entry b replaced by the k x k matrix of x -> x.b) is one exact int64
-product, reduced mod p and packed back.
+of B (each entry b replaced by the k x k matrix of x -> x.b) is one product over
+GF(p), reduced mod p and packed back.  It runs as float64 BLAS calls on tiles
+of at most 2^18 multiply-adds, reduced mod p between inner chunks, which is
+exact for every field under the ceiling and keeps BLAS on one thread.
 Elimination (`echelonize`, behind rank, row spaces, null spaces, solving and
 inversion) is blocked Gauss-Jordan: pivots are found one panel of columns at a
 time, and the columns right of the panel take the panel's row operations as
@@ -147,6 +149,26 @@ TABLE_CEILING = 256  # the largest q with q x q add and mul tables
 # argument types that take the scalar path of the elementwise ops
 _SCALARS = frozenset({int} | {np.dtype(c).type for c in np.typecodes["AllInteger"]})
 
+# multiply-adds per float64 BLAS call.  A sum of at most 2^18 products of
+# GF(p) digits, p < 2^16, stays below 2^50, so it is exact in a double; and
+# OpenBLAS runs a call this small on the calling thread, so no worker thread
+# wakes up to spin on process CPU.
+_TILE = 1 << 18
+
+
+def _tile(n: int, m: int, n2: int, budget: int = _TILE) -> tuple[int, int, int]:
+    """Rows, inner length and columns of the blocks of an n x m by m x n2
+    product (all positive), at most `budget` multiply-adds each.  The inner
+    dimension is cut into equal chunks, only as far as needed to leave room
+    for a 16 x 16 block of rows and columns; rows and columns share the rest."""
+    if n * m * n2 <= budget:  # what the rule below gives, without its arithmetic
+        return n, m, n2
+    cap = max(1, budget // (min(n, 16) * min(n2, 16)))
+    inner = -(-m // -(-m // cap))
+    rest = budget // inner
+    cols = min(n2, rest // min(n, math.isqrt(rest)))
+    return min(n, rest // cols), inner, cols
+
 
 class FieldSpec:
     """A small finite field GF(p^k) with its arithmetic tables.
@@ -199,6 +221,7 @@ class FieldSpec:
             t //= p
         self._dig = dig
         self._pow = p ** np.arange(k, dtype=np.int64)
+        self._pow_f = self._pow.astype(np.float64)
         # digits of w^0 .. w^(q-2) by doubling: with the digits of w^0 ..
         # w^(n-1) known, those of w^n .. w^(2n-1) are them times the k x k
         # GF(p) matrix of x -> x.w^n, which is squared for the next step
@@ -207,9 +230,10 @@ class FieldSpec:
         step[k - 1] = [(-c) % p for c in self.conway[:k]]
         powers = np.zeros((1, k), dtype=np.int64)
         powers[0, 0] = 1
+        Fp = self if k == 1 else field_make(p)  # a product over GF(p) reads no table
         while len(powers) < q - 1:
-            powers = np.vstack([powers, (powers @ step) % p])
-            step = (step @ step) % p
+            powers = np.vstack([powers, Fp.matmul(powers, step)])
+            step = Fp.matmul(step, step)
         exp = np.zeros(2 * (q - 1), dtype=np.int64)
         exp[: q - 1] = powers[: q - 1] @ self._pow
         hits = np.bincount(exp[: q - 1], minlength=q)
@@ -251,8 +275,6 @@ class FieldSpec:
         for d in range(k):
             np.take(narrow, self.mul(v, exp[d]), axis=0, out=mulx[d])
         self._mulx = mulx
-        # products of GF(p) digits summed over m.k terms stay exact in int64
-        self._max_inner = ((1 << 63) - 1) // (k * (p - 1) ** 2)
 
     # -- elementwise packed arithmetic (numpy arrays or scalars) ------------
 
@@ -341,34 +363,56 @@ class FieldSpec:
     # -- matrix multiply kernel ---------------------------------------------
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """A.B over GF(q) as one exact integer product over GF(p).
+        """A.B over GF(q) as an exact product over GF(p).
 
         The digits of A form an n x km matrix DA[i,(d,j)] = digit d of A[i,j];
         B expands to the km x n'k matrix M(B)[(d,j),(l,f)] = digit f of
-        w^d.B[j,l].  Their int64 product reduced mod p holds the digits of
-        A.B.  B is expanded ceil(n'/k) columns at a time, so no expanded
-        block outgrows B's digit array.
+        w^d.B[j,l].  DA.M(B) reduced mod p holds the digits of A.B; for k = 1
+        both are A and B themselves.  The product runs in blocks of rows and
+        columns (`_block`) whose float64 BLAS calls do at most _TILE
+        multiply-adds each (`_tile`).  B is expanded one block of columns at a
+        time, so a small product is one block and one BLAS call.
         """
         if A.shape[-1] != B.shape[0]:
             raise ShapeMismatch(f"matmul {A.shape} x {B.shape}")
+        k = self.k
+        n, m, n2 = math.prod(A.shape[:-1]), B.shape[0], math.prod(B.shape[1:])
+        shape = A.shape[:-1] + B.shape[1:]
+        if not (n and m and n2):
+            return np.zeros(shape, dtype=np.int64)
+        A2, B2 = A.reshape(n, m), B.reshape(m, n2)
+        DA = A2 if k == 1 else np.take(self._dig, A2, axis=0).transpose(0, 2, 1).reshape(n, k * m)
+        X = DA.astype(np.float64)
+        rows, inner, cols = _tile(n, k * m, n2, _TILE // k)
+        if (rows, cols) == (n, n2):  # one block: nothing to assemble
+            return self._block(X, self._expand(B2), inner).reshape(shape)
+        out = np.empty((n, n2), dtype=np.int64)
+        for c0 in range(0, n2, cols):
+            Y = self._expand(B2[:, c0 : c0 + cols])
+            for r0 in range(0, n, rows):
+                out[r0 : r0 + rows, c0 : c0 + cols] = self._block(X[r0 : r0 + rows], Y, inner)
+        return out.reshape(shape)
+
+    def _expand(self, B: np.ndarray) -> np.ndarray:
+        """M(B) as float64; B itself for k = 1."""
+        if self.k == 1:
+            return B.astype(np.float64)
+        return np.take(self._mulx, B, axis=1).reshape(self.k * len(B), -1).astype(np.float64)
+
+    def _block(self, X: np.ndarray, Y: np.ndarray, inner: int) -> np.ndarray:
+        """X.Y over GF(p), packed to GF(q) values, for one block of rows and
+        columns: one np.matmul per chunk of `inner` columns of X, its exact
+        float sums reduced mod p in int64 before the next chunk is added; for
+        k > 1, one more np.matmul packs the k digits of each value with the
+        powers of p."""
         p, k = self.p, self.k
-        m = B.shape[0]
-        if m > self._max_inner:
-            raise ShapeMismatch(f"inner dimension {m} overflows the exact int64 product")
-        if k == 1:  # digits and expansion are the identity: M(B) = B
-            return (A @ B) % p
-        n, n2 = math.prod(A.shape[:-1]), math.prod(B.shape[1:])
-        out = np.zeros((n, n2), dtype=np.int64)
-        if out.size and m:
-            DA = np.take(self._dig, A.reshape(n, m), axis=0).transpose(0, 2, 1).reshape(n, k * m)
-            B2 = B.reshape(m, n2)
-            width = -(-n2 // k)
-            for c in range(0, n2, width):
-                blk = B2[:, c : c + width]
-                w = blk.shape[1]
-                MB = np.take(self._mulx, blk, axis=1).reshape(k * m, w * k).astype(np.int64)
-                out[:, c : c + w] = ((DA @ MB) % p).reshape(n, w, k) @ self._pow
-        return out.reshape(A.shape[:-1] + B.shape[1:])
+        for i0 in range(0, X.shape[1], inner):
+            prod = np.matmul(X[:, i0 : i0 + inner], Y[i0 : i0 + inner]).astype(np.int64)
+            acc = (prod if i0 == 0 else acc + prod) % p
+        if k > 1:
+            digits = acc.reshape(-1, k).astype(np.float64)
+            acc = np.matmul(digits, self._pow_f).astype(np.int64).reshape(len(acc), -1)
+        return acc
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and (self.p, self.k) == (other.p, other.k)

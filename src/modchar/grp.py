@@ -301,10 +301,10 @@ def regular_rep(g: PermGroup, field: FieldSpec):
 
 def element_matrix(g: PermGroup, rep, elem: Perm) -> FqMatrix:
     """Matrix of a group element in a representation whose gens mirror g.gens."""
-    from .gfla import mat_mul
-
     word = g.word_for(tuple(elem))
-    out = FqMatrix.identity(rep.field, rep.dim)
-    for gi in word:
-        out = mat_mul(out, rep.gens[gi])
-    return out
+    if not word:
+        return FqMatrix.identity(rep.field, rep.dim)
+    out = rep.gens[word[0]].arr
+    for gi in word[1:]:
+        out = rep.field.matmul(out, rep.gens[gi].arr)
+    return FqMatrix(rep.field, out)

@@ -158,31 +158,33 @@ def spin(rep: Representation, seeds: FqMatrix) -> FqMatrix:
 
 
 def split(rep: Representation, sub: FqMatrix):
-    """(subRep, quotRep) for an invariant subspace given by RREF basis rows."""
+    """(subRep, quotRep) for an invariant subspace given by RREF basis rows.
+
+    Three products for all generators at once: the basis times the generators
+    side by side, as in `spin`; the coordinates back times the basis, which
+    must give the images again (invariance); and the quotient rows."""
     F = rep.field
     ech = echelonize(sub)
     U = ech.matrix.arr[: ech.rank]
     piv = list(ech.pivots)
     comp = [j for j in range(rep.dim) if j not in ech.pivots]
-    sub_gens = []
-    quot_gens = []
-    for g in rep.gens:
-        img = F.matmul(U, g.arr)
-        coords = img[:, piv]
-        back = F.matmul(coords, U)
-        if not np.array_equal(back, img):
+    r, c, d, t = ech.rank, len(comp), rep.dim, rep.ngens
+    sub_gens: tuple[FqMatrix, ...] = ()
+    quot_gens: tuple[FqMatrix, ...] = ()
+    if t:
+        # row (i, j) of img is row j of U.g_i
+        img = F.matmul(U, np.hstack([g.arr for g in rep.gens])).reshape(r, t, d).swapaxes(0, 1)
+        coords = img[:, :, piv]
+        if not np.array_equal(F.matmul(coords.reshape(t * r, r), U), img.reshape(t * r, d)):
             raise NotInvariant("subspace is not invariant under the generators")
-        sub_gens.append(FqMatrix(F, coords))
+        sub_gens = tuple(FqMatrix(F, x) for x in coords)
         # quotient on the canonical completion by the non-pivot unit vectors,
-        # whose images are the rows comp of g
-        if comp:
-            imgq = g.arr[comp]
-            red = F.sub(imgq, F.matmul(imgq[:, piv], U))
-            quot_gens.append(FqMatrix(F, red[:, comp]))
-        else:
-            quot_gens.append(FqMatrix.zeros(F, 0, 0))
-    sub_rep = Representation(F, ech.rank, tuple(sub_gens), rep.label + ".sub")
-    quot_rep = Representation(F, len(comp), tuple(quot_gens), rep.label + ".quot")
+        # whose images are the rows comp of each generator
+        imgq = np.vstack([g.arr[comp] for g in rep.gens])
+        red = F.sub(imgq, F.matmul(imgq[:, piv], U))
+        quot_gens = tuple(FqMatrix(F, x) for x in red[:, comp].reshape(t, c, c))
+    sub_rep = Representation(F, r, sub_gens, rep.label + ".sub")
+    quot_rep = Representation(F, c, quot_gens, rep.label + ".quot")
     return sub_rep, quot_rep
 
 

@@ -209,16 +209,87 @@ def test_matmul_matches_digit_planes(p, k):
     assert np.array_equal(F.matmul(v, B), oracles.matmul_planes(F, v, B))
 
 
-def test_mulx_table_dtype_and_exactness_bound(monkeypatch):
+def test_mulx_table_dtype_and_exactness_bound():
     assert gfla.field_make(2, 8)._mulx.dtype == np.uint8
     assert gfla.field_make(251, 1)._mulx.dtype == np.uint8
     assert gfla.field_make(257, 1)._mulx.dtype == np.uint16
-    F = gfla.field_make(3, 2)
-    assert F._max_inner == (2**63 - 1) // (2 * 2**2)
-    monkeypatch.setattr(F, "_max_inner", 3)
-    F.matmul(np.ones((2, 3), dtype=np.int64), np.ones((3, 2), dtype=np.int64))
-    with pytest.raises(ShapeMismatch):
-        F.matmul(np.ones((2, 4), dtype=np.int64), np.ones((4, 2), dtype=np.int64))
+    # one block's sums of digit products, plus a reduced remainder, are exact
+    # in a double for every field under the ceiling
+    assert gfla._TILE * (gfla.FIELD_CEILING - 1) ** 2 + gfla.FIELD_CEILING < 2**53
+
+
+# products larger than one tile; over every field of MATMUL_FIELDS they cross
+# a tile in rows, in columns and in the inner dimension
+TILE_SHAPES = [(2000, 12, 12), (12, 12, 2000), (3, 40000, 3), (100, 300, 100)]
+
+
+@pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+def test_matmul_across_tiles_matches_digit_planes(p, k):
+    F = gfla.field_make(p, k)
+    rng = np.random.default_rng(p * 100 + k + 1)
+    crossed = set()
+    for n, m, n2 in TILE_SHAPES:
+        tile = gfla._tile(n, k * m, n2, gfla._TILE // k)
+        crossed |= {axis for axis, t, full in zip("rmc", tile, (n, k * m, n2)) if t < full}
+        A = rng.integers(0, F.q, (n, m))
+        B = rng.integers(0, F.q, (m, n2))
+        assert np.array_equal(F.matmul(A, B), oracles.matmul_planes(F, A, B)), (n, m, n2)
+    assert crossed == set("rmc")
+
+
+def test_matmul_spin_row_over_gf4():
+    """One row times a 3600 x 3600 matrix over GF(4): the product `spin` makes
+    for one vector of a 60-dimensional module with 60 generators side by
+    side.  Checked against row-by-row sums of F.mul (addition is XOR)."""
+    F = gfla.field_make(2, 2)
+    rng = np.random.default_rng(3600)
+    v = rng.integers(0, 4, (1, 3600))
+    B = rng.integers(0, 4, (3600, 3600), dtype=np.uint8)  # the kernel only indexes B
+    want = np.zeros(3600, dtype=np.int64)
+    for j in range(0, 3600, 200):
+        want ^= np.bitwise_xor.reduce(F.mul(v[0, j : j + 200, None], B[j : j + 200]), axis=0)
+    assert np.array_equal(F.matmul(v, B)[0], want)
+
+
+def test_matmul_extreme_entries_past_one_tile():
+    """Inner dimension 2^18 + 5 over GF(65521), every entry p - 1: each term
+    is (p - 1)^2 = 1, so the product is m mod p, summed over two inner chunks."""
+    F = gfla.field_make(65521, 1)
+    m = 2**18 + 5
+    a = np.full((1, m), 65520, dtype=np.int64)
+    assert F.matmul(a, a.T).tolist() == [[m % 65521]]
+
+
+@given(st.integers(1, 10**5), st.integers(1, 10**6), st.integers(1, 10**5), st.sampled_from([1, 2, 8, 16]))
+def test_tiles_fit_the_budget_and_keep_a_small_product_whole(n, m, n2, k):
+    budget = gfla._TILE // k
+    rows, inner, cols = gfla._tile(n, m, n2, budget)
+    assert 1 <= rows <= n and 1 <= inner <= m and 1 <= cols <= n2
+    assert rows * inner * cols <= budget
+    if n * m * n2 <= budget:
+        assert (rows, inner, cols) == (n, m, n2)
+
+
+def test_matmul_blas_calls_stay_within_one_tile(monkeypatch):
+    """Every product the kernel makes is an explicit float64 np.matmul of at
+    most _TILE multiply-adds, so OpenBLAS keeps it on the calling thread."""
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        calls.append((a.dtype, b.dtype, a.shape[0] * a.shape[1] * (b.shape[1] if b.ndim == 2 else 1)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(7)
+    for p, k in MATMUL_FIELDS:
+        F = gfla.field_make(p, k)
+        for n, m, n2 in TILE_SHAPES + [(60, 60, 60), (1, 60, 3600), (5, 5, 5)]:
+            F.matmul(rng.integers(0, F.q, (n, m)), rng.integers(0, F.q, (m, n2)))
+        gfla.echelonize(gfla.FqMatrix(F, rng.integers(0, F.q, (70, 90))))
+    assert calls
+    assert all(a == b == np.float64 for a, b, _ in calls)
+    assert max(macs for _a, _b, macs in calls) <= gfla._TILE
 
 
 def test_echelonize_examples():
