@@ -17,6 +17,11 @@ are lifted from GF(29), whose q - 1 = 28 is a proper multiple of 7, so
 `a5_gf4_4a.rep` is the 4-dimensional simple factor of `a5_gf4.rep` over
 GF(4), and `a5_gf4_4b.rep` the same module conjugated by a seeded invertible
 matrix, so `rep_iso` pins the intertwiner the standard-basis method finds.
+`a65521.mtx`/`b65521.mtx` are seeded random GF(65521) matrices, so
+`mat_mul65521` reads and writes five-digit entries.  `layout11.mtx` (GF(11),
+6 x 8, rank 4) is written with CRLF line ends, tabs and runs of spaces
+between entries, entries with leading zeros, and blank and whitespace-only
+lines, so `mat_echelon_layout11` pins the reader's treatment of layout.
 `dxm_dtd_rows10` solves the same Cartan equation with two rows more than the
 fixture's k, so its one solution ends in two zero rows.
 """
@@ -40,6 +45,8 @@ CASES = {
     "mat_nullspace_large251": "mat nullspace -a large251.mtx",
     "mat_mul729": "mat mul -a a729.mtx -b b729.mtx",
     "mat_echelon_large729": "mat echelon -a large729.mtx",
+    "mat_mul65521": "mat mul -a a65521.mtx -b b65521.mtx",
+    "mat_echelon_layout11": "mat echelon -a layout11.mtx",
     "mat_nullspace_large729": "mat nullspace -a large729.mtx",
     "grp_enum": "grp enum --gens s4.prm",
     "grp_classes": "grp classes --gens s4.prm -p 3",
