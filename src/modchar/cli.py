@@ -21,16 +21,19 @@ is accepted on input wherever an MTX file is expected.
 
 The readers share one tokenizer (textio).  Exit 3: a file that is not UTF-8;
 a missing or wrong header word; a header key missing, unknown or repeated; a
-header value that is not a non-negative integer (`block` excepted); a
-non-integer entry; more or fewer entries or lines than the header announces;
+header value that is not a non-negative integer (`block` excepted); an MTX
+r/c, PRM n/k or REP d/k above the dimension ceiling 4096; an MTX/PRM/REP
+entry that is not 1 to 18 ASCII digits, or a separator that is not ASCII
+whitespace; more or fewer entries or lines than the header announces;
 an MTX/REP entry outside 0..q-1; a PRM line that is not a permutation; a CTB
 class line that is not 4 tokens with a 0/1 flag and a size and element order
 dividing the group order, or a character line that is not m+2 tokens with
 its degree as first value; a q that is not a prime power; a --log manifest
 whose last line is not a JSON object with a string hash.  MTX, PRM and REP
 bodies may use any line layout.  Exit 2: q above 2^16 (FieldTooLarge, before
-any other work), a bad --field/--pins/--known value (usage error), and an
-out-of-range --char, --block or --blockindex.
+any other work), a bad --field/--pins/--known value (usage error), an
+out-of-range --char, --block or --blockindex, and `rep chop`/`rep socle` on a
+module of dimension above 1 (any dimension for socle) without generators.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 from . import __version__, cond, ctab, dxm, fixtures, gfla, grp, rep
 from .cyclo import Cyclotomic, format_cyclotomic, parse_cyclotomic
 from .errors import FieldTooLarge, FormatError, ModcharError
-from .textio import grid, header, ints, read_text
+from .textio import dim, grid, grid_text, header, ints, read_text, split_head
 
 
 # ---------------------------------------------------------------------------
@@ -61,27 +64,20 @@ def write_text(path: str, text: str):
 
 
 def format_matrix(m: gfla.FqMatrix) -> str:
-    lines = [f"MTX q={m.field.q} r={m.rows} c={m.cols}"]
-    lines += _rows(m.arr)
-    return "\n".join(lines) + "\n"
-
-
-def _rows(arr) -> list[str]:
-    """One line of space-separated integers per row of a 2-dimensional array."""
-    return [" ".join(map(str, row)) for row in arr.tolist()]
+    return f"MTX q={m.field.q} r={m.rows} c={m.cols}\n" + grid_text(m.arr)
 
 
 def parse_matrix(text: str) -> gfla.FqMatrix:
-    first = text.lstrip().split("\n", 1)
-    legacy = first[0].split()
+    line, body = split_head(text)
+    legacy = line.split()
     if len(legacy) == 4 and all(t.isdecimal() for t in legacy):
         # classic MeatAxe text header: mode q rows cols
-        mode, q, r, c = ints(legacy, "MeatAxe header")
+        mode, q = ints(legacy[:2], "MeatAxe header")
         if mode != 1:
             raise FormatError(f"unsupported MeatAxe mode {mode}")
-        body = first[1:]
+        r, c = map(dim, legacy[2:])
     else:
-        kv, body = header(text, "MTX", {"q": int, "r": int, "c": int})
+        kv, body = header(text, "MTX", {"q": int, "r": dim, "c": dim})
         q, r, c = kv["q"], kv["r"], kv["c"]
     return gfla.FqMatrix(_field_of(q), grid(body, r, c, q))
 
@@ -97,13 +93,12 @@ def _field_of(q: int) -> gfla.FieldSpec:
 
 
 def format_perms(perms: list, degree: int) -> str:
-    lines = [f"PRM n={degree} k={len(perms)}"]
-    lines += _rows(np.array(perms, dtype=np.int64).reshape(len(perms), degree) + 1)
-    return "\n".join(lines) + "\n"
+    images = np.array(perms, dtype=np.int64).reshape(len(perms), degree) + 1
+    return f"PRM n={degree} k={len(perms)}\n" + grid_text(images)
 
 
 def parse_perms(text: str):
-    kv, body = header(text, "PRM", {"n": int, "k": int})
+    kv, body = header(text, "PRM", {"n": dim, "k": dim})
     n = kv["n"]
     arr = grid(body, kv["k"], n, n + 1)
     if (np.sort(arr, axis=1) != np.arange(1, n + 1)).any():
@@ -112,14 +107,11 @@ def parse_perms(text: str):
 
 
 def format_rep(r: rep.Representation) -> str:
-    lines = [f"REP q={r.field.q} d={r.dim} k={r.ngens}"]
-    for g in r.gens:
-        lines += _rows(g.arr)
-    return "\n".join(lines) + "\n"
+    return f"REP q={r.field.q} d={r.dim} k={r.ngens}\n" + "".join(grid_text(g.arr) for g in r.gens)
 
 
 def parse_rep(text: str) -> rep.Representation:
-    kv, body = header(text, "REP", {"q": int, "d": int, "k": int})
+    kv, body = header(text, "REP", {"q": int, "d": dim, "k": dim})
     q, d = kv["q"], kv["d"]
     field = _field_of(q)
     arr = grid(body, kv["k"] * d, d, q)
@@ -139,7 +131,8 @@ def format_table(t: ctab.CharTable) -> str:
 
 
 def parse_table(text: str) -> ctab.CharTable:
-    kv, body = header(text, "CTB", {"order": int, "classes": int, "p": int})
+    kv, text = header(text, "CTB", {"order": int, "classes": int, "p": int})
+    body = [line for line in text.splitlines() if line.strip()]
     m = kv["classes"]
     if kv["order"] < 1:
         raise FormatError("CTB: the group order must be positive")
@@ -190,7 +183,8 @@ def format_decomp_state(state: dxm.DecompState) -> str:
 
 
 def parse_decomp_state(text: str) -> dxm.DecompState:
-    kv, body = header(text, "DECSTATE", {"block": str, "k": int, "l": int})
+    kv, text = header(text, "DECSTATE", {"block": str, "k": int, "l": int})
+    body = [line for line in text.splitlines() if line.strip()]
     rows, degrees, basic, cols, candidates, current, log = [], [], (), [], [], [], []
     ncand = None
     for line in body:

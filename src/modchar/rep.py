@@ -95,6 +95,8 @@ class AlgebraWord:
 def word_stream(ngens: int, p: int, seed: int, max_len: int = 12):
     """Deterministic stream: generators and short products first, then seeded
     pseudo-random sums of products with prime-field coefficients."""
+    if ngens == 0:
+        raise GeneratorCountMismatch("at least one generator required")
     for i in range(ngens):
         yield AlgebraWord(((1, (i,)),), seed)
     for i in range(ngens):

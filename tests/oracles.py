@@ -23,7 +23,9 @@ loop over it and `iso_full` `rep.iso` on it.  `iso_standard_basis` is the
 earlier isomorphism test: Parker's standard basis spun one vector times one
 generator at a time, its schedule replayed from each candidate point.
 `field_tables_per_power` builds a field's tables from its exp table computed
-one power of w at a time.
+one power of w at a time.  `grid_by_tokens` and `grid_text_by_str` are the
+earlier MTX/PRM/REP body reader and writer: one `int()` per whitespace-split
+token and one `str()` per entry.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from modchar import ctab, grp, rep
 from modchar.cyclo import Cyclotomic, matrix_order
-from modchar.errors import GeneratorCountMismatch, Infeasible, NonIntegral, Undecided
+from modchar.errors import FormatError, GeneratorCountMismatch, Infeasible, NonIntegral, Undecided
 from modchar.gfla import (
     EchelonForm,
     FieldSpec,
@@ -681,3 +683,24 @@ def field_tables_per_power(F: FieldSpec) -> dict[str, np.ndarray]:
         tables["mul"] = mul(a, b)
     tables["mulx"] = np.stack([dig[mul(v, exp[d])] for d in range(k)])
     return tables
+
+
+def grid_by_tokens(lines: list[str], rows: int, cols: int, bound: int) -> np.ndarray:
+    """The rows x cols int64 array of the integer tokens in `lines`, read in
+    any line layout: exactly rows * cols of them, each in 0..bound-1."""
+    try:
+        values = [int(t) for line in lines for t in line.split()]
+        if len(values) != rows * cols:
+            raise FormatError(f"expected {rows * cols} entries ({rows} x {cols}), got {len(values)}")
+        arr = np.array(values, dtype=np.int64).reshape(rows, cols)
+        if arr.size and (arr.min() < 0 or arr.max() >= bound):
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise FormatError(f"entries must be integers in 0..{bound - 1}") from None
+    return arr
+
+
+def grid_text_by_str(arr) -> str:
+    """One line of space-separated integers per row of a 2-dimensional array,
+    each ending in a newline."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist())

@@ -6,6 +6,7 @@ import contextlib
 import io
 import os
 import string
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -18,7 +19,10 @@ from hypothesis import strategies as st
 from modchar import cli, ctab, dxm, fixtures, gfla, rep
 from modchar.cyclo import Cyclotomic, parse_cyclotomic
 from modchar.errors import FieldTooLarge, FormatError, ModcharError
-from modchar.textio import read_text
+from modchar.textio import DIM_CEILING, ENTRY_DIGITS, grid, grid_text, read_text
+
+sys.path.insert(0, str(Path(__file__).parent))
+import oracles  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,17 +52,55 @@ FAULTS = {
         cli.parse_table, "CTB order=20 classes=2 p=0\n1 1 1a 1\n4 5 5a 1\nordinary 1 1 cyc(5)[1\n",
         "ctab blocks -p 5 --table",
     ),
+    # header counts far above the dimension ceiling: the first three ended in
+    # MemoryError, the last looped over 10^14 empty generators
+    "mtx_huge_column_count": (cli.parse_matrix, "MTX q=3 r=0 c=99999999999999\n", "mat nullspace -a"),
+    "mtx_huge_row_count": (cli.parse_matrix, "MTX q=3 r=99999999999999 c=0\n", "mat echelon -a"),
+    "prm_huge_degree": (cli.parse_perms, "PRM n=99999999999999 k=0\n", "grp enum --gens"),
+    "rep_huge_generator_count": (cli.parse_rep, "REP q=3 d=0 k=100000000000000\n", "rep dual --rep"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAULTS))
 def test_fault_is_a_format_error_with_exit_3(case, tmp_path):
     parse, text, command = FAULTS[case]
+    start = time.perf_counter()
     with pytest.raises(FormatError):
         parse(text)
     path = tmp_path / "input"
     path.write_text(text)
     assert run_main(command.split() + [path]) == 3
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(("command", "dim", "expected"), [
+    ("rep chop --rep", 2, (2, "", "error: GeneratorCountMismatch: at least one generator required\n")),
+    ("rep socle --rep", 1, (2, "", "error: GeneratorCountMismatch: at least one generator required\n")),
+    ("rep socle --rep", 2, (2, "", "error: GeneratorCountMismatch: at least one generator required\n")),
+    ("rep chop --rep", 1, (0, "1a:1\n", "")),
+])
+def test_generator_free_module(command, dim, expected, tmp_path, capsys):
+    """`rep chop` and `rep socle` on a module without generators ended in
+    `ValueError: empty range for randrange()`; a 1-dimensional one needs no
+    word and still chops."""
+    path = tmp_path / "input.rep"
+    path.write_text(f"REP q=3 d={dim} k=0\n")
+    start = time.perf_counter()
+    code = cli.main(command.split() + [str(path)])
+    assert (code, *capsys.readouterr()) == expected
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(("parse", "head", "body"), [
+    (cli.parse_matrix, "MTX q=3 r=0 c={}", ""), (cli.parse_matrix, "MTX q=3 r={} c=0", ""),
+    (cli.parse_matrix, "1 3 0 {}", ""), (cli.parse_perms, "PRM n={} k=0", ""),
+    (cli.parse_perms, "PRM n=1 k={}", "1\n" * DIM_CEILING),
+    (cli.parse_rep, "REP q=3 d={} k=0", ""), (cli.parse_rep, "REP q=3 d=0 k={}", ""),
+])
+def test_dimension_ceiling_is_inclusive(parse, head, body):
+    parse(head.format(DIM_CEILING) + "\n" + body)
+    with pytest.raises(FormatError, match="dimension ceiling"):
+        parse(head.format(DIM_CEILING + 1) + "\n" + body)
 
 
 def test_field_above_the_ceiling_fails_fast(tmp_path):
@@ -148,6 +190,92 @@ def test_grid_ignores_line_layout_and_checks_permutations():
     for body in ("1 1 2", "0 1 2", "1 2 4"):
         with pytest.raises(FormatError):
             cli.parse_perms(f"PRM n=3 k=1\n{body}\n")
+
+
+SEPARATORS = st.lists(st.sampled_from([" ", "\t", "\r\n", "\n", "\v", "\f", "\n\n", " \t\n", "\r\n \r\n"]),
+                      min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def grid_bodies(draw):
+    """(body, rows, cols, bound): ASCII-digit tokens, some with leading zeros
+    and some not below the bound, in a random layout; the token count is
+    rows * cols or off by one."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    bound = draw(st.sampled_from([2, 3, 9, 251, 65521, 65536]))
+    count = max(0, rows * cols + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    values = draw(st.lists(st.one_of(st.integers(0, bound - 1), st.integers(bound, 10**6)), min_size=count, max_size=count))
+    tokens = ["0" * draw(st.integers(0, 3)) + str(v) for v in values]
+    seps = draw(st.lists(SEPARATORS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    edge = draw(st.booleans())
+    body = (seps[0] if edge else "") + "".join(t + sep for t, sep in zip(tokens, seps[1:]))
+    return body, rows, cols, bound
+
+
+@given(grid_bodies())
+def test_grid_equals_the_token_reader(case):
+    body, rows, cols, bound = case
+    try:
+        want = oracles.grid_by_tokens(body.splitlines(), rows, cols, bound)
+    except FormatError:
+        with pytest.raises(FormatError):
+            grid(body, rows, cols, bound)
+    else:
+        assert np.array_equal(grid(body, rows, cols, bound), want)
+
+
+@st.composite
+def grid_arrays(draw):
+    """An r x c array (r, c in 0..5) of entries of a field up to GF(2^16), the
+    largest entry q - 1 drawn often."""
+    q = draw(st.sampled_from([2, 3, 4, 9, 10, 11, 251, 256, 65521, 65536]))
+    shape = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    values = draw(st.lists(st.one_of(st.integers(0, q - 1), st.just(q - 1)),
+                           min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array(values, dtype=np.int64).reshape(shape)
+
+
+@given(grid_arrays())
+def test_grid_text_equals_the_str_writer(arr):
+    assert grid_text(arr) == oracles.grid_text_by_str(arr)
+    assert np.array_equal(grid(grid_text(arr), *arr.shape, 65536), arr)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_grid_text_of_an_empty_shape(shape):
+    arr = np.zeros(shape, dtype=np.int64)
+    assert grid_text(arr) == oracles.grid_text_by_str(arr) == "\n" * shape[0]
+
+
+NARROWED = {
+    "plus_sign": "+1 2", "underscore": "1_0 2", "arabic_indic_digit": "\u0663 2", "minus_zero": "1 -0",
+    "nbsp_separator": "1\u00a02", "line_separator": "1 2\u2028", "file_separator": "1\x1c2",
+    "entry_over_the_digit_cap": "1 " + "0" * ENTRY_DIGITS + "2",
+}
+REFUSED = {"trailing_minus": "1 -", "entry_not_below_q": "1 251", "letter": "1 a", "control_byte": "1\x0e2"}
+
+
+@pytest.mark.parametrize("case", sorted(NARROWED) + sorted(REFUSED))
+def test_entry_grammar_is_ascii_digits_and_ascii_whitespace(case, tmp_path):
+    """An entry is ASCII digits and a separator ASCII whitespace: the token
+    reader's `int()` and `str.split()` took each NARROWED body, and now it is
+    a FormatError, like each REFUSED one before and now."""
+    body = NARROWED.get(case) or REFUSED[case]
+    text = f"MTX q=251 r=1 c=2\n{body}\n"
+    refused_before = contextlib.suppress(FormatError) if case in REFUSED else contextlib.nullcontext()
+    with refused_before:
+        oracles.grid_by_tokens(text.splitlines()[1:], 1, 2, 251)
+        assert case in NARROWED
+    with pytest.raises(FormatError):
+        cli.parse_matrix(text)
+    path = tmp_path / "m.mtx"
+    path.write_text(text, encoding="utf-8")
+    assert run_main(["mat", "echelon", "-a", path]) == 3
+
+
+def test_entry_digit_cap_counts_leading_zeros():
+    assert cli.parse_matrix(f"MTX q=3 r=1 c=1\n{'0' * (ENTRY_DIGITS - 1)}2\n").arr.tolist() == [[2]]
+    assert grid("9" * ENTRY_DIGITS, 1, 1, 10**ENTRY_DIGITS).tolist() == [[10**ENTRY_DIGITS - 1]]
 
 
 @pytest.mark.parametrize("line", ["1 1 1a", "1 1 1a 2", "x 1 1a 1", "4 1 1a 1", "1 0 1a 1"])
@@ -421,6 +549,8 @@ COMMANDS = {
     "mat echelon -a": "MTX q=3 r=2 c=2\n",
     "grp enum --gens": "PRM n=3 k=2\n",
     "rep dual --rep": "REP q=4 d=2 k=1\n",
+    "rep chop --rep": "REP q=4 d=2 k=1\n",
+    "rep socle --rep": "REP q=4 d=2 k=1\n",
     "ctab blocks -p 2 --table": "CTB order=6 classes=2 p=0\n",
 }
 
