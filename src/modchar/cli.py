@@ -32,8 +32,9 @@ its degree as first value; a q that is not a prime power; a --log manifest
 whose last line is not a JSON object with a string hash.  MTX, PRM and REP
 bodies may use any line layout.  Exit 2: q above 2^16 (FieldTooLarge, before
 any other work), a bad --field/--pins/--known value (usage error), an
-out-of-range --char, --block or --blockindex, and `rep chop`/`rep socle` on a
-module of dimension above 1 (any dimension for socle) without generators.
+out-of-range --char, --block or --blockindex, and `rep chop`/`rep socle`/
+`rep hom` on modules without generators (chop above dimension 1, hom on two
+non-zero modules).
 """
 
 from __future__ import annotations

@@ -415,6 +415,8 @@ def hom(a: Representation, b: Representation) -> list[FqMatrix]:
     na, nb = a.dim, b.dim
     if na == 0 or nb == 0:
         return []
+    if a.ngens == 0:
+        raise GeneratorCountMismatch("at least one generator required")
     blocks = []
     eye_a = FqMatrix.identity(F, na)
     eye_b = FqMatrix.identity(F, nb)

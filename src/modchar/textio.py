@@ -8,8 +8,8 @@ array at a time.  An entry is 1 to ENTRY_DIGITS ASCII digits (leading zeros
 allowed) and entries are separated by ASCII whitespace (space, tab, LF, CR,
 VT, FF) in any line layout.  A sign, an underscore, a non-ASCII digit or
 separator, or a longer entry is a FormatError.  Header counts of rows,
-columns, points and generators (`dim`) are at most DIM_CEILING, so a header
-alone never asks for an array larger than DIM_CEILING^2 entries.
+columns, points and generators (`dim`) are at most DIM_CEILING, checked
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -88,11 +88,11 @@ def header(text: str, magic: str, keys: dict) -> tuple[dict, str]:
 def grid(body: str, rows: int, cols: int, bound: int) -> np.ndarray:
     """The rows x cols int64 array of the entries of `body`, read in any line
     layout: exactly rows * cols of them, each in 0..bound-1."""
-    if not body.isascii():
-        raise FormatError("entries must be ASCII digits separated by ASCII whitespace")
-    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    # a non-ASCII character becomes `?`, which the byte check refuses
+    buf = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    # uint8 differences wrap, so each byte range is one comparison; ASCII
+    # whitespace is space and the five bytes \t \n \v \f \r (9..13)
     digit = buf - ord("0") < 10
-    # ASCII whitespace: space and the five bytes \t \n \v \f \r (9..13)
     if not (digit | (buf == ord(" ")) | (buf - 9 < 5)).all():
         raise FormatError("entries must be ASCII digits separated by ASCII whitespace")
     # an entry starts where the digit mask rises and ends where it falls

@@ -73,20 +73,22 @@ def test_fault_is_a_format_error_with_exit_3(case, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+NO_GENERATOR = (2, "", "error: GeneratorCountMismatch: at least one generator required\n")
+
+
 @pytest.mark.parametrize(("command", "dim", "expected"), [
-    ("rep chop --rep", 2, (2, "", "error: GeneratorCountMismatch: at least one generator required\n")),
-    ("rep socle --rep", 1, (2, "", "error: GeneratorCountMismatch: at least one generator required\n")),
-    ("rep socle --rep", 2, (2, "", "error: GeneratorCountMismatch: at least one generator required\n")),
-    ("rep chop --rep", 1, (0, "1a:1\n", "")),
+    ("rep chop --rep {}", 2, NO_GENERATOR), ("rep socle --rep {}", 1, NO_GENERATOR),
+    ("rep socle --rep {}", 2, NO_GENERATOR), ("rep hom --rep {} --other {}", 2, NO_GENERATOR),
+    ("rep chop --rep {}", 1, (0, "1a:1\n", "")), ("rep hom --rep {} --other {}", 0, (0, "dim 0\n", "")),
 ])
 def test_generator_free_module(command, dim, expected, tmp_path, capsys):
     """`rep chop` and `rep socle` on a module without generators ended in
-    `ValueError: empty range for randrange()`; a 1-dimensional one needs no
-    word and still chops."""
+    `ValueError: empty range for randrange()`, and `rep hom` in a ValueError
+    from `np.vstack`; a 1-dimensional module needs no word and still chops."""
     path = tmp_path / "input.rep"
     path.write_text(f"REP q=3 d={dim} k=0\n")
     start = time.perf_counter()
-    code = cli.main(command.split() + [str(path)])
+    code = cli.main(command.format(path, path).split())
     assert (code, *capsys.readouterr()) == expected
     assert time.perf_counter() - start < 1.0
 
