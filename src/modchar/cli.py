@@ -28,13 +28,14 @@ whitespace; more or fewer entries or lines than the header announces;
 an MTX/REP entry outside 0..q-1; a PRM line that is not a permutation; a CTB
 class line that is not 4 tokens with a 0/1 flag and a size and element order
 dividing the group order, or a character line that is not m+2 tokens with
-its degree as first value; a q that is not a prime power; a --log manifest
-whose last line is not a JSON object with a string hash.  MTX, PRM and REP
-bodies may use any line layout.  Exit 2: q above 2^16 (FieldTooLarge, before
-any other work), a bad --field/--pins/--known value (usage error), an
-out-of-range --char, --block or --blockindex, and `rep chop`/`rep socle`/
-`rep hom` on modules without generators (chop above dimension 1, hom on two
-non-zero modules).
+its degree as first value; a q that is not a prime power; for `dxm sd16`, a
+fixture whose `meta p` is not a prime below 2^16 or whose `meta grouporder`
+or a row degree is below 1; a --log manifest whose last line is not a JSON
+object with a string hash.  MTX, PRM and REP bodies may use any line layout.
+Exit 2: q above 2^16 (FieldTooLarge, before any other work), a bad
+--field/--pins/--known value (usage error), an out-of-range --char, --block
+or --blockindex, and `rep chop`/`rep socle`/`rep hom` on modules without
+generators (chop above dimension 1, hom on two non-zero modules).
 """
 
 from __future__ import annotations
@@ -717,22 +718,16 @@ def _load_fixture_arg(name_or_path):
 
 
 def ctab_blockdata_from_fixture(fx) -> dxm.SD16Instance:
+    """Each row's height nu_p(degree) - (nu_p(|G|) - defect).  A `meta p` that
+    is not a prime below the field ceiling (which also bounds the primality
+    test), or a `meta grouporder` or row degree below 1, is a FormatError."""
     g_order = fx.meta_int("grouporder")
     d = fx.meta_int("defect")
     p = fx.meta_int("p")
-
-    def nu_p(n):
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    base = nu_p(g_order) - d
-    chars = tuple(
-        (lbl, deg, nu_p(deg) - base)
-        for lbl, deg in zip(fx.row_labels, fx.row_degrees)
-    )
+    if not (p <= gfla.FIELD_CEILING and gfla.is_prime(p)) or g_order < 1 or min(fx.row_degrees, default=1) < 1:
+        raise FormatError(f"fixture {fx.name}: p must be a prime below 2^16, the group order and degrees at least 1")
+    base = ctab._nu(p, g_order) - d
+    chars = tuple((lbl, deg, ctab._nu(p, deg) - base) for lbl, deg in zip(fx.row_labels, fx.row_degrees))
     return dxm.SD16Instance(chars)
 
 

@@ -151,16 +151,10 @@ def _lift_table(g: _grp.PermGroup, classData, simples, p=None):
         is_trivial = all(v == one for v in vals)
         return (not is_trivial, vals[0].as_int(), repr([v.coeffs for v in vals]))
 
-    chars, labelled = [], []
-    letters: dict[int, int] = {}
-    for i in sorted(range(len(simples)), key=sort_key):
-        d = values[i][0].as_int()
-        c = letters.get(d, 0)
-        letters[d] = c + 1
-        label = f"{d}{chr(ord('a') + c)}"
-        chars.append(Character(values[i], "brauer" if p else "ordinary", label))
-        labelled.append(simples[i].relabel(label))
-    return classes, chars, labelled
+    order = sorted(range(len(simples)), key=sort_key)
+    labels = _grp.letter_labels(values[i][0].as_int() for i in order)
+    chars = [Character(values[i], "brauer" if p else "ordinary", label) for i, label in zip(order, labels)]
+    return classes, chars, [simples[i].relabel(label) for i, label in zip(order, labels)]
 
 
 def ordinary_table(g: _grp.PermGroup, seed: int = 1) -> CharTable:
@@ -258,7 +252,6 @@ def induce(
     """Induction along a class fusion map (subgroup class -> ambient class)."""
     if len(fusion) != sub_table.nclasses:
         raise FusionIncomplete("fusion map must cover every subgroup class")
-    index = big_table.group_order // sub_table.group_order
     vals = []
     for gi, gcls in enumerate(big_table.classes):
         acc = Cyclotomic.zero()
@@ -319,7 +312,7 @@ def blocks(table: CharTable, p: int) -> BlockData:
     Fp = field_make(p, 1)
     phi_e = cyclotomic_polynomial(e)
     phi_poly = FqPolynomial(Fp, [c % p for c in phi_e])
-    least = next(irreducible_factors(phi_poly, seed=1), None)  # canonical order
+    least = next(irreducible_factors(phi_poly), None)  # canonical order
     if least is None:
         raise IdealChoiceFailure("cyclotomic polynomial has no factors")
     h = least[0]
@@ -355,7 +348,7 @@ def blocks(table: CharTable, p: int) -> BlockData:
 
 def _roots_in(poly: FqPolynomial):
     out = []
-    for g, mult in irreducible_factors(poly, seed=1):
+    for g, mult in irreducible_factors(poly):
         if g.degree > 1:  # the linear factors come first
             break
         out.append((g.field.neg(g.coeffs[0]), mult))

@@ -3,7 +3,26 @@
 A Cyclotomic is stored in the power basis of the n-th cyclotomic field with
 rational coefficients, reduced modulo the n-th cyclotomic polynomial and
 normalized to the minimal conductor, so equality is plain coefficient
-equality.  Normalizing costs more than the arithmetic, so sums of many terms
+equality.
+
+The normal form is reached in two steps.  The exponent list is reduced mod
+Phi_n by the one monic long division (`_divmod_monic`, which also builds
+Phi_n from x^n - 1).  Then, for each prime p of n in increasing order, the
+value descends to m = n/p for as long as it lies in Q(zeta_m):
+  - p | m: Phi_n(x) = Phi_m(x^p), so it lies there exactly when its
+    coordinates off the multiples of p vanish, and those at the multiples
+    are its coordinates in Q(zeta_m);
+  - p not dividing m: the mean over Gal(Q(zeta_n)/Q(zeta_m)), the relative
+    trace divided by p - 1, sends zeta_n^i to zeta_m^(a i) with a = 1/p mod
+    m, times 1 for p | i and -1/(p-1) otherwise; the value lies in Q(zeta_m)
+    exactly when this mean, written back in Q(zeta_n), equals it.  For p = 2
+    this takes every conductor 2 mod 4 to its odd half.
+Each prime is tried until its first failure: a later conductor n' divides
+n, so Q(zeta_{n'/p}) lies in Q(zeta_{n/p}) and the step fails there too.
+(Cf. Breuer, Integral bases for subfields of cyclotomic fields, AAECC 8,
+1997.)
+
+Normalizing costs more than the arithmetic, so sums of many terms
 are gathered as one exponent list and normalized once: `weighted_inner` for
 scalar products, and `brauer_char_value`, which counts the eigenvalues of a
 p-regular element among the roots of unity of its order e and builds one
@@ -33,32 +52,29 @@ from .gfla import FIELD_CEILING, FqMatrix, FqPolynomial, char_poly, factorize, f
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
     # x^n - 1 divided by the product of Phi_d for proper divisors d
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d:
-            continue
-        den = list(cyclotomic_polynomial(d))
-        num = _exact_int_div(num, den)
+        if n % d == 0:
+            num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise SelfCheckFailed("nonzero remainder in an exact polynomial division")
     return tuple(num)
 
 
-def _exact_int_div(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise SelfCheckFailed("inexact division of integer polynomials")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, dc in enumerate(den):
-                num[i + j] -= q * dc
-    if any(num):
-        raise SelfCheckFailed("nonzero remainder in an exact polynomial division")
-    return out
+def _divmod_monic(num, den) -> tuple[list, list]:
+    """Quotient and remainder of num by the monic den, as ascending coefficient
+    lists of ints or Fractions; num has at least len(den) - 1 entries, the
+    remainder exactly that many."""
+    rem = list(num)
+    deg = len(den) - 1
+    quo = [0] * max(len(rem) - deg, 0)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            quo[i - deg] = c
+            for j in range(deg + 1):
+                rem[i - deg + j] -= c * den[j]
+    return quo, rem[:deg]
 
 
 @lru_cache(maxsize=None)
@@ -71,24 +87,15 @@ def euler_phi(n: int) -> int:
 
 def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     """Reduce an exponent list in zeta_n to the power basis mod Phi_n."""
-    phi = list(cyclotomic_polynomial(n))
-    deg = len(phi) - 1
+    phi = cyclotomic_polynomial(n)
     cs = list(coeffs)
     if len(cs) > n:
         folded = [Fraction(0)] * n
         for i, c in enumerate(cs):
             folded[i % n] += c
         cs = folded
-    for i in range(len(cs) - 1, deg - 1, -1):
-        c = cs[i]
-        if c:
-            cs[i] = Fraction(0)
-            for j in range(deg):
-                cs[i - deg + j] -= c * phi[j]
-    cs = cs[:deg]
-    while len(cs) < deg:
-        cs.append(Fraction(0))
-    return tuple(cs)
+    cs += [Fraction(0)] * (len(phi) - 1 - len(cs))
+    return tuple(_divmod_monic(cs, phi)[1])
 
 
 class Cyclotomic:
@@ -262,52 +269,43 @@ def weighted_inner(weights, xs, ys) -> Cyclotomic:
     return Cyclotomic(n, out)
 
 
-def _normalize(n: int, coeffs: list[Fraction]) -> tuple[int, list[Fraction]]:
-    cs = list(_reduce_mod_phi(n, coeffs))
-    # strip even conductor congruent to 2 mod 4: Q(zeta_{2m}) = Q(zeta_m), m odd
-    changed = True
-    while changed:
-        changed = False
-        if n % 2 == 0 and (n // 2) % 2 == 1 and n > 2:
-            m = n // 2
-            # zeta_n = -zeta_m^((m+1)//2)
-            out = [Fraction(0)] * m
-            for i, c in enumerate(cs):
-                if c:
-                    k = (i * ((m + 1) // 2)) % m
-                    out[k] += c if i % 2 == 0 else -c
-            n, cs = m, list(_reduce_mod_phi(m, out))
-            changed = True
-            continue
-        for p in sorted(factorize(n)):
-            m = n // p
-            desc = _try_descend(n, cs, m)
-            if desc is not None:
-                n, cs = m, desc
-                changed = True
+def _normalize(n: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
+    """The minimal conductor and the power-basis coordinates there (see the
+    module docstring)."""
+    cs = _reduce_mod_phi(n, coeffs)
+    for p in sorted(factorize(n)):
+        while n % p == 0:
+            down = _descend(n, p, cs)
+            if down is None:
                 break
+            n, cs = n // p, down
     return n, cs
 
 
-def _try_descend(n: int, cs: list[Fraction], m: int) -> list[Fraction] | None:
-    """Express the element in Q(zeta_m) if it lies there (m | n)."""
-    if n == m:
-        return None
-    # invariance under Gal(Q(zeta_n)/Q(zeta_m)) = {a mod n : a = 1 mod m}
-    for a in range(1, n):
-        if gcd(a, n) != 1 or a % m != 1 % m or a == 1:
-            continue
-        out = [Fraction(0)] * n
-        for i, c in enumerate(cs):
-            out[(i * a) % n] += c
-        if tuple(_reduce_mod_phi(n, out)) != tuple(cs):
+def _descend(n: int, p: int, cs: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
+    """The coordinates in Q(zeta_m), m = n/p, of the element with coordinates
+    cs in Q(zeta_n), or None when it does not lie in Q(zeta_m)."""
+    m = n // p
+    if m % p == 0:
+        # Phi_n(x) = Phi_m(x^p): 1, zeta_n, ..., zeta_n^(p-1) is a basis over
+        # Q(zeta_m) = Q(zeta_n^p), so the element lies there when its
+        # coordinates off the multiples of p vanish
+        if any(c for i, c in enumerate(cs) if i % p):
             return None
-    # solve for coefficients over the zeta_m power basis
-    stride = n // m
-    cols = [_reduce_mod_phi(n, [Fraction(0)] * (j * stride) + [Fraction(1)])
-            for j in range(euler_phi(m))]
-    mat = [[col[i] for col in cols] for i in range(euler_phi(n))]
-    return solve_rational(mat, cs)
+        return cs[::p]
+    # the mean over Gal(Q(zeta_n)/Q(zeta_m)) = Gal(Q(zeta_p)/Q): with
+    # a = 1/p mod m, zeta_n^i = zeta_p^(i/m) zeta_m^(a i), and the mean of the
+    # conjugates of zeta_p^j is 1 for p | j and -1/(p-1) otherwise
+    a = pow(p, -1, m)
+    off = Fraction(-1, p - 1)
+    mean = [Fraction(0)] * m
+    for i, c in enumerate(cs):
+        if c:
+            mean[a * i % m] += c if i % p == 0 else c * off
+    down = _reduce_mod_phi(m, mean)
+    up = [Fraction(0)] * (p * len(down))
+    up[::p] = down
+    return down if _reduce_mod_phi(n, up) == cs else None
 
 
 # -- exact linear algebra over Q ----------------------------------------------

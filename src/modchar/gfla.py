@@ -1096,17 +1096,17 @@ def _equal_degree(f: FqPolynomial, d: int, rng) -> list[FqPolynomial]:
         return _equal_degree(left, d, rng) + _equal_degree(right, d, rng)
 
 
-def irreducible_factors(f: FqPolynomial, seed: int = 1):
+def irreducible_factors(f: FqPolynomial):
     """Monic irreducible factors with multiplicities, yielded lazily in
     canonical (key) order: every factor of degree 1, then of degree 2, and so
     on.  Degree d costs one x^(q^d) and one gcd per squarefree part (a part
     of degree below 2d is irreducible and waits for its own degree), so a
     caller that stops at a low-degree factor never factors further.  The
-    factors are unique, so they do not depend on how the seeded splitting
-    consumes its random stream."""
+    factors are unique, so they do not depend on how the equal-degree
+    splitting consumes its random stream, which is fixed here."""
     import random
 
-    rng = random.Random(seed ^ 0x5EED)
+    rng = random.Random(1 ^ 0x5EED)
     F = f.field
     x = FqPolynomial.x(F)
     # (unfactored rest of a squarefree part, x^(q^d) mod the rest, multiplicity)

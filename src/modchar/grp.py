@@ -151,13 +151,18 @@ class ClassData:
         return tuple(o % p != 0 for o in self.orders)
 
     def labels(self) -> tuple[str, ...]:
-        out = []
-        counters: dict[int, int] = {}
-        for o in self.orders:
-            c = counters.get(o, 0)
-            counters[o] = c + 1
-            out.append(f"{o}{chr(ord('a') + c)}")
-        return tuple(out)
+        return tuple(letter_labels(self.orders))
+
+
+def letter_labels(keys) -> list[str]:
+    """`{key}{letter}` for each key in turn, the letter a, b, ... counting
+    the key's earlier occurrences: class orders, factor and character degrees."""
+    seen: dict = {}
+    out = []
+    for k in keys:
+        c = seen[k] = seen.get(k, -1) + 1
+        out.append(f"{k}{chr(ord('a') + c)}")
+    return out
 
 
 def conjugacy_classes(g: PermGroup, p: int | None = None) -> ClassData:

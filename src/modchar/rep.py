@@ -45,6 +45,7 @@ from .gfla import (
     rank,
     row_space,
 )
+from .grp import letter_labels
 
 WORD_BUDGET = 200
 WORD_ESCALATIONS = 3
@@ -230,7 +231,7 @@ def is_irreducible(rep: Representation, seed: int = 1):
         if w.is_zero():
             continue
         cp = _char_poly(w)
-        for f, _mult in irreducible_factors(cp, seed):
+        for f, _mult in irreducible_factors(cp):
             fw = f.eval_matrix(w)
             # kernel of the row action v -> v.f(w) is the left null space
             ker = nullspace(fw.transpose())
@@ -288,14 +289,8 @@ def chop(rep: Representation, seed: int = 1) -> list[tuple[Representation, int]]
 
     rec(rep)
     order = sorted(range(len(factors)), key=lambda i: (factors[i].dim, i))
-    out = []
-    letters: dict[int, int] = {}
-    for i in order:
-        d = factors[i].dim
-        c = letters.get(d, 0)
-        letters[d] = c + 1
-        out.append((factors[i].relabel(f"{d}{chr(ord('a') + c)}"), mults[i]))
-    return out
+    labels = letter_labels(factors[i].dim for i in order)
+    return [(factors[i].relabel(label), mults[i]) for i, label in zip(order, labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,7 @@ def iso(a: Representation, b: Representation, seed: int = 1):
         if cpa != cpb:
             return None
         usable = None
-        for f, _m in irreducible_factors(cpa, seed):
+        for f, _m in irreducible_factors(cpa):
             fa = f.eval_matrix(wa)
             kera = nullspace(fa.transpose())
             if kera.rows == f.degree:
@@ -466,13 +461,11 @@ def socle_series(rep: Representation, simples, seed: int = 1):
             raise IncompleteSimplesList(f"factor {s.label} missing from the simples list")
     layers = []
     current = rep
-    total = 0
     while current.dim > 0:
         soc, counts = socle(current, simples)
         if soc.rows == 0:
             raise IncompleteSimplesList("no socle found; simples list incomplete")
         layers.append(counts)
-        total += soc.rows
         _sub, current = split(current, soc)
     return layers
 

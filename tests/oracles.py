@@ -25,7 +25,12 @@ generator at a time, its schedule replayed from each candidate point.
 `field_tables_per_power` builds a field's tables from its exp table computed
 one power of w at a time.  `grid_by_tokens` and `grid_text_by_str` are the
 earlier MTX/PRM/REP body reader and writer: one `int()` per whitespace-split
-token and one `str()` per entry.
+token and one `str()` per entry.  `normal_form_by_descent` is the earlier
+cyclotomic normal form: a special rule for conductors 2 mod 4, then a descent
+to Q(zeta_{n/p}) when the value is fixed by every a = 1 mod n/p (one reduction
+mod Phi_n per a) and a phi(n) x phi(n/p) rational solve;
+`cyclotomic_polynomial_by_exact_division` builds Phi_n by its own exact
+integer division with a leading-coefficient check.
 """
 
 from __future__ import annotations
@@ -33,14 +38,22 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
 from modchar import ctab, grp, rep
-from modchar.cyclo import Cyclotomic, matrix_order
-from modchar.errors import FormatError, GeneratorCountMismatch, Infeasible, NonIntegral, Undecided
+from modchar.cyclo import Cyclotomic, euler_phi, matrix_order, solve_rational
+from modchar.errors import (
+    FormatError,
+    GeneratorCountMismatch,
+    Infeasible,
+    NonIntegral,
+    SelfCheckFailed,
+    Undecided,
+)
 from modchar.gfla import (
     EchelonForm,
     FieldSpec,
@@ -51,6 +64,7 @@ from modchar.gfla import (
     _pow_mod,
     char_poly,
     echelonize,
+    factorize,
     field_make,
     inverse,
     irreducible_factors,
@@ -384,7 +398,7 @@ def brauer_char_value_summed(mat: FqMatrix) -> Cyclotomic:
     ext = field_make(F.p, m)
     cpx = FqPolynomial(ext, F.embed_into(ext)[list(char_poly(mat).coeffs)])
     lifted = Cyclotomic.zero()
-    for factor, mult in irreducible_factors_full(cpx, seed=1):
+    for factor, mult in irreducible_factors_full(cpx):
         assert factor.degree == 1
         root = int(ext.neg(np.int64(int(factor.coeffs[0]))))
         lifted = lifted + mult * BrauerLift(ext).lift(root)
@@ -516,9 +530,9 @@ def _distinct_degree(f: FqPolynomial) -> list[tuple[FqPolynomial, int]]:
     return out
 
 
-def irreducible_factors_full(f: FqPolynomial, seed: int = 1) -> list[tuple[FqPolynomial, int]]:
+def irreducible_factors_full(f: FqPolynomial) -> list[tuple[FqPolynomial, int]]:
     """Monic irreducible factors with multiplicities, canonically sorted."""
-    rng = random.Random(seed ^ 0x5EED)
+    rng = random.Random(1 ^ 0x5EED)
     collected: dict[tuple, tuple[FqPolynomial, int]] = {}
     for g, mult in squarefree_parts(f):
         for part, d in _distinct_degree(g):
@@ -543,7 +557,7 @@ def is_irreducible_full(r: rep.Representation, seed: int = 1):
         w = word.evaluate(r)
         if w.is_zero():
             continue
-        for f, _mult in irreducible_factors_full(char_poly(w), seed):
+        for f, _mult in irreducible_factors_full(char_poly(w)):
             fw = f.eval_matrix(w)
             ker = nullspace(fw.transpose())
             nu = ker.rows
@@ -571,7 +585,7 @@ def iso_full(a: rep.Representation, b: rep.Representation, seed: int = 1):
     """`rep.iso` with each factor list complete before its first factor is
     read (the function body is otherwise the one in `rep`)."""
     lazy = rep.irreducible_factors
-    rep.irreducible_factors = lambda f, s: iter(irreducible_factors_full(f, s))
+    rep.irreducible_factors = lambda f: iter(irreducible_factors_full(f))
     try:
         return _rep_iso(a, b, seed)
     finally:
@@ -623,7 +637,7 @@ def iso_standard_basis(a: rep.Representation, b: rep.Representation, seed: int =
         if cpa != char_poly(wb):
             return None
         usable = None
-        for f, _m in irreducible_factors(cpa, seed):
+        for f, _m in irreducible_factors(cpa):
             kera = nullspace(f.eval_matrix(wa).transpose())
             if kera.rows == f.degree:
                 usable = (f, kera)
@@ -704,3 +718,101 @@ def grid_text_by_str(arr) -> str:
     """One line of space-separated integers per row of a 2-dimensional array,
     each ending in a newline."""
     return "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist())
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_by_exact_division(n: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
+    num = [0] * (n + 1)
+    num[0] = -1
+    num[n] = 1
+    for d in range(1, n):
+        if n % d:
+            continue
+        num = _exact_int_div(num, list(cyclotomic_polynomial_by_exact_division(d)))
+    return tuple(num)
+
+
+def _exact_int_div(num, den):
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        if c % den[-1]:
+            raise SelfCheckFailed("inexact division of integer polynomials")
+        q = c // den[-1]
+        out[i] = q
+        if q:
+            for j, dc in enumerate(den):
+                num[i + j] -= q * dc
+    if any(num):
+        raise SelfCheckFailed("nonzero remainder in an exact polynomial division")
+    return out
+
+
+def _reduce_by_division(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    phi = list(cyclotomic_polynomial_by_exact_division(n))
+    deg = len(phi) - 1
+    cs = list(coeffs)
+    if len(cs) > n:
+        folded = [Fraction(0)] * n
+        for i, c in enumerate(cs):
+            folded[i % n] += c
+        cs = folded
+    for i in range(len(cs) - 1, deg - 1, -1):
+        c = cs[i]
+        if c:
+            cs[i] = Fraction(0)
+            for j in range(deg):
+                cs[i - deg + j] -= c * phi[j]
+    cs = cs[:deg]
+    while len(cs) < deg:
+        cs.append(Fraction(0))
+    return tuple(cs)
+
+
+def normal_form_by_descent(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
+    """(minimal conductor, power-basis coordinates there) of the exponent
+    list `coeffs` in zeta_n."""
+    cs = list(_reduce_by_division(n, [Fraction(c) for c in coeffs]))
+    changed = True
+    while changed:
+        changed = False
+        if n % 2 == 0 and (n // 2) % 2 == 1 and n > 2:
+            m = n // 2
+            # zeta_n = -zeta_m^((m+1)//2)
+            out = [Fraction(0)] * m
+            for i, c in enumerate(cs):
+                if c:
+                    k = (i * ((m + 1) // 2)) % m
+                    out[k] += c if i % 2 == 0 else -c
+            n, cs = m, list(_reduce_by_division(m, out))
+            changed = True
+            continue
+        for p in sorted(factorize(n)):
+            m = n // p
+            desc = _try_descend(n, cs, m)
+            if desc is not None:
+                n, cs = m, desc
+                changed = True
+                break
+    return n, tuple(cs)
+
+
+def _try_descend(n: int, cs: list[Fraction], m: int) -> list[Fraction] | None:
+    """Express the element in Q(zeta_m) if it lies there (m | n)."""
+    # invariance under Gal(Q(zeta_n)/Q(zeta_m)) = {a mod n : a = 1 mod m}
+    for a in range(1, n):
+        if gcd(a, n) != 1 or a % m != 1 % m or a == 1:
+            continue
+        out = [Fraction(0)] * n
+        for i, c in enumerate(cs):
+            out[(i * a) % n] += c
+        if tuple(_reduce_by_division(n, out)) != tuple(cs):
+            return None
+    # solve for coefficients over the zeta_m power basis
+    stride = n // m
+    cols = [_reduce_by_division(n, [Fraction(0)] * (j * stride) + [Fraction(1)])
+            for j in range(euler_phi(m))]
+    mat = [[col[i] for col in cols] for i in range(euler_phi(n))]
+    return solve_rational(mat, cs)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modchar import gfla, grp, rep
@@ -18,6 +18,7 @@ from modchar.cyclo import (
     atlas_name,
     brauer_char_value,
     cyc_arith,
+    cyclotomic_polynomial,
     euler_phi,
     format_cyclotomic,
     gauss_sqrt,
@@ -189,6 +190,47 @@ def test_coords_are_power_basis_coordinates(value, n):
     coords = v.coords(n)
     assert len(coords) == euler_phi(n)
     assert sum((c * Cyclotomic.zeta(n, i) for i, c in enumerate(coords)), Cyclotomic.zero()) == v
+
+
+# -- the normal form ----------------------------------------------------------
+
+
+@st.composite
+def subfield_exponent_lists(draw):
+    """(n, exponent list in zeta_n) for n <= 120: a value of Q(zeta_d) for a
+    divisor d of n, written at n, plus x^k Phi_n(x) (zero, but it moves terms
+    up to degree 2n - 1) and sometimes one stray term off the subfield."""
+    n = draw(st.integers(1, 120))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    cs = [Fraction(0)] * (2 * n)
+    for e, c in draw(st.lists(st.tuples(st.integers(0, d - 1), coeff), max_size=8)):
+        cs[e * (n // d)] += c
+    k, c = draw(st.integers(0, n - 1)), draw(st.integers(-2, 2))
+    for j, f in enumerate(cyclotomic_polynomial(n)):
+        cs[k + j] += c * f
+    if draw(st.integers(0, 3)) == 0:
+        cs[draw(st.integers(0, n - 1))] += 1
+    return n, cs
+
+
+@given(subfield_exponent_lists())
+@settings(max_examples=300)
+@example((6, [0, 0, 1]))  # zeta_3: p = 2 with 2 not dividing m = 3
+@example((12, [0, 0, 0, 0, 1]))  # zeta_3: p = 2 with 2 | m = 6, then p = 2 again
+@example((9, [0, 0, 0, 2]))  # 2 zeta_3: p = 3 with 3 | m = 3
+@example((15, [0, 0, 0, 1, 0, 0, 1]))  # zeta_5 + zeta_5^2: p = 3 with 3 not dividing m = 5
+@example((60, [Fraction(1, 2)] * 60))  # half the sum of all 60th roots: 0
+def test_normal_form_matches_the_descent_oracle(case):
+    n, cs = case
+    v = Cyclotomic(n, cs)
+    assert (v.n, v.coeffs) == oracles.normal_form_by_descent(n, cs)
+    assert all(type(c) is Fraction for c in v.coeffs)
+
+
+def test_cyclotomic_polynomial_matches_the_division_oracle():
+    for n in range(1, 201):
+        assert cyclotomic_polynomial(n) == oracles.cyclotomic_polynomial_by_exact_division(n), n
 
 
 # -- exact rational elimination ----------------------------------------------

@@ -331,6 +331,28 @@ def test_fixture_fault_is_a_format_error(line, tmp_path):
     assert run_main(["dxm", "verify", "--fixture", path]) == 3
 
 
+# valuations that never ended (n = 0 or p = 1), divided by zero (p = 0), or
+# would test a prime of 19 digits by trial division
+SD16_FIXTURE_FAULTS = {
+    "grouporder_0": ("meta grouporder 273030912000000", "meta grouporder 0"),
+    "p_1": ("meta p 2", "meta p 1"),
+    "p_0": ("meta p 2", "meta p 0"),
+    "degree_0": ("row 17 214016 :", "row 17 0 :"),
+    "p_prime_above_ceiling": ("meta p 2", "meta p 1000000000000000003"),
+}
+
+
+@pytest.mark.parametrize(("old", "new"), SD16_FIXTURE_FAULTS.values(), ids=list(SD16_FIXTURE_FAULTS))
+def test_sd16_fixture_with_a_bad_valuation_exits_3(old, new, tmp_path):
+    text = fixtures.fixture_text("hn_mod2_b1")
+    assert old in text
+    path = tmp_path / "f.txt"
+    path.write_text(text.replace(old, new))
+    t0 = time.perf_counter()
+    assert run_main(["dxm", "sd16", "--fixture", path]) == 3
+    assert time.perf_counter() - t0 < 1
+
+
 def test_fixture_missing_meta_is_a_format_error():
     with pytest.raises(FormatError):
         fixtures.parse_fixture("FIXTURE f\n").meta_int("p")
@@ -599,16 +621,57 @@ def test_src_has_no_unused_parameter():
     assert found == []
 
 
-def test_former_asserts_raise_typed_errors():
+def test_src_has_no_dead_store():
+    """An assignment or augmented assignment to a local name that its function
+    (nested functions included) never reads is dead code; loop targets, names
+    starting with _ and names declared global or nonlocal are exempt."""
+    import ast
+
+    def own_nodes(fn):
+        """The nodes of fn's body outside its nested functions and classes."""
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                todo.extend(ast.iter_child_nodes(node))
+
+    src = Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = [n for stmt in fn.body for n in ast.walk(stmt)]
+            read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            shared = {x for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal)) for x in n.names}
+            stored = set()
+            for n in own_nodes(fn):
+                if isinstance(n, ast.Assign):
+                    targets = n.targets
+                elif isinstance(n, ast.AugAssign) or isinstance(n, ast.AnnAssign) and n.value is not None:
+                    targets = [n.target]
+                else:
+                    continue
+                stored |= {t.id for tgt in targets for t in ast.walk(tgt)
+                           if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+            found += [f"{path.name}:{fn.name}.{x}" for x in sorted(stored - read - shared) if not x.startswith("_")]
+    assert found == []
+
+
+def test_former_asserts_raise_typed_errors(monkeypatch):
     from modchar import cond, cyclo
     from modchar.errors import NonIntegral, NotSquarefree, SelfCheckFailed
 
     with pytest.raises(NotSquarefree):
         cyclo.gauss_sqrt(12)
+    # x^2 - 1 over a wrong Phi_1 = x + 2 leaves the remainder 3
+    build = cyclo.cyclotomic_polynomial.__wrapped__
+    monkeypatch.setattr(cyclo, "cyclotomic_polynomial", lambda d: (2, 1))
+    assert cyclo._divmod_monic([-1, 0, 1], (2, 1)) == ([-2, 1], [3])
     with pytest.raises(SelfCheckFailed):
-        cyclo._exact_int_div([1, 0, 1], [0, 2])
-    with pytest.raises(SelfCheckFailed):
-        cyclo._exact_int_div([1, 0, 1], [1, 1])
+        build(2)
+    monkeypatch.undo()
     with pytest.raises(SelfCheckFailed):
         gfla.FqPolynomial(gfla.field_make(3, 1), [1, 0, 1]).frobenius_root()
     # a class function that is not a character: <1_K, chi|K> = 1/2

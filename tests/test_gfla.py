@@ -437,7 +437,7 @@ def test_polynomial_factorization_roundtrip():
             if f.degree < 1:
                 continue
             prod = gfla.FqPolynomial.one(F)
-            for fac, mult in gfla.irreducible_factors(f, seed=3):
+            for fac, mult in gfla.irreducible_factors(f):
                 for _ in range(mult):
                     prod = prod.mul(fac)
             assert prod == f
@@ -553,9 +553,7 @@ def test_factor_stream_matches_eager_oracle(p, k):
     F = gfla.field_make(p, k)
     rng = random.Random(100 * p + k)
     for f in _stream_cases(F, rng, 60):
-        for seed in (1, 7):
-            got = list(gfla.irreducible_factors(f, seed))
-            assert got == oracles.irreducible_factors_full(f, seed), (F, f.coeffs)
+        assert list(gfla.irreducible_factors(f)) == oracles.irreducible_factors_full(f), (F, f.coeffs)
     assert list(gfla.irreducible_factors(gfla.FqPolynomial.one(F))) == []
 
 
@@ -573,7 +571,7 @@ def test_factor_stream_stops_at_the_degree_it_reads(monkeypatch):
         return pow_mod(base, e, mod)
 
     monkeypatch.setattr(gfla, "_pow_mod", counted)
-    stream = gfla.irreducible_factors(f, seed=1)
+    stream = gfla.irreducible_factors(f)
     assert next(stream) == (gfla.FqPolynomial(F, [26, 1]), 1)
     assert calls == [(29, 5)]  # x^q mod f for the degree-1 gcd, nothing else
     rest = list(stream)
