@@ -67,7 +67,7 @@ def _divmod_monic(num, den) -> tuple[list, list]:
     remainder exactly that many."""
     rem = list(num)
     deg = len(den) - 1
-    quo = [0] * max(len(rem) - deg, 0)
+    quo = [0] * (len(rem) - deg)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
