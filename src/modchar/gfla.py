@@ -21,7 +21,9 @@ exact for every field under the ceiling and keeps BLAS on one thread.
 Elimination (`echelonize`, behind rank, row spaces, null spaces, solving and
 inversion) is blocked Gauss-Jordan: pivots are found one panel of columns at a
 time, and the columns right of the panel take the panel's row operations as
-one such product and one add.
+one such product and one add.  A null space is one elimination too: of the
+matrix with its columns reversed, whose kernel rows, reversed back, are
+already the kernel's RREF.
 Every operation is deterministic, so downstream results are bit-reproducible.
 """
 
@@ -648,19 +650,24 @@ def row_space(m: FqMatrix) -> FqMatrix:
 
 
 def nullspace(m: FqMatrix) -> FqMatrix:
-    """Canonical row basis of {v : m . v^T = 0}."""
+    """Canonical (RREF) row basis of {v : m . v^T = 0}, from one elimination.
+
+    m is echelonized with its columns reversed, giving RREF R, pivots P and
+    free columns f.  R[i, f] is nonzero only when P_i < f, so the kernel row
+    e_f - sum_i R[i, f] e_{P_i} ends in a 1 at f and is zero on the other free
+    columns.  Reversing these rows and their columns back gives rows that lead
+    with a 1 at a free column, zero on every other free column, in ascending
+    order: the RREF of the kernel."""
     F = m.field
-    ech = echelonize(m)
+    ech = echelonize(FqMatrix(F, m.arr[:, ::-1]))
     piv = list(ech.pivots)
     is_free = np.ones(m.cols, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    if not free.size:
-        return FqMatrix.zeros(F, 0, m.cols)
     out = np.zeros((free.size, m.cols), dtype=np.int64)
     out[np.arange(free.size), free] = 1
     out[:, piv] = F.neg(ech.matrix.arr[: ech.rank][:, free]).T
-    return row_space(FqMatrix(F, out))
+    return FqMatrix(F, out[::-1, ::-1])
 
 
 def solve_right(a: FqMatrix, b: FqMatrix):

@@ -7,7 +7,10 @@ so the image of H is its row space.
 
 Chopping follows MeatAxe practice: a seeded deterministic stream of algebra
 words, null spaces of irreducible factors of their characteristic
-polynomials, and Norton's irreducibility test.  The isomorphism test takes
+polynomials, and Norton's irreducibility test.  One recursion (Norton test,
+then split by its witness) serves `chop` and `composition_series`: its leaves
+are the composition factors, and it builds the adapted basis as it goes, so no
+subspace on the way is eliminated again.  The isomorphism test takes
 its seed va from the same kind of null space and spins (va, vb) in a (+) b
 for each candidate vb: when an intertwiner sends va to vb, the submodule
 spun is its graph, with RREF [I | H].  The layered spin and echelonize are
@@ -78,7 +81,6 @@ class AlgebraWord:
     """Sum of coefficient-weighted products of generator indices."""
 
     terms: tuple[tuple[int, tuple[int, ...]], ...]  # (packed coeff, gen indices)
-    seed: int = 0
 
     def evaluate(self, rep: Representation) -> FqMatrix:
         F = rep.field
@@ -99,14 +101,14 @@ def word_stream(ngens: int, p: int, seed: int, max_len: int = 12):
     if ngens == 0:
         raise GeneratorCountMismatch("at least one generator required")
     for i in range(ngens):
-        yield AlgebraWord(((1, (i,)),), seed)
+        yield AlgebraWord(((1, (i,)),))
     for i in range(ngens):
         for j in range(ngens):
-            yield AlgebraWord(((1, (i, j)),), seed)
+            yield AlgebraWord(((1, (i, j)),))
     for i in range(ngens):
         for j in range(ngens):
             if i != j:
-                yield AlgebraWord(((1, (i,)), (1, (j,))), seed)
+                yield AlgebraWord(((1, (i,)), (1, (j,))))
     rng = random.Random(seed)
     length = 3
     while True:
@@ -117,7 +119,7 @@ def word_stream(ngens: int, p: int, seed: int, max_len: int = 12):
             idxs = tuple(rng.randrange(ngens) for _ in range(tlen))
             coeff = rng.randrange(1, p)
             terms.append((coeff, idxs))
-        yield AlgebraWord(tuple(terms), seed)
+        yield AlgebraWord(tuple(terms))
         length = min(length + 1, max_len)
 
 
@@ -161,11 +163,13 @@ def spin(rep: Representation, seeds: FqMatrix) -> FqMatrix:
 
 
 def split(rep: Representation, sub: FqMatrix):
-    """(subRep, quotRep) for an invariant subspace given by RREF basis rows.
+    """(subRep, quotRep) for the invariant subspace spanned by the rows of sub.
 
-    Three products for all generators at once: the basis times the generators
-    side by side, as in `spin`; the coordinates back times the basis, which
-    must give the images again (invariance); and the quotient rows."""
+    The rows may be any spanning set, RREF or not: they are echelonized here,
+    and the submodule's coordinates are taken in that RREF basis.  Three
+    products for all generators at once: the basis times the generators side
+    by side, as in `spin`; the coordinates back times the basis, which must
+    give the images again (invariance); and the quotient rows."""
     F = rep.field
     ech = echelonize(sub)
     U = ech.matrix.arr[: ech.rank]
@@ -212,15 +216,16 @@ def _transpose_rep(rep: Representation) -> Representation:
 def is_irreducible(rep: Representation, seed: int = 1):
     """Norton's criterion over a seeded word stream.
 
-    Returns (True, certificate) or (False, invariant basis).  Raises
-    Undecided when the word budget is exhausted without a verdict.
+    Returns (True, certificate) or (False, witness).  The witness is the
+    canonical RREF basis of a proper submodule, as `spin` or `nullspace`
+    returns it.  Raises Undecided when the word budget is exhausted without a
+    verdict.
     """
     if rep.dim == 0:
         raise ZeroModule("the zero module has no irreducibility verdict")
     F = rep.field
     if rep.dim == 1:
         return True, IrreducibilityCertificate(AlgebraWord(()), FqPolynomial.x(F), 1)
-    rep_t = _transpose_rep(rep)
     stream = word_stream(rep.ngens, F.p, seed)
     budget = WORD_BUDGET * WORD_ESCALATIONS
     from .gfla import char_poly as _char_poly
@@ -245,7 +250,9 @@ def is_irreducible(rep: Representation, seed: int = 1):
             if nu == f.degree:
                 kert = nullspace(fw)
                 vt = FqMatrix(F, kert.arr[:1])
-                subt = spin(rep_t, vt)
+                # this branch returns either way, so the transposed module is
+                # built at most once per call
+                subt = spin(_transpose_rep(rep), vt)
                 if subt.rows == rep.dim:
                     return True, IrreducibilityCertificate(word, f, nu)
                 # annihilator of a proper transposed-invariant subspace is a
@@ -262,32 +269,44 @@ def is_irreducible(rep: Representation, seed: int = 1):
     raise Undecided(f"no verdict for {rep.label or 'module'} within the word budget")
 
 
+def _meataxe(rep: Representation, seed: int) -> tuple[list[Representation], np.ndarray]:
+    """The MeatAxe recursion: its leaves, submodule before quotient, and an
+    adapted basis A of rep.
+
+    A leaf contributes the identity.  A split by the witness U contributes
+    A_sub . U above A_quot placed on the non-pivot columns of U.  In A every
+    generator is block lower triangular, with the leaves' generators as the
+    diagonal blocks."""
+    if rep.dim == 0:
+        return [], np.zeros((0, 0), dtype=np.int64)
+    verdict, witness = is_irreducible(rep, seed)
+    if verdict:
+        return [rep], np.eye(rep.dim, dtype=np.int64)
+    sub_rep, quot_rep = split(rep, witness)
+    sub_leaves, a_sub = _meataxe(sub_rep, seed)
+    quot_leaves, a_quot = _meataxe(quot_rep, seed)
+    U = witness.arr
+    # U is an RREF basis, so its pivots are the rows' first nonzero columns
+    comp = np.ones(rep.dim, dtype=bool)
+    comp[(U != 0).argmax(axis=1)] = False
+    lifted = np.zeros((quot_rep.dim, rep.dim), dtype=np.int64)
+    lifted[:, comp] = a_quot
+    return sub_leaves + quot_leaves, np.vstack([rep.field.matmul(a_sub, U), lifted])
+
+
 def chop(rep: Representation, seed: int = 1) -> list[tuple[Representation, int]]:
     """Composition factors with multiplicities, canonically ordered by
     (dimension, discovery); factor labels are dim plus a letter."""
     factors: list[Representation] = []
     mults: list[int] = []
-
-    def add(simple: Representation):
+    for leaf in _meataxe(rep, seed)[0]:
         for i, s in enumerate(factors):
-            if s.dim == simple.dim and iso(s, simple, seed) is not None:
+            if s.dim == leaf.dim and iso(s, leaf, seed) is not None:
                 mults[i] += 1
-                return
-        factors.append(simple)
-        mults.append(1)
-
-    def rec(r: Representation):
-        if r.dim == 0:
-            return
-        verdict, witness = is_irreducible(r, seed)
-        if verdict:
-            add(r)
-            return
-        sub_rep, quot_rep = split(r, witness)
-        rec(sub_rep)
-        rec(quot_rep)
-
-    rec(rep)
+                break
+        else:
+            factors.append(leaf)
+            mults.append(1)
     order = sorted(range(len(factors)), key=lambda i: (factors[i].dim, i))
     labels = letter_labels(factors[i].dim for i in order)
     return [(factors[i].relabel(label), mults[i]) for i, label in zip(order, labels)]
@@ -318,10 +337,7 @@ def iso(a: Representation, b: Representation, seed: int = 1):
         return FqMatrix.zeros(a.field, 0, 0)
     F = a.field
     n = a.dim
-    z = np.zeros((n, n), dtype=np.int64)
-    ab = Representation(
-        F, 2 * n, tuple(FqMatrix(F, np.block([[ga.arr, z], [z, gb.arr]])) for ga, gb in zip(a.gens, b.gens))
-    )
+    ab = Representation(F, 2 * n, tuple(_direct_sum(ga, gb) for ga, gb in zip(a.gens, b.gens)))
     from .gfla import char_poly as _char_poly
 
     stream = word_stream(a.ngens, F.p, seed)
@@ -359,6 +375,14 @@ def iso(a: Representation, b: Representation, seed: int = 1):
         else:
             return None
     raise Undecided("no standard-basis word found")
+
+
+def _direct_sum(ga: FqMatrix, gb: FqMatrix) -> FqMatrix:
+    n = ga.rows
+    g = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    g[:n, :n] = ga.arr
+    g[n:, n:] = gb.arr
+    return FqMatrix(ga.field, g)
 
 
 def _projective_points(F, basis_rows):
@@ -478,7 +502,9 @@ def socle_series(rep: Representation, simples, seed: int = 1):
 @dataclass(frozen=True)
 class CompositionSeries:
     rep: Representation
-    chain: tuple[FqMatrix, ...]  # strictly ascending invariant bases, last = full
+    # strictly ascending invariant subspaces, last = full: term i is spanned
+    # by the rows of the first i + 1 blocks of the adapted basis
+    chain: tuple[FqMatrix, ...]
     factors: tuple[Representation, ...]
     adapted_basis: FqMatrix
     adapted_inverse: FqMatrix = field(repr=False)
@@ -504,54 +530,17 @@ class CompositionSeries:
 
 
 def composition_series(rep: Representation, seed: int = 1) -> CompositionSeries:
-    """A composition series with a basis realizing block-lower-triangular form."""
+    """A composition series with a basis realizing block-lower-triangular form.
+
+    The factors are the leaves of the MeatAxe recursion that `chop` runs, and
+    the adapted basis is the one it builds; each chain term is spanned by the
+    rows of the leading blocks.  The zero module has the empty series."""
     F = rep.field
-
-    def find_chain(r: Representation) -> list[FqMatrix]:
-        if r.dim == 0:
-            return []
-        verdict, witness = is_irreducible(r, seed)
-        if verdict:
-            return [FqMatrix.identity(F, r.dim)]
-        sub_rep, quot_rep = split(r, witness)
-        ech = echelonize(witness)
-        U = FqMatrix(F, ech.matrix.arr[: ech.rank])
-        inner = find_chain(sub_rep)  # bases in sub coordinates
-        chain = [FqMatrix(F, F.matmul(c.arr, U.arr)) for c in inner[:-1]]
-        chain.append(U)
-        # lift the quotient's chain through the canonical completion
-        comp = [j for j in range(r.dim) if j not in ech.pivots]
-        outer = find_chain(quot_rep)
-        for c in outer:
-            lifted = np.zeros((c.rows, r.dim), dtype=np.int64)
-            lifted[:, comp] = c.arr
-            chain.append(row_space(FqMatrix(F, np.vstack([U.arr, lifted]))))
-        return chain
-
-    chain = find_chain(rep)
-    rows = []
-    prev = FqMatrix.zeros(F, 0, rep.dim)
-    sizes = []
-    for link in chain:
-        # the link rows outside the span of prev and of the link rows before
-        # them: the pivot columns of [prev; link]^T.  Keep the raw link rows:
-        # they lie inside this chain term, which is what makes the adapted
-        # matrix block-triangular
-        ech = echelonize(FqMatrix(F, np.vstack([prev.arr, link.arr]).T))
-        new_rows = link.arr[[c - prev.rows for c in ech.pivots[prev.rows :]]]
-        sizes.append(len(new_rows))
-        rows.append(new_rows)
-        prev = link
-    A = FqMatrix(F, np.vstack(rows))
-    Ainv = inverse(A)
-    series = CompositionSeries(rep, tuple(chain), (), A, Ainv, tuple(sizes))
-    blocks = [series.diagonal_blocks(g) for g in rep.gens]
-    factors = []
-    for bi in range(len(sizes)):
-        factors.append(
-            Representation(F, sizes[bi], tuple(blocks[g][bi] for g in range(rep.ngens)))
-        )
-    return CompositionSeries(rep, tuple(chain), tuple(factors), A, Ainv, tuple(sizes))
+    leaves, A = _meataxe(rep, seed)
+    sizes = tuple(s.dim for s in leaves)
+    chain = tuple(FqMatrix(F, A[:end]) for end in np.cumsum(sizes, dtype=int))
+    basis = FqMatrix(F, A)
+    return CompositionSeries(rep, chain, tuple(leaves), basis, inverse(basis), sizes)
 
 
 def check_generation(series: CompositionSeries, extra, seed: int = 1):

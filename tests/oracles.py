@@ -30,7 +30,10 @@ cyclotomic normal form: a special rule for conductors 2 mod 4, then a descent
 to Q(zeta_{n/p}) when the value is fixed by every a = 1 mod n/p (one reduction
 mod Phi_n per a) and a phi(n) x phi(n/p) rational solve;
 `cyclotomic_polynomial_by_exact_division` builds Phi_n by its own exact
-integer division with a leading-coefficient check.
+integer division with a leading-coefficient check.  `nullspace_by_row_space`
+is the earlier null space, which echelonized the kernel rows it built once
+more, and `composition_series_by_links` the earlier composition series, with
+its own MeatAxe recursion and one elimination per chain link.
 """
 
 from __future__ import annotations
@@ -816,3 +819,66 @@ def _try_descend(n: int, cs: list[Fraction], m: int) -> list[Fraction] | None:
             for j in range(euler_phi(m))]
     mat = [[col[i] for col in cols] for i in range(euler_phi(n))]
     return solve_rational(mat, cs)
+
+
+def nullspace_by_row_space(m: FqMatrix) -> FqMatrix:
+    """The earlier `gfla.nullspace`: eliminate m, write one kernel row per free
+    column, then echelonize those rows again through `row_space`."""
+    F = m.field
+    ech = echelonize(m)
+    piv = list(ech.pivots)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    if not free.size:
+        return FqMatrix.zeros(F, 0, m.cols)
+    out = np.zeros((free.size, m.cols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, piv] = F.neg(ech.matrix.arr[: ech.rank][:, free]).T
+    return row_space(FqMatrix(F, out))
+
+
+def composition_series_by_links(r: rep.Representation, seed: int = 1) -> rep.CompositionSeries:
+    """The earlier `rep.composition_series`: its own Norton/split recursion
+    builds the chain link by link (each witness echelonized again, each
+    quotient link lifted and put through `row_space`), the adapted rows are
+    chosen by one more elimination per link, and the factors are the diagonal
+    blocks of the generators in that basis."""
+    F = r.field
+
+    def find_chain(m: rep.Representation) -> list[FqMatrix]:
+        if m.dim == 0:
+            return []
+        verdict, witness = rep.is_irreducible(m, seed)
+        if verdict:
+            return [FqMatrix.identity(F, m.dim)]
+        sub_rep, quot_rep = rep.split(m, witness)
+        ech = echelonize(witness)
+        U = FqMatrix(F, ech.matrix.arr[: ech.rank])
+        chain = [FqMatrix(F, F.matmul(c.arr, U.arr)) for c in find_chain(sub_rep)[:-1]]
+        chain.append(U)
+        comp = [j for j in range(m.dim) if j not in ech.pivots]
+        for c in find_chain(quot_rep):
+            lifted = np.zeros((c.rows, m.dim), dtype=np.int64)
+            lifted[:, comp] = c.arr
+            chain.append(row_space(FqMatrix(F, np.vstack([U.arr, lifted]))))
+        return chain
+
+    chain = find_chain(r)
+    rows = []
+    prev = FqMatrix.zeros(F, 0, r.dim)
+    sizes = []
+    for link in chain:
+        ech = echelonize(FqMatrix(F, np.vstack([prev.arr, link.arr]).T))
+        new_rows = link.arr[[c - prev.rows for c in ech.pivots[prev.rows :]]]
+        sizes.append(len(new_rows))
+        rows.append(new_rows)
+        prev = link
+    A = FqMatrix(F, np.vstack(rows))
+    Ainv = inverse(A)
+    series = rep.CompositionSeries(r, tuple(chain), (), A, Ainv, tuple(sizes))
+    blocks = [series.diagonal_blocks(g) for g in r.gens]
+    factors = tuple(
+        rep.Representation(F, s, tuple(blocks[g][bi] for g in range(r.ngens))) for bi, s in enumerate(sizes)
+    )
+    return rep.CompositionSeries(r, tuple(chain), factors, A, Ainv, tuple(sizes))

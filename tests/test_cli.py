@@ -1,8 +1,10 @@
 """CLI: file formats, golden-byte reproducibility, exit codes, manifest."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -292,3 +294,16 @@ def test_cli_brauer_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "CTB order=6 classes=2 p=3"
     assert len(out.splitlines()) == 5  # header + 2 classes + 2 Brauer characters
+
+
+def test_mat_nullspace_of_an_empty_wide_matrix(tmp_path, capsys):
+    """A 0 x 2048 matrix has the identity as its null space; the kernel rows
+    are written down from one elimination, not echelonized again."""
+    mtx = tmp_path / "z.mtx"
+    mtx.write_text("MTX q=3 r=0 c=2048\n")
+    t0 = time.process_time()
+    assert cli.main(["mat", "nullspace", "-a", str(mtx)]) == 0
+    elapsed = time.process_time() - t0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "50308439f5e3c5c0f87f605fadc87a5a60b5faa5a858e6bcec33de213c1c4892"
+    assert elapsed < 2.0

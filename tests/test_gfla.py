@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modchar import gfla
@@ -451,6 +451,52 @@ def test_solve_and_inverse():
 
 
 # -- blocked echelonize against the unblocked oracle ---------------------------
+
+NULLSPACE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (251, 1), (2, 8)]
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(NULLSPACE_FIELDS),
+    st.integers(0, 12),
+    st.integers(0, 14),
+    st.sampled_from(["zero", "full rank", "low rank"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_nullspace_matches_row_space_oracle(pk, rows, cols, kind, seed):
+    """The one-elimination null space equals the earlier one, which
+    echelonized its kernel rows again: both are the kernel's RREF."""
+    F = gfla.field_make(*pk)
+    rng = np.random.default_rng(seed)
+    r = min(rows, cols)
+    if kind == "zero":
+        arr = np.zeros((rows, cols), dtype=np.int64)
+    elif kind == "full rank":
+        # a unit matrix planted on r random columns of a random matrix
+        arr = rng.integers(0, F.q, (rows, cols))
+        arr[np.arange(r)[:, None], rng.choice(cols, r, replace=False)] = np.eye(r, dtype=np.int64)
+    else:
+        inner = int(rng.integers(0, max(r, 1)))
+        arr = F.matmul(rng.integers(0, F.q, (rows, inner)), rng.integers(0, F.q, (inner, cols)))
+    m = gfla.FqMatrix(F, arr)
+    ns = gfla.nullspace(m)
+    assert ns == oracles.nullspace_by_row_space(m)
+    assert ns.rows == cols - gfla.rank(m) and ns.cols == cols
+    assert not F.matmul(m.arr, ns.arr.T).any()
+    if kind == "full rank":
+        assert ns.rows == cols - r
+
+
+def test_nullspace_is_one_elimination(monkeypatch):
+    F = gfla.field_make(3, 1)
+    m = gfla.FqMatrix(F, np.random.default_rng(0).integers(0, 3, (40, 90)))
+    seen = []
+    echelonize = gfla.echelonize
+    monkeypatch.setattr(gfla, "echelonize", lambda a: seen.append(a.arr.shape) or echelonize(a))
+    monkeypatch.setattr(gfla, "row_space", lambda a: pytest.fail("nullspace called row_space"))
+    gfla.nullspace(m)
+    assert seen == [(40, 90)]
+
 
 ECHELON_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (251, 1), (2, 8)]
 ECHELON_COLS = [63, 64, 65, 100, 200]

@@ -317,6 +317,78 @@ def test_check_generation_c3_demo():
     assert rep.check_generation(full, allm, 1) == (True, True)
 
 
+def _series_cases():
+    """(module, extra elements): the S3 regular module over GF(3), the C3
+    slices by g + g^2 over GF(2) and GF(4), the S4 natural module over GF(2)."""
+    reg = grp.regular_rep(s3(), F3)
+    cases = [(reg, [gfla.mat_mul(reg.gens[0], reg.gens[1]), gfla.mat_mul(reg.gens[1], reg.gens[1])])]
+    c3 = grp.enumerate_group([grp.perm_from_cycles(3, [(1, 2, 3)])])
+    for F in (F2, F4):
+        g = grp.regular_rep(c3, F).gens[0]
+        x = gfla.mat_add(g, gfla.mat_mul(g, g))
+        cases.append((rep.Representation(F, 3, (x,), "slice"), [g]))
+    s4 = grp.enumerate_group([grp.perm_from_cycles(4, [(1, 2)]), grp.perm_from_cycles(4, [(1, 2, 3, 4)])])
+    nat = grp.perm_rep(s4, F2)
+    cases.append((nat, [grp.element_matrix(s4, nat, e) for e in s4.elements]))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_composition_series_matches_link_oracle(case):
+    """The series read off the MeatAxe recursion spans the same chain as the
+    earlier link-by-link construction, with isomorphic factors, and its
+    adapted basis puts the leaves' generators on the diagonal."""
+    m, extra = _series_cases()[case]
+    series = rep.composition_series(m, 1)
+    old = oracles.composition_series_by_links(m, 1)
+    assert len(series.chain) == len(old.chain)
+    for term, old_term in zip(series.chain, old.chain):
+        assert gfla.row_space(term) == gfla.row_space(old_term)
+    assert series.block_sizes == old.block_sizes == tuple(f.dim for f in series.factors)
+    for f, old_f in zip(series.factors, old.factors):
+        assert rep.iso(f, old_f, 1) is not None
+    assert gfla.mat_mul(series.adapted_basis, series.adapted_inverse) == gfla.FqMatrix.identity(m.field, m.dim)
+    for gi, g in enumerate(m.gens):
+        assert series.is_block_lower(g)
+        assert series.diagonal_blocks(g) == [f.gens[gi] for f in series.factors]
+    assert rep.check_generation(series, extra, 1) == rep.check_generation(old, extra, 1)
+
+
+def test_composition_series_of_the_zero_module_is_empty():
+    zero = rep.Representation(F2, 0, (gfla.FqMatrix.zeros(F2, 0, 0),))
+    series = rep.composition_series(zero, 1)
+    assert series.chain == () and series.factors == () and series.block_sizes == ()
+    assert series.adapted_basis.arr.shape == series.adapted_inverse.arr.shape == (0, 0)
+    assert rep.chop(zero, 1) == []
+
+
+def _norton(monkeypatch, m):
+    """(verdict, witness, whether the transposed module was built)."""
+    built = []
+    transpose = rep._transpose_rep
+    monkeypatch.setattr(rep, "_transpose_rep", lambda r: built.append(r) or transpose(r))
+    verdict, witness = rep.is_irreducible(m, 1)
+    return verdict, witness, bool(built)
+
+
+def test_witness_is_canonical_on_the_spin_branch(monkeypatch):
+    verdict, witness, transposed = _norton(monkeypatch, grp.regular_rep(s3(), F3))
+    assert not verdict and not transposed
+    assert gfla.row_space(witness) == witness
+
+
+def test_witness_is_canonical_on_the_annihilator_branch(monkeypatch):
+    """A 3-dim GF(2) module whose first usable kernel vector generates it,
+    so the proper submodule is the annihilator of a transposed one."""
+    t = gfla.FqMatrix(F2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    gens = [gfla.FqMatrix(F2, a) for a in ([[1, 1, 0], [0, 1, 0], [1, 0, 0]], [[1, 0, 0], [1, 0, 0], [0, 0, 1]])]
+    m = rep.Representation(F2, 3, tuple(gfla.mat_mul(gfla.mat_mul(t, g), gfla.inverse(t)) for g in gens))
+    verdict, witness, transposed = _norton(monkeypatch, m)
+    assert not verdict and transposed
+    assert witness.rows == 2 and gfla.row_space(witness) == witness
+    rep.split(m, witness)  # invariant
+
+
 def test_hom_dim_equals_socle_multiplicity():
     """For a simple over a splitting field, dim hom(S, V) equals the
     multiplicity of S in the socle of V."""
