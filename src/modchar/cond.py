@@ -23,9 +23,12 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
+from . import grp as _grp
 from .gfla import FqMatrix, echelonize, mat_mul, rank
 from .rep import Representation, spin
 from .cyclo import Cyclotomic
+
+CLOSURE_BOUND = 20000  # elements of a subgroup closure before it is refused
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class CondensedAlgebraSlice:
     dim: int
 
 
-def _closure(ident: tuple[FqMatrix, ...], gens, bound: int = 20000) -> list[tuple[FqMatrix, ...]]:
+def _closure(ident: tuple[FqMatrix, ...], gens) -> list[tuple[FqMatrix, ...]]:
     """Breadth-first closure of the identity tuple under right multiplication
     by the generator tuples, componentwise."""
     seen = {tuple(m.key() for m in ident): ident}
@@ -64,7 +67,7 @@ def _closure(ident: tuple[FqMatrix, ...], gens, bound: int = 20000) -> list[tupl
                     seen[k] = prod
                     new.append(prod)
         frontier = new
-        if len(seen) > bound:
+        if len(seen) > CLOSURE_BOUND:
             raise NotAGroup("subgroup closure did not terminate within the bound")
     return list(seen.values())
 
@@ -139,8 +142,6 @@ def condense_perm(field, degree: int, k_gens, g_perms):
     Entry (i, j) of the matrix for g is |O_i intersect O_j g^-1| / |O_j|,
     computed purely from orbit bookkeeping.
     """
-    from . import grp as _grp
-
     k_closure = _grp.enumerate_group(k_gens) if k_gens else None
     k_perms = list(k_closure.elements) if k_closure else [tuple(range(degree))]
     if len(k_perms) % field.p == 0:

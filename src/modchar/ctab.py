@@ -9,6 +9,12 @@ exp(G) (so reduction mod r is faithful on characters and the lifts are the
 ordinary values); the p-modular table is the same closure over GF(p^2) with
 the eigenvalues lifted on the p-regular classes.  The regular module is never
 built and no table database is consulted.
+
+Blocks are the classes of equal central characters under the residue map
+zeta_e -> w^((p^m - 1)/e') into GF(p^m), w the Conway generator, which is the
+inverse of the Brauer lift (see `blocks`).  The decomposition data of an
+index-2 extension are orbit sums of the group's rows and columns (see
+`clifford_index2`).
 """
 
 from __future__ import annotations
@@ -18,11 +24,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from . import grp as _grp
 from . import rep as _rep
-from .cyclo import Cyclotomic, cyclotomic_polynomial, solve_rational, weighted_inner
+from .cyclo import Cyclotomic, brauer_char_value, solve_rational, weighted_inner
 from .errors import (
     ActionNotInvolution,
     FusionDegreeMismatch,
@@ -34,7 +38,7 @@ from .errors import (
     NotInSpan,
     SelfCheckFailed,
 )
-from .gfla import FqPolynomial, field_make, irreducible_factors, is_prime
+from .gfla import field_make, is_prime
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,6 @@ def _lift_table(g: _grp.PermGroup, classData, simples, p=None):
     """Classes, characters and simples on the kept classes, sorted trivial
     first, then by degree and values; each character and its simple are
     labelled degree plus a letter in that order."""
-    from .cyclo import brauer_char_value
-
     flags = classData.p_regular(p)
     keep = [i for i in range(classData.count) if flags[i]]
     values = [
@@ -301,78 +303,55 @@ def _nu(p: int, n: int) -> int:
 
 
 def blocks(table: CharTable, p: int) -> BlockData:
-    """Block distribution via central characters reduced mod a fixed maximal
-    ideal over p (lexicographically least irreducible factor of Phi_e mod p,
-    e the conductor of the character values)."""
+    """Block distribution via central characters reduced modulo a prime over p.
+
+    With e the conductor of the character values, e' its p'-part and m the
+    order of p mod e', zeta_e maps to theta = w^((p^m - 1)/e') in GF(p^m), w
+    the Conway generator: the inverse of the map that
+    cyclo.brauer_char_value lifts through.  theta is a primitive e'-th root
+    of unity, so a root of Phi_e mod p, and every irreducible factor of Phi_e
+    mod p has degree m.  Two such maps differ by zeta -> zeta^k with k a unit
+    mod |G|, which sends the central character value of chi at a class K to
+    its value at the class of k-th powers, of the same size; so the
+    partition does not depend on the map chosen.
+    """
     if any(chi.degree.is_zero() for chi in table.characters):
         raise NonIntegral("a character of degree 0 has no central character")
-    # not the group exponent: Phi_e costs more than linearly in e, and a
-    # class of large element order may carry only rational values
+    # not the group exponent: a class of large element order may carry only
+    # rational values
     e = table.conductor()
-    Fp = field_make(p, 1)
-    phi_e = cyclotomic_polynomial(e)
-    phi_poly = FqPolynomial(Fp, [c % p for c in phi_e])
-    least = next(irreducible_factors(phi_poly), None)  # canonical order
-    if least is None:
-        raise IdealChoiceFailure("cyclotomic polynomial has no factors")
-    h = least[0]
-    m = h.degree
-    E = field_make(p, m) if m > 1 else Fp
-    if m > 1:
-        hx = FqPolynomial(E, Fp.embed_into(E)[list(h.coeffs)])
-    else:
-        hx = h
-    roots = [r for r, _ in _roots_in(hx)]
-    if not roots:
-        raise IdealChoiceFailure("no root of the chosen factor in its field")
-    theta = min(roots)
-    sigs = []
-    for chi in table.characters:
+    e_p = e // p ** _nu(p, e)
+    m = 1
+    while (p**m - 1) % e_p:
+        m += 1
+    E = field_make(p, m)
+    theta = E.pow_el(E.omega, (E.q - 1) // e_p)
+    groups: dict[tuple, list[int]] = {}  # in the order of their first members
+    for i, chi in enumerate(table.characters):
         deg = chi.degree.as_fraction()
-        sig = []
-        for ci, cls in enumerate(table.classes):
-            omega = (Fraction(cls.size) / deg) * chi.values[ci]
-            sig.append(_reduce_mod_ideal(omega, e, theta, E, p))
-        sigs.append(tuple(sig))
-    groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(sigs):
-        groups.setdefault(s, []).append(i)
-    blocks_list = sorted(groups.values(), key=lambda idxs: idxs[0])
+        sig = tuple(
+            _reduce_mod_ideal((Fraction(cls.size) / deg) * v, e, theta, E, p)
+            for cls, v in zip(table.classes, chi.values)
+        )
+        groups.setdefault(sig, []).append(i)
     nu_g = _nu(p, table.group_order)
-    defects = []
-    for members in blocks_list:
-        mindeg = min(_nu(p, table.characters[i].degree_int()) for i in members)
-        defects.append(nu_g - mindeg)
-    return BlockData(table, p, tuple(tuple(b) for b in blocks_list), tuple(defects))
-
-
-def _roots_in(poly: FqPolynomial):
-    out = []
-    for g, mult in irreducible_factors(poly):
-        if g.degree > 1:  # the linear factors come first
-            break
-        out.append((g.field.neg(g.coeffs[0]), mult))
-    return sorted(out)
+    defects = [nu_g - min(_nu(p, table.characters[i].degree_int()) for i in b) for b in groups.values()]
+    return BlockData(table, p, tuple(tuple(b) for b in groups.values()), tuple(defects))
 
 
 def _reduce_mod_ideal(v: Cyclotomic, e: int, theta: int, E, p: int) -> int:
     """Image of an algebraic integer under zeta_e -> theta in GF(p^m)."""
     if e % v.n:
         raise IdealChoiceFailure("conductor does not divide the exponent")
-    stride = e // v.n
-    acc = np.int64(0)
-    tpow = E.pow_el(theta, stride)
+    tpow = E.pow_el(theta, e // v.n)
+    acc = 0
     for i, c in enumerate(v.coeffs):
         if c == 0:
             continue
         if c.denominator % p == 0:
             raise IdealChoiceFailure("denominator not invertible mod p")
-        num = c.numerator % p
-        den_inv = pow(c.denominator % p, p - 2, p) if c.denominator % p != 1 else 1
-        scalar_int = (num * den_inv) % p
-        term = E.mul(np.int64(scalar_int), np.int64(E.pow_el(tpow, i)))
-        acc = E.add(acc, term)
-    return int(acc)
+        acc = E.add(acc, E.mul(c.numerator * pow(c.denominator, -1, p) % p, E.pow_el(tpow, i)))
+    return acc
 
 
 def heights(block: BlockData, block_index: int) -> dict[int, int]:
@@ -484,6 +463,15 @@ def clifford_index2(
     and invariant columns once; a swapped pair of columns fuses into one
     induced column, a swapped pair of rows into one row equal to the sum.
 
+    The result is built from orbit sums.  Each output column is a tuple of
+    source columns, (j,) for an invariant column or (a, b) for a swapped
+    pair, placed where its first member was; each output row is a tuple of
+    source rows, (i,) for ("ext", i) or (r1, r2) for ("fuse", (r1, r2)).  An
+    entry is the sum over the row's source rows of their entry in the
+    column's first member (an "ext" row must be equal on a swapped pair);
+    labels are the source labels joined by "+", row and column degrees the
+    sums of the source degrees.
+
     row_plan optionally prescribes the output row order as entries
     ("ext", row) twice per invariant row or ("fuse", (r1, r2)); by default all
     invariant rows come first (each doubled), then the fused pairs.
@@ -503,78 +491,40 @@ def clifford_index2(
     if morita_split:
         if brauer_pairs or ordinary_pairs:
             raise FusionDegreeMismatch("a Morita-split cover has no fused pairs")
-        out = []
-        for sign in "+-":
-            out.append(replace(g_block, label=f"{g_block.label}{sign}"))
-        return CliffordResult(tuple(out))
+        return CliffordResult(tuple(replace(g_block, label=f"{g_block.label}{sign}") for sign in "+-"))
 
-    # fused columns keep the position of their first member
-    pair_of = {}
-    for pr in brauer_pairs:
-        pair_of[pr[0]] = pr
-        pair_of[pr[1]] = pr
-    col_order: list[tuple[str, object]] = []
-    for j in range(g_block.l):
-        if j in pair_of:
-            pr = pair_of[j]
-            if j == pr[0]:
-                col_order.append(("pair", pr))
-        else:
-            col_order.append(("inv", j))
-    swapped_rows = {a for a, b in ordinary_pairs} | {b for a, b in ordinary_pairs}
+    pair_of = {j: pr for pr in brauer_pairs for j in pr}
+    cols = [pair_of.get(j, (j,)) for j in range(g_block.l)]
+    cols = [pr for j, pr in enumerate(cols) if pr[0] == j]
     if row_plan is None:
+        swapped = {r for pr in ordinary_pairs for r in pr}
         row_plan = tuple(
-            ("ext", i) for i in range(g_block.k) if i not in swapped_rows for _ in (0, 1)
+            ("ext", i) for i in range(g_block.k) if i not in swapped for _ in (0, 1)
         ) + tuple(("fuse", pr) for pr in ordinary_pairs)
-
-    new_rows = []
-    new_labels = []
-    new_degrees = []
+    m = g_block.matrix
+    rows, labels, degrees = [], [], []
     for kind, payload in row_plan:
         if kind == "ext":
-            i = payload
-            row = []
-            for ck, cp in col_order:
-                if ck == "inv":
-                    row.append(g_block.matrix[i][cp])
-                else:
-                    a, b = cp
-                    if g_block.matrix[i][a] != g_block.matrix[i][b]:
-                        raise FusionDegreeMismatch(
-                            f"invariant row {i} differs on the swapped column pair {cp}"
-                        )
-                    row.append(g_block.matrix[i][a])
-            new_rows.append(tuple(row))
-            new_labels.append(g_block.row_labels[i])
-            new_degrees.append(g_block.row_degrees[i])
+            src = (payload,)
+            for pr in cols:
+                if len(pr) == 2 and m[payload][pr[0]] != m[payload][pr[1]]:
+                    raise FusionDegreeMismatch(
+                        f"invariant row {payload} differs on the swapped column pair {pr}"
+                    )
         elif kind == "fuse":
             r1, r2 = payload
-            row = []
-            for ck, cp in col_order:
-                if ck == "inv":
-                    row.append(g_block.matrix[r1][cp] + g_block.matrix[r2][cp])
-                else:
-                    a, b = cp
-                    row.append(g_block.matrix[r1][a] + g_block.matrix[r2][a])
-            new_rows.append(tuple(row))
-            new_labels.append(f"{g_block.row_labels[r1]}+{g_block.row_labels[r2]}")
-            new_degrees.append(g_block.row_degrees[r1] + g_block.row_degrees[r2])
+            src = (r1, r2)
         else:
             raise ValueError(f"unknown row plan entry {kind!r}")
-    col_degs = []
-    if g_block.col_degrees:
-        for ck, cp in col_order:
-            if ck == "inv":
-                col_degs.append(g_block.col_degrees[cp])
-            else:
-                a, b = cp
-                col_degs.append(g_block.col_degrees[a] + g_block.col_degrees[b])
+        rows.append(tuple(sum(m[r][c[0]] for r in src) for c in cols))
+        labels.append("+".join(g_block.row_labels[r] for r in src))
+        degrees.append(sum(g_block.row_degrees[r] for r in src))
     result = BlockDecomposition(
         label=f"{g_block.label}.2",
         p=g_block.p,
-        row_labels=tuple(new_labels),
-        row_degrees=tuple(new_degrees),
-        matrix=tuple(new_rows),
-        col_degrees=tuple(col_degs),
+        row_labels=tuple(labels),
+        row_degrees=tuple(degrees),
+        matrix=tuple(rows),
+        col_degrees=tuple(sum(g_block.col_degrees[j] for j in c) for c in cols) if g_block.col_degrees else (),
     )
     return CliffordResult((result,))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt
 
+from . import ctab as _ctab
 from .cyclo import rref_rational, solve_rational
 from .errors import (
     AllEliminated,
@@ -120,8 +121,6 @@ def projectives_from_products(table, block_data, block_index, extra_induced=()):
     divided down (projectivity survives: the quotient is a character which
     still vanishes on p-singular classes).
     """
-    from . import ctab as _ctab
-
     members = list(block_data.blocks[block_index])
     defect_zero = [
         bi for bi, d in enumerate(block_data.defects) if d == 0

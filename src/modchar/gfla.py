@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -1111,8 +1112,6 @@ def irreducible_factors(f: FqPolynomial):
     caller that stops at a low-degree factor never factors further.  The
     factors are unique, so they do not depend on how the equal-degree
     splitting consumes its random stream, which is fixed here."""
-    import random
-
     rng = random.Random(1 ^ 0x5EED)
     F = f.field
     x = FqPolynomial.x(F)

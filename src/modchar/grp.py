@@ -14,7 +14,7 @@ from math import lcm
 import numpy as np
 
 from .errors import GeneratorCountMismatch, GroupTooLarge, NotSubgroup, TooLarge
-from .gfla import FieldSpec, FqMatrix
+from .gfla import FieldSpec, FqMatrix, factorize
 
 Perm = tuple[int, ...]
 
@@ -95,7 +95,7 @@ class PermGroup:
         return e
 
 
-def enumerate_group(gens, bound: int = GROUP_BOUND) -> PermGroup:
+def enumerate_group(gens) -> PermGroup:
     """Breadth-first closure; layers are sorted lexicographically by image."""
     gens = tuple(tuple(g) for g in gens)
     if not gens:
@@ -125,8 +125,8 @@ def enumerate_group(gens, bound: int = GROUP_BOUND) -> PermGroup:
             index[prod] = idx
             parents.append((ei, gi))
             frontier.append(idx)
-        if len(elements) > bound:
-            raise GroupTooLarge(f"closure exceeded the bound {bound}")
+        if len(elements) > GROUP_BOUND:
+            raise GroupTooLarge(f"closure exceeded the bound {GROUP_BOUND}")
     return PermGroup(n, gens, tuple(elements), index, tuple(parents))
 
 
@@ -196,8 +196,6 @@ def conjugacy_classes(g: PermGroup, p: int | None = None) -> ClassData:
     renumber = {old: new for new, old in enumerate(perm_order_key)}
     class_of = {x: renumber[ci] for x, ci in assigned.items()}
     power_maps: dict[int, tuple[int, ...]] = {}
-    from .gfla import factorize
-
     for prime in factorize(g.order):
         pm = []
         for r in reps:

@@ -19,6 +19,7 @@ the only eliminations here.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ from .gfla import (
     FieldSpec,
     FqMatrix,
     FqPolynomial,
+    char_poly,
     echelonize,
     inverse,
     irreducible_factors,
@@ -52,6 +54,7 @@ from .grp import letter_labels
 
 WORD_BUDGET = 200
 WORD_ESCALATIONS = 3
+WORD_MAX_LEN = 12  # products in a random word have at most this many factors
 
 
 @dataclass(frozen=True)
@@ -86,16 +89,16 @@ class AlgebraWord:
         F = rep.field
         acc = np.zeros((rep.dim, rep.dim), dtype=np.int64)
         for coeff, idxs in self.terms:
-            cur = np.eye(rep.dim, dtype=np.int64)
-            for i in idxs:
-                if i >= rep.ngens:
-                    raise GeneratorCountMismatch("word index out of range")
+            if any(i >= rep.ngens for i in idxs):
+                raise GeneratorCountMismatch("word index out of range")
+            cur = rep.gens[idxs[0]].arr if idxs else np.eye(rep.dim, dtype=np.int64)
+            for i in idxs[1:]:
                 cur = F.matmul(cur, rep.gens[i].arr)
             acc = F.add(acc, F.mul(np.int64(coeff % F.q), cur))
         return FqMatrix(F, acc)
 
 
-def word_stream(ngens: int, p: int, seed: int, max_len: int = 12):
+def word_stream(ngens: int, p: int, seed: int):
     """Deterministic stream: generators and short products first, then seeded
     pseudo-random sums of products with prime-field coefficients."""
     if ngens == 0:
@@ -120,7 +123,7 @@ def word_stream(ngens: int, p: int, seed: int, max_len: int = 12):
             coeff = rng.randrange(1, p)
             terms.append((coeff, idxs))
         yield AlgebraWord(tuple(terms))
-        length = min(length + 1, max_len)
+        length = min(length + 1, WORD_MAX_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +231,12 @@ def is_irreducible(rep: Representation, seed: int = 1):
         return True, IrreducibilityCertificate(AlgebraWord(()), FqPolynomial.x(F), 1)
     stream = word_stream(rep.ngens, F.p, seed)
     budget = WORD_BUDGET * WORD_ESCALATIONS
-    from .gfla import char_poly as _char_poly
-
     for _ in range(budget):
         word = next(stream)
         w = word.evaluate(rep)
         if w.is_zero():
             continue
-        cp = _char_poly(w)
+        cp = char_poly(w)
         for f, _mult in irreducible_factors(cp):
             fw = f.eval_matrix(w)
             # kernel of the row action v -> v.f(w) is the left null space
@@ -338,15 +339,13 @@ def iso(a: Representation, b: Representation, seed: int = 1):
     F = a.field
     n = a.dim
     ab = Representation(F, 2 * n, tuple(_direct_sum(ga, gb) for ga, gb in zip(a.gens, b.gens)))
-    from .gfla import char_poly as _char_poly
-
     stream = word_stream(a.ngens, F.p, seed)
     for _ in range(WORD_BUDGET):
         word = next(stream)
         wa = word.evaluate(a)
-        cpa = _char_poly(wa)
+        cpa = char_poly(wa)
         wb = word.evaluate(b)
-        cpb = _char_poly(wb)
+        cpb = char_poly(wb)
         if cpa != cpb:
             return None
         usable = None
@@ -388,8 +387,6 @@ def _direct_sum(ga: FqMatrix, gb: FqMatrix) -> FqMatrix:
 def _projective_points(F, basis_rows):
     """All nonzero combinations of the rows, normalized so the first nonzero
     coefficient is 1, in deterministic lexicographic order."""
-    import itertools
-
     d = len(basis_rows)
     for lead in range(d):
         tails = itertools.product(range(F.q), repeat=d - lead - 1)

@@ -34,13 +34,19 @@ integer division with a leading-coefficient check.  `nullspace_by_row_space`
 is the earlier null space, which echelonized the kernel rows it built once
 more, and `composition_series_by_links` the earlier composition series, with
 its own MeatAxe recursion and one elimination per chain link.
+`blocks_by_least_factor` is the earlier block distribution: it reduces modulo
+the maximal ideal of the lexicographically least irreducible factor of Phi_e
+mod p at the least root of that factor, found by factoring; and
+`clifford_index2_by_columns` the earlier index-2 Clifford builder, which walks
+the column order once per row, in one branch per row kind, and once more for
+the column degrees.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd, isqrt
@@ -48,10 +54,13 @@ from math import gcd, isqrt
 import numpy as np
 
 from modchar import ctab, grp, rep
-from modchar.cyclo import Cyclotomic, euler_phi, matrix_order, solve_rational
+from modchar.cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi, matrix_order, solve_rational
 from modchar.errors import (
+    ActionNotInvolution,
     FormatError,
+    FusionDegreeMismatch,
     GeneratorCountMismatch,
+    IdealChoiceFailure,
     Infeasible,
     NonIntegral,
     SelfCheckFailed,
@@ -882,3 +891,139 @@ def composition_series_by_links(r: rep.Representation, seed: int = 1) -> rep.Com
         rep.Representation(F, s, tuple(blocks[g][bi] for g in range(r.ngens))) for bi, s in enumerate(sizes)
     )
     return rep.CompositionSeries(r, tuple(chain), factors, A, Ainv, tuple(sizes))
+
+
+def blocks_by_least_factor(table: ctab.CharTable, p: int) -> ctab.BlockData:
+    """The earlier `ctab.blocks`: central characters reduced mod the maximal
+    ideal given by the lexicographically least irreducible factor h of Phi_e
+    mod p (e the conductor of the values), at the least root of h in
+    GF(p^deg h), every residue on numpy int64 scalars."""
+    if any(chi.degree.is_zero() for chi in table.characters):
+        raise NonIntegral("a character of degree 0 has no central character")
+    e = table.conductor()
+    Fp = field_make(p, 1)
+    phi_poly = FqPolynomial(Fp, [c % p for c in cyclotomic_polynomial(e)])
+    least = next(irreducible_factors(phi_poly), None)  # canonical order
+    if least is None:
+        raise IdealChoiceFailure("cyclotomic polynomial has no factors")
+    h = least[0]
+    m = h.degree
+    E = field_make(p, m) if m > 1 else Fp
+    hx = FqPolynomial(E, Fp.embed_into(E)[list(h.coeffs)]) if m > 1 else h
+    roots = []
+    for g, _mult in irreducible_factors(hx):
+        if g.degree > 1:  # the linear factors come first
+            break
+        roots.append(g.field.neg(g.coeffs[0]))
+    if not roots:
+        raise IdealChoiceFailure("no root of the chosen factor in its field")
+    theta = min(roots)
+
+    def reduce(v: Cyclotomic) -> int:
+        if e % v.n:
+            raise IdealChoiceFailure("conductor does not divide the exponent")
+        acc = np.int64(0)
+        tpow = E.pow_el(theta, e // v.n)
+        for i, c in enumerate(v.coeffs):
+            if c == 0:
+                continue
+            if c.denominator % p == 0:
+                raise IdealChoiceFailure("denominator not invertible mod p")
+            den_inv = pow(c.denominator % p, p - 2, p) if c.denominator % p != 1 else 1
+            term = E.mul(np.int64((c.numerator % p) * den_inv % p), np.int64(E.pow_el(tpow, i)))
+            acc = E.add(acc, term)
+        return int(acc)
+
+    sigs = []
+    for chi in table.characters:
+        deg = chi.degree.as_fraction()
+        sigs.append(tuple(reduce((Fraction(cls.size) / deg) * chi.values[ci])
+                          for ci, cls in enumerate(table.classes)))
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(sigs):
+        groups.setdefault(s, []).append(i)
+    blocks_list = sorted(groups.values(), key=lambda idxs: idxs[0])
+    nu_g = ctab._nu(p, table.group_order)
+    defects = tuple(nu_g - min(ctab._nu(p, table.characters[i].degree_int()) for i in members)
+                    for members in blocks_list)
+    return ctab.BlockData(table, p, tuple(tuple(b) for b in blocks_list), defects)
+
+
+def clifford_index2_by_columns(g_block, brauer_pairs, ordinary_pairs, row_plan=None, morita_split=False):
+    """The earlier `ctab.clifford_index2`: the column order as ("inv", j) and
+    ("pair", (a, b)) entries, walked once per output row in an "ext" and a
+    "fuse" branch, and once more for the column degrees."""
+    for a, b in brauer_pairs:
+        if a == b:
+            raise ActionNotInvolution("column pair must have distinct members")
+    for a, b in ordinary_pairs:
+        if a == b:
+            raise ActionNotInvolution("row pair must have distinct members")
+        if g_block.row_degrees[a] != g_block.row_degrees[b]:
+            raise FusionDegreeMismatch("swapped ordinary characters must share a degree")
+    if morita_split:
+        if brauer_pairs or ordinary_pairs:
+            raise FusionDegreeMismatch("a Morita-split cover has no fused pairs")
+        return ctab.CliffordResult(tuple(replace(g_block, label=f"{g_block.label}{sign}") for sign in "+-"))
+    pair_of = {}
+    for pr in brauer_pairs:
+        pair_of[pr[0]] = pr
+        pair_of[pr[1]] = pr
+    col_order = []
+    for j in range(g_block.l):
+        if j in pair_of:
+            if j == pair_of[j][0]:
+                col_order.append(("pair", pair_of[j]))
+        else:
+            col_order.append(("inv", j))
+    swapped_rows = {a for a, b in ordinary_pairs} | {b for a, b in ordinary_pairs}
+    if row_plan is None:
+        row_plan = tuple(
+            ("ext", i) for i in range(g_block.k) if i not in swapped_rows for _ in (0, 1)
+        ) + tuple(("fuse", pr) for pr in ordinary_pairs)
+    new_rows, new_labels, new_degrees = [], [], []
+    for kind, payload in row_plan:
+        if kind == "ext":
+            i = payload
+            row = []
+            for ck, cp in col_order:
+                if ck == "inv":
+                    row.append(g_block.matrix[i][cp])
+                else:
+                    a, b = cp
+                    if g_block.matrix[i][a] != g_block.matrix[i][b]:
+                        raise FusionDegreeMismatch(
+                            f"invariant row {i} differs on the swapped column pair {cp}"
+                        )
+                    row.append(g_block.matrix[i][a])
+            new_rows.append(tuple(row))
+            new_labels.append(g_block.row_labels[i])
+            new_degrees.append(g_block.row_degrees[i])
+        elif kind == "fuse":
+            r1, r2 = payload
+            row = []
+            for ck, cp in col_order:
+                c = cp if ck == "inv" else cp[0]
+                row.append(g_block.matrix[r1][c] + g_block.matrix[r2][c])
+            new_rows.append(tuple(row))
+            new_labels.append(f"{g_block.row_labels[r1]}+{g_block.row_labels[r2]}")
+            new_degrees.append(g_block.row_degrees[r1] + g_block.row_degrees[r2])
+        else:
+            raise ValueError(f"unknown row plan entry {kind!r}")
+    col_degs = []
+    if g_block.col_degrees:
+        for ck, cp in col_order:
+            if ck == "inv":
+                col_degs.append(g_block.col_degrees[cp])
+            else:
+                a, b = cp
+                col_degs.append(g_block.col_degrees[a] + g_block.col_degrees[b])
+    result = ctab.BlockDecomposition(
+        label=f"{g_block.label}.2",
+        p=g_block.p,
+        row_labels=tuple(new_labels),
+        row_degrees=tuple(new_degrees),
+        matrix=tuple(new_rows),
+        col_degrees=tuple(col_degs),
+    )
+    return ctab.CliffordResult((result,))

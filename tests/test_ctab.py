@@ -2,11 +2,14 @@
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modchar import cli, ctab, grp, rep
+from modchar import cli, ctab, gfla, grp, rep
 from modchar.cyclo import Cyclotomic, brauer_char_value
 from modchar.errors import (
     ActionNotInvolution,
@@ -48,6 +51,9 @@ GROUPS = {
     "A6": (6, [[(1, 2, 3, 4, 5)], [(4, 5, 6)]]),
     "C7": (7, [[(1, 2, 3, 4, 5, 6, 7)]]),
     "C5": (5, [[(1, 2, 3, 4, 5)]]),
+    "D10": (5, [[(1, 2, 3, 4, 5)], [(2, 5), (3, 4)]]),
+    "7:3": (7, [[(1, 2, 3, 4, 5, 6, 7)], [(2, 3, 5), (4, 7, 6)]]),
+    "L2(7)": (7, [[(1, 2, 3, 4, 5, 6, 7)], [(1, 2), (3, 6)]]),
 }
 ORDERS = {"S3": 6, "A4": 12, "S4": 24, "A5": 60, "S5": 120}
 
@@ -334,3 +340,67 @@ def test_blocks_a4_p3_and_s4_p2():
     # S4 has a single 2-block of full defect
     assert b4.nblocks == 1
     assert b4.defects == (3,)
+
+
+# every prime dividing |G| for the computed tables, p = 2, 3, 5 for the CTB files
+BLOCK_PRIMES = {"S3": (2, 3), "A4": (2, 3), "S4": (2, 3), "A5": (2, 3, 5), "S5": (2, 3, 5), "A6": (2, 3, 5),
+                "D10": (2, 5), "7:3": (3, 7), "L2(7)": (2, 3, 7), "a5.ctb": (2, 3, 5), "s5.ctb": (2, 3, 5)}
+
+
+@lru_cache(maxsize=None)
+def block_table(name):
+    if name.endswith(".ctb"):
+        return cli.parse_table((Path(__file__).parents[1] / "bench" / "data" / name).read_text())
+    return ctab.ordinary_table(group(name))
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name, ps in BLOCK_PRIMES.items() for p in ps])
+def test_blocks_match_least_factor_oracle(name, p, monkeypatch):
+    """Reducing through the Conway generator gives the partition and defects
+    of the least-factor ideal, and builds the same fields."""
+    t = block_table(name)
+    got = []
+    for fn in (ctab.blocks, oracles.blocks_by_least_factor):
+        monkeypatch.setattr(gfla, "_field_mem", {})
+        b = fn(t, p)
+        got.append((b.blocks, b.defects, sorted(gfla._field_mem)))
+    assert got[0] == got[1]
+
+
+@st.composite
+def clifford_inputs(draw):
+    """A block with 1-6 rows and 1-5 columns, disjoint column pairs, disjoint
+    equal-degree row pairs, and the default or a random row plan."""
+    k, l = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    matrix = [draw(st.lists(st.integers(0, 2), min_size=l, max_size=l)) for _ in range(k)]
+    cols = draw(st.permutations(range(l)))
+    brauer = tuple((cols[2 * i], cols[2 * i + 1]) for i in range(draw(st.integers(0, l // 2))))
+    if draw(st.booleans()):  # every row invariant on the swapped pairs
+        for row in matrix:
+            for a, b in brauer:
+                row[b] = row[a]
+    degrees = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    rows = draw(st.permutations(range(k)))
+    ordinary = tuple((rows[2 * i], rows[2 * i + 1]) for i in range(draw(st.integers(0, k // 2))))
+    for a, b in ordinary:
+        degrees[b] = degrees[a]
+    col_degrees = draw(st.one_of(st.just(()), st.tuples(*[st.integers(1, 9)] * l)))
+    block = ctab.BlockDecomposition("B", 2, tuple(f"r{i}" for i in range(k)), tuple(degrees),
+                                    tuple(map(tuple, matrix)), col_degrees)
+    entry = st.one_of(st.tuples(st.just("ext"), st.integers(0, k - 1)),
+                      st.tuples(st.just("fuse"), st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+    plan = draw(st.one_of(st.none(), st.lists(entry, max_size=8).map(tuple)))
+    return block, brauer, ordinary, plan, draw(st.booleans())
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is the outcome
+        return type(exc)
+
+
+@settings(max_examples=400)
+@given(clifford_inputs())
+def test_clifford_matches_column_walk_oracle(args):
+    assert _outcome(ctab.clifford_index2, args) == _outcome(oracles.clifford_index2_by_columns, args)

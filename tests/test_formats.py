@@ -621,6 +621,23 @@ def test_src_has_no_unused_parameter():
     assert found == []
 
 
+def test_src_imports_only_at_module_level():
+    """An import inside a function hides a dependency and runs on every call;
+    only grp's `from .rep import Representation` stays local, because rep
+    imports grp."""
+    import ast
+
+    src = Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.relative_to(src)}:{fn.name}:{ast.unparse(n)}" for stmt in fn.body
+                          for n in ast.walk(stmt) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert found == ["grp.py:perm_rep:from .rep import Representation",
+                     "grp.py:regular_rep:from .rep import Representation"]
+
+
 def test_src_has_no_dead_store():
     """An assignment or augmented assignment to a local name that its function
     (nested functions included) never reads is dead code; loop targets, names

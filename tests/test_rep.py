@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from modchar import ctab, gfla, grp, rep
-from modchar.errors import NotInvariant, Undecided, ZeroModule
+from modchar.errors import GeneratorCountMismatch, NotInvariant, Undecided, ZeroModule
 
 sys.path.insert(0, os.path.dirname(__file__))
 import oracles  # noqa: E402
@@ -610,3 +610,24 @@ def test_iso_needs_the_seed_itself_to_generate():
         rep.iso(semi, proj, 1)
     with pytest.raises(Undecided):
         oracles.iso_standard_basis(semi, proj, 1)
+
+
+def test_word_evaluate_starts_each_term_at_its_first_generator(monkeypatch):
+    """One product per generator after the first of each term; an empty term
+    is the identity; an index out of range is refused wherever it stands."""
+    reg = grp.regular_rep(s3(), F4)
+    a, b = (g.arr for g in reg.gens)
+    word = rep.AlgebraWord(((2, (0, 1, 1)), (3, ()), (1, (1,))))
+    calls = []
+    matmul = gfla.FieldSpec.matmul
+    monkeypatch.setattr(gfla.FieldSpec, "matmul", lambda self, x, y: calls.append(1) or matmul(self, x, y))
+    got = word.evaluate(reg)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    abb = F4.matmul(F4.matmul(a, b), b)
+    want = F4.add(F4.add(F4.mul(np.int64(2), abb), F4.mul(np.int64(3), np.eye(6, dtype=np.int64))), b)
+    assert got == gfla.FqMatrix(F4, want)
+    assert rep.AlgebraWord(((1, ()),)).evaluate(reg) == gfla.FqMatrix.identity(F4, 6)
+    for idxs in ((2,), (0, 2), (1, 0, 5)):
+        with pytest.raises(GeneratorCountMismatch):
+            rep.AlgebraWord(((1, idxs),)).evaluate(reg)
