@@ -12,7 +12,7 @@ built and no table database is consulted.
 
 Blocks are the classes of equal central characters under the residue map
 zeta_e -> w^((p^m - 1)/e') into GF(p^m), w the Conway generator, which is the
-inverse of the Brauer lift (see `blocks`).  The decomposition data of an
+inverse of the Brauer lift (both through `gfla.root_of_unity`; see `blocks`).  The decomposition data of an
 index-2 extension are orbit sums of the group's rows and columns (see
 `clifford_index2`).
 """
@@ -38,7 +38,7 @@ from .errors import (
     NotInSpan,
     SelfCheckFailed,
 )
-from .gfla import field_make, is_prime
+from .gfla import field_make, is_prime, root_of_unity
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ def blocks(table: CharTable, p: int) -> BlockData:
 
     With e the conductor of the character values, e' its p'-part and m the
     order of p mod e', zeta_e maps to theta = w^((p^m - 1)/e') in GF(p^m), w
-    the Conway generator: the inverse of the map that
+    the Conway generator: gfla.root_of_unity, the one choice that
     cyclo.brauer_char_value lifts through.  theta is a primitive e'-th root
     of unity, so a root of Phi_e mod p, and every irreducible factor of Phi_e
     mod p has degree m.  Two such maps differ by zeta -> zeta^k with k a unit
@@ -320,12 +320,8 @@ def blocks(table: CharTable, p: int) -> BlockData:
     # not the group exponent: a class of large element order may carry only
     # rational values
     e = table.conductor()
-    e_p = e // p ** _nu(p, e)
-    m = 1
-    while (p**m - 1) % e_p:
-        m += 1
-    E = field_make(p, m)
-    theta = E.pow_el(E.omega, (E.q - 1) // e_p)
+    Fp = field_make(p)  # a p that is not a prime is refused before _nu(p, e)
+    E, theta = root_of_unity(Fp, e // p ** _nu(p, e))
     groups: dict[tuple, list[int]] = {}  # in the order of their first members
     for i, chi in enumerate(table.characters):
         deg = chi.degree.as_fraction()

@@ -45,7 +45,7 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .gfla import FIELD_CEILING, FqMatrix, FqPolynomial, char_poly, factorize, field_make, mat_mul
+from .gfla import FIELD_CEILING, FqMatrix, FqPolynomial, char_poly, factorize, mat_mul, root_of_unity
 
 
 @lru_cache(maxsize=None)
@@ -510,13 +510,8 @@ def brauer_char_value(element) -> Cyclotomic:
     order = matrix_order(mat)
     if order % p == 0:
         raise PRegularViolation(f"element order {order} divisible by {p}")
-    # minimal extension with order | p^m - 1 and containing GF(q)
-    m = F.k
-    while (p**m - 1) % order:
-        m += F.k
-    ext = field_make(p, m)
+    ext, step = root_of_unity(F, order)
     poly = FqPolynomial(ext, F.embed_into(ext)[list(cp.coeffs)].tolist())
-    step = ext.pow_el(ext.omega, (ext.q - 1) // order)
     counts = [0] * order
     root = 1
     for j in range(order):

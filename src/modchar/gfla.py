@@ -463,6 +463,23 @@ def field_make(p: int, k: int = 1) -> FieldSpec:
     return _field_mem[key]
 
 
+def root_of_unity(F: FieldSpec, e: int) -> tuple[FieldSpec, int]:
+    """The least extension E = GF(p^m) of F with e | p^m - 1, and the
+    primitive e-th root of unity w^((p^m - 1)/e) in it, w the Conway
+    generator of E.
+
+    This is the one choice of zeta_e in characteristic p:
+    cyclo.brauer_char_value lifts eigenvalues through it and ctab.blocks
+    reduces central characters through it.  e must be prime to p.  The
+    search stops at FIELD_CEILING, where field_make raises FieldTooLarge.
+    """
+    p, m = F.p, F.k
+    while (p**m - 1) % e and p**m <= FIELD_CEILING:
+        m += F.k
+    E = field_make(p, m)
+    return E, E.pow_el(E.omega, (E.q - 1) // e)
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------

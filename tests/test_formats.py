@@ -316,6 +316,38 @@ def test_ctab_blocks_on_a_large_element_order_is_fast(tmp_path):
     assert time.perf_counter() - t0 < 1
 
 
+A4_CTB = """CTB order=12 classes=4 p=0
+1 1 1a 1
+3 2 2a 1
+4 3 3a 1
+4 3 3b 1
+chi1 1 1 1 1 1
+chi2 1 1 1 cyc(3)[0,1] cyc(3)[0,0,1]
+chi3 1 1 1 cyc(3)[0,0,1] cyc(3)[0,1]
+chi4 3 3 -1 0 0
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctab", "blocks"], ["ctab", "blocks", "-p", "0"], ["ctab", "blocks", "-p", "1"], ["ctab", "blocks", "-p", "6"],
+    ["ctab", "blocks", "-p", "9"], ["ctab", "blocks", "-p", "-3"], ["ctab", "heights", "-p", "6"],
+    ["ctab", "project", "-p", "1"],
+])
+def test_ctab_blocks_refuses_a_characteristic_that_is_not_prime(tmp_path, argv):
+    """p = 0 (the default of -p), 1, or a non-prime sharing a factor with the
+    conductor 3 of A4's values is a typed error before the p'-part of the
+    conductor or the order of p modulo it is sought (a ZeroDivisionError or
+    an endless loop otherwise)."""
+    path = tmp_path / "a4.ctb"
+    path.write_text(A4_CTB)
+    assert run_main([*argv, "--table", path]) == 2
+    assert run_main(["ctab", "blocks", "--table", path, "-p", "3"]) == 0
+
+
+def test_dxm_projs_refuses_the_default_characteristic():
+    assert run_main(["dxm", "projs", "--gens", GOLDEN / "s4.prm"]) == 2
+
+
 FIXTURE_FAULTS = [
     "coldegrees x", "colpairs 1", "colpairs 1:x", "FIXTURE", "kind", "sline", "row : 1 2", "row a 1 2", "bogus 1",
 ]

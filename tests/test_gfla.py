@@ -146,6 +146,21 @@ def test_field_errors():
         gfla.field_make(2, 17)
 
 
+@pytest.mark.parametrize("p,k,e", [(2, 1, 1), (2, 1, 3), (2, 1, 7), (2, 2, 5), (3, 1, 4), (3, 2, 5), (5, 1, 3), (7, 1, 9)])
+def test_root_of_unity_is_primitive_in_the_least_extension(p, k, e):
+    E, zeta = gfla.root_of_unity(gfla.field_make(p, k), e)
+    assert E.k % k == 0 and (E.q - 1) % e == 0
+    assert all((p**m - 1) % e for m in range(k, E.k, k))
+    assert E.element_order(zeta) == e
+    assert zeta == E.pow_el(E.omega, (E.q - 1) // e)
+
+
+def test_root_of_unity_stops_at_the_field_ceiling():
+    # 2 has order 99990 mod 99991: the search ends at the ceiling, not there
+    with pytest.raises(FieldTooLarge):
+        gfla.root_of_unity(gfla.field_make(2), 99991)
+
+
 def test_omega_has_full_order():
     for (p, k) in [(2, 2), (3, 2), (2, 3), (5, 1), (7, 1)]:
         F = gfla.field_make(p, k)
