@@ -574,18 +574,18 @@ def _clifford_plan(src, dst):
     """Row plan and fused pairs read off a target fixture's source column."""
     plan = []
     pairs = []
-    seen = set()
     for extra in dst.row_extra:
-        token = extra[0]
-        if "+" in token:
-            a, b = token.split("+")
-            pr = (src.row_labels.index(a), src.row_labels.index(b))
-            if pr not in seen:
-                seen.add(pr)
-                pairs.append(pr)
-            plan.append(("fuse", pr))
+        token = extra[0] if extra else ""
+        labels = token.split("+")
+        if len(labels) > 2 or not set(labels) <= set(src.row_labels):
+            raise FormatError(f"target row source {token!r} is not one or two source row labels joined by '+'")
+        rows = tuple(src.row_labels.index(lbl) for lbl in labels)
+        if len(rows) == 2:
+            if rows not in pairs:
+                pairs.append(rows)
+            plan.append(("fuse", rows))
         else:
-            plan.append(("ext", src.row_labels.index(token)))
+            plan.append(("ext", rows[0]))
     return tuple(pairs), tuple(plan)
 
 
@@ -693,10 +693,9 @@ def cmd_dxm(args, outputs):
 
 def _state_from_projbasis(fx, ncols=None):
     ncols = ncols if ncols is not None else fx.l
-    if fx.indecomposable:
-        flags = [bool(f) for f in fx.indecomposable[:ncols]]
-    else:
-        flags = [False] * ncols
+    if 0 < len(fx.indecomposable) < ncols:
+        raise FormatError(f"fixture {fx.name}: indecomposable flags {len(fx.indecomposable)} of {ncols} columns")
+    flags = fx.indecomposable or (False,) * ncols
     # an explicit regular/product column (flag '-') is data, not basic set
     keep = [j for j in range(ncols) if j < len(fx.col_labels)]
     cols = tuple(

@@ -6,9 +6,11 @@ it, then chop S (x) T for each new simple S and each non-trivial factor T of
 the natural module, until there are as many simples as regular classes.  The
 ordinary table is the Brauer table at an auxiliary prime r with r = 1 mod
 exp(G) (so reduction mod r is faithful on characters and the lifts are the
-ordinary values); the p-modular table is the same closure over GF(p^2) with
-the eigenvalues lifted on the p-regular classes.  The regular module is never
-built and no table database is consulted.
+ordinary values); the p-modular table is the same closure over GF(p^m), m
+the least even number for which every p-regular class is closed under
+g -> g^(p^m) (so GF(p^m) splits the group), with the eigenvalues lifted on
+the p-regular classes.  The regular module is never built and no table
+database is consulted.
 
 Blocks are the classes of equal central characters under the residue map
 zeta_e -> w^((p^m - 1)/e') into GF(p^m), w the Conway generator, which is the
@@ -116,7 +118,7 @@ def _tensor_closure(g: _grp.PermGroup, F, count: int, seed: int) -> list:
     hence of some S (x) T with S found before and T a non-trivial factor of
     the natural module.  Each new simple is tensored in first-in first-out
     order; the search stops once `count` simples are known or none is left to
-    tensor.
+    tensor, and raises SelfCheckFailed when it found fewer.
     """
     natural = [s for s, _m in _rep.chop(_grp.perm_rep(g, F), seed)]
     movers = [t for t in natural if not _is_trivial(t)]
@@ -131,6 +133,8 @@ def _tensor_closure(g: _grp.PermGroup, F, count: int, seed: int) -> list:
                     queue.append(f)
             if len(simples) >= count:
                 break
+    if len(simples) < count:
+        raise SelfCheckFailed(f"the tensor closure found {len(simples)} simple modules, not {count}")
     return simples
 
 
@@ -176,15 +180,28 @@ def ordinary_table(g: _grp.PermGroup, seed: int = 1) -> CharTable:
     return table
 
 
+def _splitting_degree(cls: _grp.ClassData, p: int) -> int:
+    """The least even m such that every p-regular class is closed under
+    g -> g^(p^m).  GF(p^m) then has as many simple modules as p-regular
+    classes (Berman), so it splits the group."""
+    regular = [i for i, ok in enumerate(cls.p_regular(p)) if ok]
+    m = 2
+    while any(cls.class_of[_grp.perm_pow(cls.reps[i], pow(p, m, cls.orders[i]))] != i for i in regular):
+        m += 2
+    return m
+
+
 def brauer_data(g: _grp.PermGroup, p: int, seed: int = 1):
     """(CharTable, simple modules) at p, aligned index by index.
 
-    The simples are the tensor closure of the natural module over GF(p^2),
-    stopped at as many simples as p-regular classes; their Brauer characters
-    are the lifted eigenvalue sums on the p-regular classes.
+    The simples are the tensor closure of the natural module over the
+    splitting field GF(p^m) of `_splitting_degree`, stopped at as many simples
+    as p-regular classes; their Brauer characters are the lifted eigenvalue
+    sums on the p-regular classes.
     """
     cls = _grp.conjugacy_classes(g, p)
-    simples = _tensor_closure(g, field_make(p, 2), sum(cls.p_regular(p)), seed)
+    F = field_make(p, _splitting_degree(cls, p))
+    simples = _tensor_closure(g, F, sum(cls.p_regular(p)), seed)
     classes, chars, simples = _lift_table(g, cls, simples, p=p)
     table = CharTable(g.order, classes, tuple(chars), p, dict(cls.power_maps))
     return table, tuple(simples)
@@ -192,7 +209,7 @@ def brauer_data(g: _grp.PermGroup, p: int, seed: int = 1):
 
 def brauer_table(g: _grp.PermGroup, p: int, seed: int = 1) -> CharTable:
     """Irreducible Brauer characters at p, from the tensor closure of the
-    natural module over GF(p^2) (see brauer_data)."""
+    natural module over a splitting field (see brauer_data)."""
     return brauer_data(g, p, seed)[0]
 
 
@@ -437,6 +454,14 @@ class BlockDecomposition:
         return self.matrix[i]
 
 
+def _check_orbits(orbits, n: int, what: str):
+    """ActionNotInvolution unless the orbits are disjoint sets of distinct
+    indices in 0..n-1."""
+    members = [x for orbit in orbits for x in orbit]
+    if len(set(members)) < len(members) or not all(0 <= x < n for x in members):
+        raise ActionNotInvolution(f"{what} must be disjoint, with distinct members in 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class CliffordResult:
     blocks: tuple[BlockDecomposition, ...]
@@ -475,15 +500,31 @@ def clifford_index2(
     morita_split handles the odd-p case in which the whole block is invariant
     and the extension splits into two blocks Morita equivalent to the input:
     the result then carries two copies of the input matrix.
+
+    Raises ActionNotInvolution unless the column pairs, the row pairs and the
+    rows of each plan entry are disjoint sets of distinct indices inside the
+    block.
     """
-    for a, b in brauer_pairs:
-        if a == b:
-            raise ActionNotInvolution("column pair must have distinct members")
+    _check_orbits(brauer_pairs, g_block.l, "column pairs")
+    _check_orbits(ordinary_pairs, g_block.k, "row pairs")
     for a, b in ordinary_pairs:
-        if a == b:
-            raise ActionNotInvolution("row pair must have distinct members")
         if g_block.row_degrees[a] != g_block.row_degrees[b]:
             raise FusionDegreeMismatch("swapped ordinary characters must share a degree")
+    if row_plan is None:
+        swapped = {r for pr in ordinary_pairs for r in pr}
+        row_plan = tuple(
+            ("ext", i) for i in range(g_block.k) if i not in swapped for _ in (0, 1)
+        ) + tuple(("fuse", pr) for pr in ordinary_pairs)
+    sources = []
+    for kind, payload in row_plan:
+        if kind == "ext":
+            sources.append((payload,))
+        elif kind == "fuse":
+            r1, r2 = payload
+            sources.append((r1, r2))
+        else:
+            raise ValueError(f"unknown row plan entry {kind!r}")
+        _check_orbits(sources[-1:], g_block.k, f"the rows of a {kind!r} entry")
     if morita_split:
         if brauer_pairs or ordinary_pairs:
             raise FusionDegreeMismatch("a Morita-split cover has no fused pairs")
@@ -492,26 +533,15 @@ def clifford_index2(
     pair_of = {j: pr for pr in brauer_pairs for j in pr}
     cols = [pair_of.get(j, (j,)) for j in range(g_block.l)]
     cols = [pr for j, pr in enumerate(cols) if pr[0] == j]
-    if row_plan is None:
-        swapped = {r for pr in ordinary_pairs for r in pr}
-        row_plan = tuple(
-            ("ext", i) for i in range(g_block.k) if i not in swapped for _ in (0, 1)
-        ) + tuple(("fuse", pr) for pr in ordinary_pairs)
     m = g_block.matrix
     rows, labels, degrees = [], [], []
-    for kind, payload in row_plan:
-        if kind == "ext":
-            src = (payload,)
+    for src in sources:
+        if len(src) == 1:  # an invariant row extends, so it is equal on each swapped pair
             for pr in cols:
-                if len(pr) == 2 and m[payload][pr[0]] != m[payload][pr[1]]:
+                if len(pr) == 2 and m[src[0]][pr[0]] != m[src[0]][pr[1]]:
                     raise FusionDegreeMismatch(
-                        f"invariant row {payload} differs on the swapped column pair {pr}"
+                        f"invariant row {src[0]} differs on the swapped column pair {pr}"
                     )
-        elif kind == "fuse":
-            r1, r2 = payload
-            src = (r1, r2)
-        else:
-            raise ValueError(f"unknown row plan entry {kind!r}")
         rows.append(tuple(sum(m[r][c[0]] for r in src) for c in cols))
         labels.append("+".join(g_block.row_labels[r] for r in src))
         degrees.append(sum(g_block.row_degrees[r] for r in src))

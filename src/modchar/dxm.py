@@ -6,6 +6,12 @@ solving is exact rational arithmetic.  The engine covers projective-character
 generation, Gram-equation solving (D^T D = C), Fitting matching, basic-set
 refinement, candidate enumeration/elimination, virtual atoms, the
 semidihedral order-16 sign analysis, and a final verification gate.
+
+Fitting matching eliminates its system once, as [M | I], and reads every
+implied column off the result; the semidihedral expansions come from one
+table of four relations (SD16_RELATIONS), solved outward from the basic
+character; candidates are the refinements t = 0, 1, ... of each open column
+by each indecomposable one while they stay nonnegative.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 
 from . import ctab as _ctab
 from .cyclo import rref_rational, solve_rational
@@ -34,6 +40,7 @@ from .errors import (
 Vec = tuple[Fraction, ...]
 
 CANDIDATE_CAP = 10**6
+FITTING_CAP = 10**4  # bound on the bijections fitting_match lists
 DTD_CAP = 2**20  # bound on the Cartan diagonal and on the row count of dtd_solve
 
 
@@ -48,6 +55,14 @@ def _vsub(a: Vec, b: Vec) -> Vec:
 def _vscale(c, a: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * x for x in a)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _nonnegative(v: Vec) -> bool:
+    return all(x >= 0 for x in v)
 
 
 def solve_exact(columns: list[Vec], target: Vec):
@@ -130,9 +145,7 @@ def projectives_from_products(table, block_data, block_index, extra_induced=()):
 
     def push(name, vector):
         reduced = list(vector)
-        g = 0
-        for c in reduced:
-            g = gcd(g, c)
+        g = gcd(*reduced)
         if g > 1:
             reduced = [c // g for c in reduced]
             name = f"({name})/{g}"
@@ -310,8 +323,15 @@ def fitting_match(state: DecompState, problem: FittingProblem):
     every implied projective-indecomposable column decomposes integrally (with
     nonnegative entries at the unmet ordinaries) in the projective basic set.
 
+    The basic columns and -e_u for each unmet ordinary u are the columns of a
+    k x n matrix M, which must have rank n.  One elimination of [M | I_k]
+    gives the RREF [I_n | P] above [0 | Q]: M x = b is solvable exactly when
+    Q b = 0, and then x = P b.
+
     Returns (assignments, columns) where each assignment maps E-row index to
     block row index and columns are the implied indecomposable projectives.
+    Raises TooLarge, before listing any permutation, when there are more than
+    FITTING_CAP degree-preserving bijections.
     """
     k = state.k
     erows = len(problem.e_row_degrees)
@@ -321,8 +341,7 @@ def fitting_match(state: DecompState, problem: FittingProblem):
         raise NoAdmissibleMatching("row counts disagree with the regular character")
     pinned = dict(problem.pinned)
     groups: dict[int, tuple[list[int], list[int]]] = {}
-    for er in range(erows):
-        d = problem.e_row_degrees[er]
+    for er, d in enumerate(problem.e_row_degrees):
         groups.setdefault(d, ([], []))[0].append(er)
     for i in met:
         d = problem.regular_multiplicities[i]
@@ -332,66 +351,40 @@ def fitting_match(state: DecompState, problem: FittingProblem):
     for d, (a, b) in groups.items():
         if len(a) != len(b):
             raise NoAdmissibleMatching(f"degree multiset mismatch at {d}")
+    if prod(factorial(len(es)) for es, _bs in groups.values()) > FITTING_CAP:
+        raise TooLarge(f"more than {FITTING_CAP} degree-preserving bijections")
     basics = state.basic_matrix()
-    unknown_cols = []
-    for u in unmet:
-        ev = [Fraction(0)] * k
-        ev[u] = Fraction(-1)
-        unknown_cols.append(tuple(ev))
-    full = basics + unknown_cols
-    if len(rref_rational([[col[i] for col in full] for i in range(k)], len(full))) < len(full):
+    full = basics + [tuple(Fraction(-(i == u)) for i in range(k)) for u in unmet]
+    n = len(full)
+    A = [[col[i] for col in full] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    if len(rref_rational(A, n)) < n:
         raise NoAdmissibleMatching("unmet ordinaries are not determined by the basic set")
+    P, Q = [row[n:] for row in A[:n]], [row[n:] for row in A[n:]]
+    per_group = [
+        [tuple(zip(es, pb)) for pb in itertools.permutations(bs) if all(pinned.get(e, b) == b for e, b in zip(es, pb))]
+        for _d, (es, bs) in sorted(groups.items())
+    ]
     survivors = []
-    group_items = sorted(groups.items())
-
-    def bijections():
-        per_group = []
-        for d, (es, bs) in group_items:
-            perms = []
-            for pb in itertools.permutations(bs):
-                ok = True
-                for e, b in zip(es, pb):
-                    if e in pinned and pinned[e] != b:
-                        ok = False
-                        break
-                if ok:
-                    perms.append(tuple(zip(es, pb)))
-            per_group.append(perms)
-        for combo in itertools.product(*per_group):
-            m = {}
-            for pairs in combo:
-                for e, b in pairs:
-                    m[e] = b
-            yield m
-
-    ncols = len(problem.e_decomposition[0]) if problem.e_decomposition else 0
-    for assignment in bijections():
+    for combo in itertools.product(*per_group):
+        assignment = dict(itertools.chain.from_iterable(combo))
         cols = []
-        ok = True
-        for cj in range(ncols):
-            base = [Fraction(0)] * k
-            for er in range(erows):
-                base[assignment[er]] = Fraction(problem.e_decomposition[er][cj])
-            # unknown entries at unmet ordinaries: solve for them inside the
-            # rational span of the basic set, then demand integrality
-            sol = solve_exact(full, tuple(base))
-            if sol is None:
-                ok = False
+        for ecol in zip(*problem.e_decomposition):
+            column = [Fraction(0)] * k
+            for er, i in assignment.items():
+                column[i] = Fraction(ecol[er])
+            # the entries at unmet ordinaries are unknowns, solved inside the
+            # rational span of the basic set; all must come out integral
+            if any(_dot(row, column) for row in Q):
                 break
-            coeffs = sol[: len(basics)]
-            fills = sol[len(basics) :]
-            if any(c.denominator != 1 for c in coeffs):
-                ok = False
+            sol = [_dot(row, column) for row in P]
+            fills = sol[len(basics):]
+            if any(c.denominator != 1 for c in sol) or any(f < 0 for f in fills):
                 break
-            if any(f.denominator != 1 or f < 0 for f in fills):
-                ok = False
-                break
-            column = list(base)
             for u, f in zip(unmet, fills):
                 column[u] = f
-            cols.append(_vec(column))
-        if ok:
-            survivors.append((dict(assignment), cols))
+            cols.append(tuple(column))
+        else:
+            survivors.append((assignment, cols))
     if not survivors:
         raise NoAdmissibleMatching("no bijection passes the integrality filter")
     return survivors
@@ -446,50 +439,31 @@ def refine_by_relation(state: DecompState, name: str, psi_new: Vec) -> DecompSta
 def enumerate_candidates(state: DecompState) -> DecompState:
     """All decompositions refining each non-indecomposable basic column by
     subtracting nonnegative multiples of the indecomposable columns, subject
-    to nonnegativity of the full implied matrix."""
-    k = state.k
-    indec = [j for j, c in enumerate(state.proj_basic) if c.indecomposable]
+    to nonnegativity of the full implied matrix.  Raises Infeasible when an
+    indecomposable column has no positive entry (it could be subtracted
+    without end) or when the candidates would exceed CANDIDATE_CAP."""
+    indec = [c.coeffs for c in state.proj_basic if c.indecomposable]
+    if not all(any(x > 0 for x in col) for col in indec):
+        raise Infeasible("an indecomposable column has no positive entry")
     open_cols = [j for j, c in enumerate(state.proj_basic) if not c.indecomposable]
-    options_per_col: list[list[Vec]] = []
+    options_per_col = []
     for j in open_cols:
-        base = state.proj_basic[j].coeffs
-        options: list[Vec] = []
-
-        def rec(idx, current):
-            if idx == len(indec):
-                options.append(tuple(current))
-                return
-            jj = indec[idx]
-            col = state.proj_basic[jj].coeffs
-            t = 0
-            while True:
-                cand = _vsub(current, _vscale(t, col))
-                if any(x < 0 for x in cand):
-                    break
-                rec(idx + 1, cand)
-                t += 1
-
-        rec(0, base)
+        options = [state.proj_basic[j].coeffs]
+        for col in indec:
+            options = [
+                cand for v in options
+                for cand in itertools.takewhile(_nonnegative, (_vsub(v, _vscale(t, col)) for t in itertools.count()))
+            ]
         options_per_col.append(options)
-    total = 1
-    for o in options_per_col:
-        total *= len(o)
-        if total > CANDIDATE_CAP:
-            raise Infeasible(f"candidate count exceeds the cap {CANDIDATE_CAP}")
-    candidates = []
+    if prod(len(o) for o in options_per_col) > CANDIDATE_CAP:
+        raise Infeasible(f"candidate count exceeds the cap {CANDIDATE_CAP}")
+    candidates = set()
     for combo in itertools.product(*options_per_col):
-        matrix = []
-        cols = {}
-        for pos, j in enumerate(open_cols):
-            cols[j] = combo[pos]
-        full_cols = []
-        for j, c in enumerate(state.proj_basic):
-            full_cols.append(cols.get(j, c.coeffs))
-        for i in range(k):
-            matrix.append(tuple(int(full_cols[j][i]) for j in range(state.l)))
-        candidates.append(tuple(matrix))
-    candidates = sorted(set(candidates))
-    return replace(state, candidates=tuple(candidates)).with_log(
+        chosen = dict(zip(open_cols, combo))
+        cols = [chosen.get(j, c.coeffs) for j, c in enumerate(state.proj_basic)]
+        # the rows of D; range(k) keeps k empty rows when there are no columns
+        candidates.add(tuple(tuple(int(x) for x in row) for _i, *row in zip(range(state.k), *cols)))
+    return replace(state, candidates=tuple(sorted(candidates))).with_log(
         f"enumerated {len(candidates)} candidates"
     )
 
@@ -498,9 +472,7 @@ def candidate_brauer_degrees(state: DecompState, candidate) -> list[Fraction]:
     """Degrees of the irreducible Brauer characters implied by a candidate
     matrix: solve (bold rows of D) . degrees = bold ordinary degrees."""
     idx = list(state.brauer_basic)
-    cols = [
-        _vec([candidate[i][j] for i in idx]) for j in range(state.l)
-    ]
+    cols = [_vec(candidate[i][j] for i in idx) for j in range(state.l)]
     target = _vec([state.row_degrees[i] for i in idx])
     sol = solve_exact(cols, target)
     if sol is None:
@@ -508,33 +480,30 @@ def candidate_brauer_degrees(state: DecompState, candidate) -> list[Fraction]:
     return sol
 
 
+def _keep_candidates(state: DecompState, keep, what: str, none_left: str) -> DecompState:
+    """The candidates whose implied Brauer degrees pass `keep`; AllEliminated
+    when none does."""
+    kept = tuple(c for c in state.candidates if keep(candidate_brauer_degrees(state, c)))
+    if not kept:
+        raise AllEliminated(none_left)
+    return replace(state, candidates=kept).with_log(f"{what}: {len(state.candidates)} -> {len(kept)}")
+
+
 def eliminate_by_atom(state: DecompState, atom_degree: int, position: int) -> DecompState:
     """Keep candidates whose implied Brauer degree at `position` is at least
     the atom degree (the atom is a certified lower bound)."""
     if atom_degree == 0 or not state.candidates:
         return state.with_log("atom degree 0: no elimination")
-    kept = []
-    for cand in state.candidates:
-        degs = candidate_brauer_degrees(state, cand)
-        if degs[position] >= atom_degree:
-            kept.append(cand)
-    if not kept:
-        raise AllEliminated("every candidate contradicts the atom bound")
-    msg = f"atom of degree {atom_degree} at column {position}: {len(state.candidates)} -> {len(kept)}"
-    return replace(state, candidates=tuple(kept)).with_log(msg)
+    return _keep_candidates(state, lambda degs: degs[position] >= atom_degree,
+                            f"atom of degree {atom_degree} at column {position}",
+                            "every candidate contradicts the atom bound")
 
 
 def import_known_brauer(state: DecompState, known: dict[int, int]) -> DecompState:
     """Keep candidates whose implied degrees match the known ones exactly."""
-    kept = []
-    for cand in state.candidates:
-        degs = candidate_brauer_degrees(state, cand)
-        if all(degs[j] == d for j, d in known.items()):
-            kept.append(cand)
-    if not kept:
-        raise AllEliminated("no candidate matches the known Brauer degrees")
-    msg = f"imported known degrees {sorted(known.items())}: {len(state.candidates)} -> {len(kept)}"
-    return replace(state, candidates=tuple(kept)).with_log(msg)
+    return _keep_candidates(state, lambda degs: all(degs[j] == d for j, d in known.items()),
+                            f"imported known degrees {sorted(known.items())}",
+                            "no candidate matches the known Brauer degrees")
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +547,14 @@ SD16_SIGN_CASES = (
     (-1, 1, -1, 1),
     (1, 1, -1, 1),
 )
+# the degree relations c_a x_a + c_b x_b = rhs, c = sign * delta, rhs over
+# (chi_b', chi*', chi^'): (1) + (3) = (2) + (4), so any three imply the fourth
+SD16_RELATIONS = (
+    ((0, 1), (1, 1), (0, 1, 0)),
+    ((1, 1), (3, 1), (0, 0, 1)),
+    ((0, -1), (2, -1), (0, 0, 1)),
+    ((2, -1), (3, -1), (0, 1, 0)),
+)
 
 
 @dataclass(frozen=True)
@@ -606,7 +583,7 @@ class SD16Result:
 def sd16_analyze(inst: SD16Instance) -> SD16Result:
     """Resolve the sign case from the degree relations and emit the matrix.
 
-    Relations: d1 x1 + d2 x2 = x* = -d3 x3 - d4 x4 and
+    Relations (SD16_RELATIONS): d1 x1 + d2 x2 = x* = -d3 x3 - d4 x4 and
                d2 x2 + d4 x4 = x^ = -d1 x1 - d3 x3   (on restrictions).
     Solutions come in pairs under x1 <-> x4, x2 <-> x3 with negated signs;
     the canonical representative is the one inside the four listed cases,
@@ -621,18 +598,11 @@ def sd16_analyze(inst: SD16Instance) -> SD16Result:
     hat_deg = h2[0][1]
     found = []
     for case_idx, deltas in enumerate(SD16_SIGN_CASES):
-        d1, d2, d3, d4 = deltas
         for perm in itertools.permutations(range(4)):
             degs = [h0[i][1] for i in perm]
-            if d1 * degs[0] + d2 * degs[1] != star_deg:
-                continue
-            if -d3 * degs[2] - d4 * degs[3] != star_deg:
-                continue
-            if d2 * degs[1] + d4 * degs[3] != hat_deg:
-                continue
-            if -d1 * degs[0] - d3 * degs[2] != hat_deg:
-                continue
-            found.append((case_idx, perm))
+            if all(sa * deltas[a] * degs[a] + sb * deltas[b] * degs[b] == _dot(rhs, (0, star_deg, hat_deg))
+                   for (a, sa), (b, sb), rhs in SD16_RELATIONS):
+                found.append((case_idx, perm))
     if not found:
         raise NoConsistentSigns("no sign case satisfies the degree relations")
     # quotient by the symmetry (1<->4, 2<->3 with negated deltas)
@@ -655,36 +625,17 @@ def sd16_analyze(inst: SD16Instance) -> SD16Result:
     labeling = tuple(h0[i][0] for i in perm)
     # basic set member: least-degree height-0 character (call it chi_b)
     bpos = min(range(4), key=lambda i: h0[perm[i]][1])
-    d1, d2, d3, d4 = deltas
-
-    def combo(scale, vec, scale2=0, vec2=(0, 0, 0)):
-        return tuple(scale * a + scale2 * b for a, b in zip(vec, vec2))
-
-    star = (0, 1, 0)
-    hat = (0, 0, 1)
-    # expansions over (chi_b', chi*', chi^'), derived from
-    # d1 x1 + d2 x2 = star; d2 x2 + d4 x4 = hat; -d1 x1 - d3 x3 = hat; etc.
+    # expansions over (chi_b', chi*', chi^'), outward from chi_b: a relation
+    # with x_s known gives x_t = c_t (rhs - c_s x_s), as c_t = +-1
     vecs = {bpos: (1, 0, 0)}
-    for _ in range(4):
-        for i in range(4):
-            if i in vecs:
-                continue
-            if i == 0 and 1 in vecs:
-                vecs[0] = combo(d1, star, -d1 * d2, vecs[1])
-            elif i == 1 and 0 in vecs:
-                vecs[1] = combo(d2, star, -d1 * d2, vecs[0])
-            elif i == 3 and 1 in vecs:
-                vecs[3] = combo(d4, hat, -d2 * d4, vecs[1])
-            elif i == 1 and 3 in vecs:
-                vecs[1] = combo(d2, hat, -d2 * d4, vecs[3])
-            elif i == 2 and 0 in vecs:
-                vecs[2] = combo(-d3, hat, -d1 * d3, vecs[0])
-            elif i == 0 and 2 in vecs:
-                vecs[0] = combo(-d1, hat, -d1 * d3, vecs[2])
-            elif i == 2 and 3 in vecs:
-                vecs[2] = combo(-d3, star, -d3 * d4, vecs[3])
-            elif i == 3 and 2 in vecs:
-                vecs[3] = combo(-d4, star, -d3 * d4, vecs[2])
+    solved = [bpos]
+    for s in solved:
+        for *ends, rhs in SD16_RELATIONS:
+            for (i, si), (t, st) in itertools.permutations(ends):
+                if i == s and t not in vecs:
+                    cs, ct = si * deltas[s], st * deltas[t]
+                    vecs[t] = tuple(ct * (r - cs * x) for r, x in zip(rhs, vecs[s]))
+                    solved.append(t)
     rows = []
     for lbl, deg, h in inst.chars:
         if h == 1:

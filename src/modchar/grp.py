@@ -36,6 +36,13 @@ def perm_inv(a: Perm) -> Perm:
     return tuple(out)
 
 
+def perm_pow(a: Perm, e: int) -> Perm:
+    x = perm_identity(len(a))
+    for _ in range(e):
+        x = perm_mul(x, a)
+    return x
+
+
 def perm_order(a: Perm) -> int:
     n = len(a)
     seen = [False] * n
@@ -195,15 +202,7 @@ def conjugacy_classes(g: PermGroup, p: int | None = None) -> ClassData:
     orders = tuple(order_of[i] for i in perm_order_key)
     renumber = {old: new for new, old in enumerate(perm_order_key)}
     class_of = {x: renumber[ci] for x, ci in assigned.items()}
-    power_maps: dict[int, tuple[int, ...]] = {}
-    for prime in factorize(g.order):
-        pm = []
-        for r in reps:
-            x = perm_identity(g.degree)
-            for _ in range(prime):
-                x = perm_mul(x, r)
-            pm.append(class_of[x])
-        power_maps[prime] = tuple(pm)
+    power_maps = {prime: tuple(class_of[perm_pow(r, prime)] for r in reps) for prime in factorize(g.order)}
     return ClassData(g, reps, sizes, orders, class_of, power_maps, p)
 
 

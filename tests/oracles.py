@@ -39,7 +39,12 @@ the maximal ideal of the lexicographically least irreducible factor of Phi_e
 mod p at the least root of that factor, found by factoring; and
 `clifford_index2_by_columns` the earlier index-2 Clifford builder, which walks
 the column order once per row, in one branch per row kind, and once more for
-the column degrees.
+the column degrees.  `fitting_match_by_solves` is the earlier Fitting
+matching, one rational solve per bijection and column;
+`sd16_by_branches` the earlier semidihedral analysis, which solved its four
+relations in an unrolled loop of eight branches; and
+`enumerate_candidates_recursive` the earlier candidate search, a recursion
+over the indecomposable columns.
 """
 
 from __future__ import annotations
@@ -53,15 +58,18 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from modchar import ctab, grp, rep
-from modchar.cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi, matrix_order, solve_rational
+from modchar import ctab, dxm, grp, rep
+from modchar.cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi, matrix_order, rref_rational, solve_rational
 from modchar.errors import (
     ActionNotInvolution,
+    AmbiguousCase,
     FormatError,
     FusionDegreeMismatch,
     GeneratorCountMismatch,
     IdealChoiceFailure,
     Infeasible,
+    NoAdmissibleMatching,
+    NoConsistentSigns,
     NonIntegral,
     SelfCheckFailed,
     Undecided,
@@ -1027,3 +1035,219 @@ def clifford_index2_by_columns(g_block, brauer_pairs, ordinary_pairs, row_plan=N
         col_degrees=tuple(col_degs),
     )
     return ctab.CliffordResult((result,))
+
+
+def fitting_match_by_solves(state, problem):
+    """The earlier `dxm.fitting_match`: the bijections from a generator, and
+    one rational solve of the basic set plus the unmet unit columns per
+    bijection and E-column."""
+    k = state.k
+    erows = len(problem.e_row_degrees)
+    met = [i for i in range(k) if problem.regular_multiplicities[i]]
+    unmet = [i for i in range(k) if not problem.regular_multiplicities[i]]
+    if len(met) != erows:
+        raise NoAdmissibleMatching("row counts disagree with the regular character")
+    pinned = dict(problem.pinned)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for er in range(erows):
+        d = problem.e_row_degrees[er]
+        groups.setdefault(d, ([], []))[0].append(er)
+    for i in met:
+        d = problem.regular_multiplicities[i]
+        if d not in groups:
+            raise NoAdmissibleMatching(f"no E-row of degree {d}")
+        groups[d][1].append(i)
+    for d, (a, b) in groups.items():
+        if len(a) != len(b):
+            raise NoAdmissibleMatching(f"degree multiset mismatch at {d}")
+    basics = state.basic_matrix()
+    unknown_cols = []
+    for u in unmet:
+        ev = [Fraction(0)] * k
+        ev[u] = Fraction(-1)
+        unknown_cols.append(tuple(ev))
+    full = basics + unknown_cols
+    if len(rref_rational([[col[i] for col in full] for i in range(k)], len(full))) < len(full):
+        raise NoAdmissibleMatching("unmet ordinaries are not determined by the basic set")
+    survivors = []
+    group_items = sorted(groups.items())
+
+    def bijections():
+        per_group = []
+        for d, (es, bs) in group_items:
+            perms = []
+            for pb in itertools.permutations(bs):
+                ok = True
+                for e, b in zip(es, pb):
+                    if e in pinned and pinned[e] != b:
+                        ok = False
+                        break
+                if ok:
+                    perms.append(tuple(zip(es, pb)))
+            per_group.append(perms)
+        for combo in itertools.product(*per_group):
+            m = {}
+            for pairs in combo:
+                for e, b in pairs:
+                    m[e] = b
+            yield m
+
+    ncols = len(problem.e_decomposition[0]) if problem.e_decomposition else 0
+    for assignment in bijections():
+        cols = []
+        ok = True
+        for cj in range(ncols):
+            base = [Fraction(0)] * k
+            for er in range(erows):
+                base[assignment[er]] = Fraction(problem.e_decomposition[er][cj])
+            sol = dxm.solve_exact(full, tuple(base))
+            if sol is None:
+                ok = False
+                break
+            coeffs = sol[: len(basics)]
+            fills = sol[len(basics):]
+            if any(c.denominator != 1 for c in coeffs):
+                ok = False
+                break
+            if any(f.denominator != 1 or f < 0 for f in fills):
+                ok = False
+                break
+            column = list(base)
+            for u, f in zip(unmet, fills):
+                column[u] = f
+            cols.append(dxm._vec(column))
+        if ok:
+            survivors.append((dict(assignment), cols))
+    if not survivors:
+        raise NoAdmissibleMatching("no bijection passes the integrality filter")
+    return survivors
+
+
+def sd16_by_branches(inst):
+    """The earlier `dxm.sd16_analyze`: the case search by four separate
+    tests, then x1..x4 from an unrolled loop of eight branches, one per
+    relation and unknown."""
+    h0 = [(lbl, deg) for lbl, deg, h in inst.chars if h == 0]
+    h1 = [(lbl, deg) for lbl, deg, h in inst.chars if h == 1]
+    h2 = [(lbl, deg) for lbl, deg, h in inst.chars if h == 2]
+    star_deg = h1[0][1]
+    if any(d != star_deg for _, d in h1):
+        raise NoConsistentSigns("height-one characters must share a degree")
+    hat_deg = h2[0][1]
+    found = []
+    for case_idx, deltas in enumerate(dxm.SD16_SIGN_CASES):
+        d1, d2, d3, d4 = deltas
+        for perm in itertools.permutations(range(4)):
+            degs = [h0[i][1] for i in perm]
+            if d1 * degs[0] + d2 * degs[1] != star_deg:
+                continue
+            if -d3 * degs[2] - d4 * degs[3] != star_deg:
+                continue
+            if d2 * degs[1] + d4 * degs[3] != hat_deg:
+                continue
+            if -d1 * degs[0] - d3 * degs[2] != hat_deg:
+                continue
+            found.append((case_idx, perm))
+    if not found:
+        raise NoConsistentSigns("no sign case satisfies the degree relations")
+    classes = []
+    seen = set()
+    for case_idx, perm in found:
+        if (case_idx, perm) in seen:
+            continue
+        d = dxm.SD16_SIGN_CASES[case_idx]
+        partner_delta = (-d[3], -d[2], -d[1], -d[0])
+        partner_perm = (perm[3], perm[2], perm[1], perm[0])
+        seen.add((case_idx, perm))
+        if partner_delta in dxm.SD16_SIGN_CASES:
+            seen.add((dxm.SD16_SIGN_CASES.index(partner_delta), partner_perm))
+        classes.append((case_idx, perm))
+    if len(classes) > 1:
+        raise AmbiguousCase(f"{len(classes)} inequivalent sign solutions")
+    case_idx, perm = classes[0]
+    deltas = dxm.SD16_SIGN_CASES[case_idx]
+    labeling = tuple(h0[i][0] for i in perm)
+    bpos = min(range(4), key=lambda i: h0[perm[i]][1])
+    d1, d2, d3, d4 = deltas
+
+    def combo(scale, vec, scale2=0, vec2=(0, 0, 0)):
+        return tuple(scale * a + scale2 * b for a, b in zip(vec, vec2))
+
+    star = (0, 1, 0)
+    hat = (0, 0, 1)
+    vecs = {bpos: (1, 0, 0)}
+    for _ in range(4):
+        for i in range(4):
+            if i in vecs:
+                continue
+            if i == 0 and 1 in vecs:
+                vecs[0] = combo(d1, star, -d1 * d2, vecs[1])
+            elif i == 1 and 0 in vecs:
+                vecs[1] = combo(d2, star, -d1 * d2, vecs[0])
+            elif i == 3 and 1 in vecs:
+                vecs[3] = combo(d4, hat, -d2 * d4, vecs[1])
+            elif i == 1 and 3 in vecs:
+                vecs[1] = combo(d2, hat, -d2 * d4, vecs[3])
+            elif i == 2 and 0 in vecs:
+                vecs[2] = combo(-d3, hat, -d1 * d3, vecs[0])
+            elif i == 0 and 2 in vecs:
+                vecs[0] = combo(-d1, hat, -d1 * d3, vecs[2])
+            elif i == 2 and 3 in vecs:
+                vecs[2] = combo(-d3, star, -d3 * d4, vecs[3])
+            elif i == 3 and 2 in vecs:
+                vecs[3] = combo(-d4, star, -d3 * d4, vecs[2])
+    rows = []
+    for lbl, deg, h in inst.chars:
+        if h == 1:
+            rows.append((0, 1, 0))
+        elif h == 2:
+            rows.append((0, 0, 1))
+        else:
+            pos = next(i for i in range(4) if h0[perm[i]][0] == lbl)
+            rows.append(vecs[pos])
+    basic_labels = (h0[perm[bpos]][0], h1[0][0], h2[0][0])
+    return dxm.SD16Result(deltas, labeling, basic_labels, tuple(rows))
+
+
+def enumerate_candidates_recursive(state):
+    """The earlier `dxm.enumerate_candidates`: each open column's refinements
+    from a recursion over the indecomposable columns, a running product for
+    the cap, and the candidate matrices by index.  It does not end when an
+    indecomposable column has no positive entry."""
+    k = state.k
+    indec = [j for j, c in enumerate(state.proj_basic) if c.indecomposable]
+    open_cols = [j for j, c in enumerate(state.proj_basic) if not c.indecomposable]
+    options_per_col = []
+    for j in open_cols:
+        base = state.proj_basic[j].coeffs
+        options = []
+
+        def rec(idx, current):
+            if idx == len(indec):
+                options.append(tuple(current))
+                return
+            col = state.proj_basic[indec[idx]].coeffs
+            t = 0
+            while True:
+                cand = dxm._vsub(current, dxm._vscale(t, col))
+                if any(x < 0 for x in cand):
+                    break
+                rec(idx + 1, cand)
+                t += 1
+
+        rec(0, base)
+        options_per_col.append(options)
+    total = 1
+    for o in options_per_col:
+        total *= len(o)
+        if total > dxm.CANDIDATE_CAP:
+            raise Infeasible(f"candidate count exceeds the cap {dxm.CANDIDATE_CAP}")
+    candidates = []
+    for combo in itertools.product(*options_per_col):
+        cols = {}
+        for pos, j in enumerate(open_cols):
+            cols[j] = combo[pos]
+        full_cols = [cols.get(j, c.coeffs) for j, c in enumerate(state.proj_basic)]
+        candidates.append(tuple(tuple(int(full_cols[j][i]) for j in range(state.l)) for i in range(k)))
+    candidates = sorted(set(candidates))
+    return replace(state, candidates=tuple(candidates)).with_log(f"enumerated {len(candidates)} candidates")

@@ -1,6 +1,7 @@
 """Character table machinery: tables, blocks, heights, basic sets, Clifford."""
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -16,6 +17,7 @@ from modchar.errors import (
     FusionDegreeMismatch,
     NonIntegral,
     NotInSpan,
+    SelfCheckFailed,
 )
 from modchar.fixtures import load
 from modchar.gfla import field_make
@@ -51,6 +53,7 @@ GROUPS = {
     "A6": (6, [[(1, 2, 3, 4, 5)], [(4, 5, 6)]]),
     "C7": (7, [[(1, 2, 3, 4, 5, 6, 7)]]),
     "C5": (5, [[(1, 2, 3, 4, 5)]]),
+    "C13": (13, [[tuple(range(1, 14))]]),
     "D10": (5, [[(1, 2, 3, 4, 5)], [(2, 5), (3, 4)]]),
     "7:3": (7, [[(1, 2, 3, 4, 5, 6, 7)], [(2, 3, 5), (4, 7, 6)]]),
     "L2(7)": (7, [[(1, 2, 3, 4, 5, 6, 7)], [(1, 2), (3, 6)]]),
@@ -63,19 +66,26 @@ def group(name):
     return grp.enumerate_group([grp.perm_from_cycles(n, c) for c in gens])
 
 
-# C7 at p = 2 and C5 at p = 3: GF(p^2) does not split these groups, so their
-# tables are wrong (ROADMAP item 1); the closure keeps them exactly as wrong
+# C7 at p = 2, C5 at p = 3 and C13 at p = 3: GF(p^2) does not split these
+# groups, so their tables are chopped over GF(p^m) with these m; p does not
+# divide |G|, so the Brauer values are the ordinary values
+SPLIT_CASES = {("C7", 2): 6, ("C5", 3): 4, ("C13", 3): 6}
 ORACLE_CASES = [(name, p) for name, order in ORDERS.items() for p in (None, 2, 3, 5) if p is None or order % p == 0]
-ORACLE_CASES += [("C7", 2), ("C5", 3)]
+ORACLE_CASES += list(SPLIT_CASES)
 
 
 @pytest.mark.parametrize("name,p", ORACLE_CASES)
 def test_tables_match_regular_module_oracle(name, p):
     g = group(name)
-    old, old_simples = oracles.tables_from_regular(g, p)
-    if p is None:
+    if (name, p) in SPLIT_CASES:  # the ordinary table, read as the p-modular one
+        ordinary = ctab.ordinary_table(g)
+        old = replace(ordinary, p=p, characters=tuple(replace(ch, kind="brauer") for ch in ordinary.characters))
+        new = ctab.brauer_table(g, p)
+    elif p is None:
+        old, _old_simples = oracles.tables_from_regular(g, p)
         new = ctab.ordinary_table(g)
     else:
+        old, old_simples = oracles.tables_from_regular(g, p)
         new, simples = ctab.brauer_data(g, p)
         assert [s.dim for s in simples] == [s.dim for s in old_simples]
         assert all(rep.iso(a, b) is not None for a, b in zip(simples, old_simples))
@@ -90,9 +100,22 @@ def test_tables_match_regular_module_oracle(name, p):
     assert new.characters[0].label == "1a"
 
 
+def test_splitting_degree():
+    """GF(p^2) splits every group here at every p dividing its order; the
+    cyclic groups at a p prime to their order need a larger field."""
+    for name in GROUPS:
+        g = group(name)
+        for p in gfla.factorize(g.order):
+            assert ctab._splitting_degree(grp.conjugacy_classes(g, p), p) == 2, (name, p)
+    for (name, p), m in SPLIT_CASES.items():
+        assert ctab._splitting_degree(grp.conjugacy_classes(group(name), p), p) == m
+    with pytest.raises(SelfCheckFailed):  # over GF(4), C7 has 3 simple modules, not 7
+        ctab._tensor_closure(group("C7"), field_make(2, 2), 7, 1)
+
+
 # C7 at p None lifts from GF(29), where 28 = q - 1 is a proper multiple of the
-# conductor 7; C7 at 2 and C5 at 3 lift from GF(2^6) and GF(3^4), larger
-# than the GF(p^2) they are chopped over
+# conductor 7; C7 at 2, C5 at 3 and C13 at 3 are chopped and lifted over
+# GF(2^6), GF(3^4) and GF(3^6)
 @pytest.mark.parametrize("name,p", ORACLE_CASES + [("C7", None)])
 def test_brauer_char_value_matches_summed_oracle(name, p):
     g = group(name)
@@ -296,6 +319,14 @@ def test_clifford_errors():
     )
     with pytest.raises(ActionNotInvolution):
         ctab.clifford_index2(block, ((1, 1),), ())
+    refused = [  # pairs sharing a member, a row fused with itself, indices outside the block
+        (((0, 1), (1, 2)), (), None), ((), ((3, 4), (4, 5)), None), ((), (), (("fuse", (0, 0)),)),
+        (((-1, 0),), (), None), (((0, 3),), (), None), ((), ((5, 8),), None),
+        ((), (), (("ext", 8),)), ((), (), (("ext", -1),)), ((), (), (("fuse", (0, -8)),)),
+    ]
+    for cols, rows, plan in refused:
+        with pytest.raises(ActionNotInvolution):
+            ctab.clifford_index2(block, cols, rows, plan)
     with pytest.raises(FusionDegreeMismatch):
         ctab.clifford_index2(block, (), ((0, 1),))  # degrees 214016 vs 1361920
 
@@ -403,4 +434,11 @@ def _outcome(fn, args):
 @settings(max_examples=400)
 @given(clifford_inputs())
 def test_clifford_matches_column_walk_oracle(args):
-    assert _outcome(ctab.clifford_index2, args) == _outcome(oracles.clifford_index2_by_columns, args)
+    """Equal outcomes, except that a fuse of a row with itself, which the
+    oracle accepts, is refused."""
+    plan = args[3] or ()
+    if any(kind == "fuse" and payload[0] == payload[1] for kind, payload in plan):
+        with pytest.raises(ActionNotInvolution):
+            ctab.clifford_index2(*args)
+    else:
+        assert _outcome(ctab.clifford_index2, args) == _outcome(oracles.clifford_index2_by_columns, args)

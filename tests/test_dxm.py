@@ -18,6 +18,7 @@ from modchar.errors import (
     NonIntegral,
     NonIntegralAtoms,
     SingularA,
+    TooLarge,
 )
 from modchar.fixtures import load
 
@@ -200,6 +201,76 @@ def test_fitting_rejects_half_integral():
         dxm.fitting_match(state, prob)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is the outcome
+        return type(exc)
+
+
+def _random_fitting(rng):
+    """A block of 2-5 rows, 0-2 of them unmet, E-rows of degree 1 or 2, and
+    basic columns that are planted PIM columns or random ones; pins from the
+    planted bijection, now and then a random one."""
+    k = rng.randint(2, 5)
+    unmet = rng.sample(range(k), rng.randint(0, min(2, k - 1)))
+    met = [i for i in range(k) if i not in unmet]
+    erows, ncols = len(met), rng.randint(1, 3)
+    degrees = tuple(rng.randint(1, 2) for _ in range(erows))
+    E = tuple(tuple(rng.randint(0, 2) for _ in range(ncols)) for _ in range(erows))
+    planted = dict(zip(range(erows), rng.sample(met, erows)))
+    regular = [0] * k
+    for er, i in planted.items():
+        regular[i] = degrees[er]
+    basics = []
+    for _ in range(k - len(unmet) - rng.randint(0, 1)):
+        col = [rng.randint(0, 2) for _ in range(k)]
+        if rng.random() < 0.6:  # a planted PIM column, with random fills
+            c = rng.randrange(ncols)
+            for er, i in planted.items():
+                col[i] = E[er][c]
+        basics.append(dxm.ProjectiveColumn("Y", dxm._vec(col)))
+    pins = [pr for pr in planted.items() if rng.random() < 0.3]
+    if rng.random() < 0.2:
+        pins.append((rng.randrange(erows), rng.choice(met)))
+    state = dxm.DecompState("r", tuple(f"r{i}" for i in range(k)), (1,) * k, (), tuple(basics))
+    return state, dxm.FittingProblem(E, degrees, tuple(regular), tuple(pins))
+
+
+def test_fitting_match_equals_the_solve_per_column_oracle():
+    """One elimination of [M | I] gives the survivors, columns and errors of
+    one solve per bijection and column, on the HN problem and on seeded
+    random problems."""
+    fxa = load("hn_mod3_b1_proj_a")
+    cols = tuple(dxm.ProjectiveColumn(lbl, dxm._vec([r[j] for r in fxa.matrix])) for j, lbl in enumerate(fxa.col_labels[:7]))
+    hn = dxm.DecompState("b1", fxa.row_labels, fxa.row_degrees, fxa.basic_row_indices(), cols)
+    cases = [(hn, fitting_problem()), (hn, dataclasses.replace(fitting_problem(), pinned=()))]
+    rng = random.Random(20)
+    cases += [_random_fitting(rng) for _ in range(300)]
+    outcomes = []
+    for state, problem in cases:
+        new = _outcome(dxm.fitting_match, state, problem)
+        assert new == _outcome(oracles.fitting_match_by_solves, state, problem), problem
+        outcomes.append(new if isinstance(new, type) else len(new))
+    assert outcomes[:2] == [1, 2]  # the pins leave one of the two matchings
+    assert sum(isinstance(o, int) for o in outcomes) > 50
+    assert sum(isinstance(o, int) and o > 1 for o in outcomes) > 5
+    assert sum(isinstance(o, type) for o in outcomes) > 50
+
+
+def test_fitting_refuses_too_many_bijections_before_listing_them():
+    """Eight E-rows of one degree have 8! = 40320 bijections, more than
+    FITTING_CAP; the count is refused before any permutation is listed."""
+    ident = tuple(dxm.ProjectiveColumn(f"P{j}", dxm._vec([int(i == j) for i in range(8)])) for j in range(8))
+    state = dxm.DecompState("toy", tuple("abcdefgh"), (1,) * 8, (), ident)
+    for E in (((),) * 8, tuple(tuple(int(i == j) for j in range(8)) for i in range(8))):
+        t0 = time.process_time()
+        with pytest.raises(TooLarge):
+            dxm.fitting_match(state, dxm.FittingProblem(E, (1,) * 8, (1,) * 8))
+        assert time.process_time() - t0 < 1
+    assert dxm.FITTING_CAP == 10**4
+
+
 # ---------------------------------------------------------------------------
 # refinement / enumeration / elimination
 # ---------------------------------------------------------------------------
@@ -261,6 +332,41 @@ def test_enumerate_all_resolved():
     )
     state = dxm.enumerate_candidates(state)
     assert len(state.candidates) == 1
+
+
+def test_enumerate_refuses_an_indecomposable_column_without_a_positive_entry():
+    for col in ((0, 0), (0, -1)):
+        state = dxm.DecompState("toy", ("a", "b"), (1, 1), (0, 1), (
+            dxm.ProjectiveColumn("P1", dxm._vec((1, 1))),
+            dxm.ProjectiveColumn("P2", dxm._vec(col), True),
+        ))
+        with pytest.raises(Infeasible):
+            dxm.enumerate_candidates(state)
+
+
+def test_enumerate_equals_the_recursive_oracle():
+    """Refinements by takewhile give the candidates and log of the recursion,
+    on the shipped projective bases and on seeded random states with at most
+    4 columns and entries at most 3."""
+    states = [_state_with_basic(name)[1] for name in ("hn_mod3_b1_proj_c", "hn_mod3_b1")]
+    rng = random.Random(20)
+    for _ in range(300):
+        k, l = rng.randint(1, 4), rng.randint(1, 4)
+        cols = tuple(
+            dxm.ProjectiveColumn(f"P{j}", dxm._vec(rng.randint(0, 3) for _ in range(k)), rng.random() < 0.5)
+            for j in range(l)
+        )
+        states.append(dxm.DecompState("r", tuple(f"r{i}" for i in range(k)), (1,) * k, (), cols))
+    counts = []
+    for state in states:
+        if any(c.indecomposable and not any(c.coeffs) for c in state.proj_basic):
+            with pytest.raises(Infeasible):  # the oracle would not end
+                dxm.enumerate_candidates(state)
+            continue
+        new = dxm.enumerate_candidates(state)
+        assert new == oracles.enumerate_candidates_recursive(state)
+        counts.append(len(new.candidates))
+    assert counts[0] == 44 and len(counts) > 150 and max(counts) > 20
 
 
 def test_eliminate_edge_cases():
@@ -345,6 +451,35 @@ def test_sd16_reproduces_published_matrix():
     assert res.basic_labels == ("17", "34", "44")
     fx = load("hn_mod2_b1")
     assert res.matrix == fx.matrix
+
+
+def _sd16_from_case(rng, deltas):
+    """Degrees x1..x4, x* and x^ that satisfy the four relations of the sign
+    case, in a random order."""
+    d1, d2, d3, d4 = deltas
+    while True:
+        a, b, hat = rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 60)
+        star, c, d = d1 * a + d2 * b, -d3 * (hat + d1 * a), d4 * (hat - d2 * b)
+        if min(star, c, d) > 0:
+            break
+    chars = [("x1", a, 0), ("x2", b, 0), ("x3", c, 0), ("x4", d, 0), ("s1", star, 1), ("s2", star, 1),
+             ("s3", star, 1), ("h", hat, 2)]
+    rng.shuffle(chars)
+    return dxm.SD16Instance(tuple(chars))
+
+
+def test_sd16_equals_the_branch_oracle():
+    """The relation table gives the sign case, labeling and matrix of the
+    eight-branch loop, on HN's block and on instances of each sign case."""
+    rng = random.Random(20)
+    instances = [sd16_instance()]
+    instances += [_sd16_from_case(rng, deltas) for deltas in dxm.SD16_SIGN_CASES for _ in range(60)]
+    solved = 0
+    for inst in instances:
+        new = _outcome(dxm.sd16_analyze, inst)
+        assert new == _outcome(oracles.sd16_by_branches, inst), inst
+        solved += isinstance(new, dxm.SD16Result)
+    assert solved > 150
 
 
 def test_sd16_degree_relation():

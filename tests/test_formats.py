@@ -6,6 +6,7 @@ import contextlib
 import io
 import os
 import string
+import subprocess
 import sys
 import tempfile
 import time
@@ -396,6 +397,41 @@ def test_basicrows_that_are_not_row_labels_exit_3(tmp_path):
     with pytest.raises(FormatError):
         fixtures.parse_fixture(read_text(path)).basic_row_indices()
     assert run_main(["dxm", "enumerate", "--fixture", path]) == 3
+
+
+def test_enumerate_with_an_all_zero_indecomposable_column_exits_2(tmp_path):
+    """Subtracting a zero indecomposable column never goes negative, so the
+    candidate search did not end."""
+    path = tmp_path / "f.txt"
+    path.write_text("FIXTURE f\nkind projbasis\nbasicrows a b\ncollabels P1 P2\nindecomposable . x\n"
+                    "row a 1 : 1 .\nrow b 1 : 1 .\n")
+    res = subprocess.run([sys.executable, "-m", "modchar.cli", "dxm", "enumerate", "--fixture", str(path)],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2 and res.stderr.startswith("error: Infeasible:")
+
+
+def test_indecomposable_flags_short_of_the_columns_exit_3(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("FIXTURE f\nkind projbasis\nbasicrows a b\ncollabels P1 P2\nindecomposable x\n"
+                    "row a 1 : 1 .\nrow b 1 : . 1\n")
+    for op in ("enumerate", "eliminate"):
+        assert run_main(["dxm", op, "--fixture", path]) == 3
+
+
+def test_clifford_column_pair_outside_the_block_exits_2(tmp_path):
+    """colpairs 0:1 is the pair (-1, 0), which dropped column 0 and exited 0."""
+    path = tmp_path / "f.txt"
+    path.write_text(fixtures.fixture_text("hn_mod2_b1") + "colpairs 0:1\n")
+    assert run_main(["ctab", "clifford2", "--fixture", path]) == 2
+    path.write_text(fixtures.fixture_text("hn_mod2_b1") + "colpairs 1:2 2:3\n")
+    assert run_main(["ctab", "clifford2", "--fixture", path]) == 2
+
+
+@pytest.mark.parametrize("source", ["zz", "17+zz", "17+34+37", "+"])
+def test_clifford_target_row_that_names_no_source_row_exits_3(source, tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text(f"FIXTURE t\nkind decomposition\nrow x 1 {source} : 1\n")
+    assert run_main(["ctab", "clifford2", "--fixture", "hn_mod2_b1", "--target", path]) == 3
 
 
 @pytest.mark.parametrize("lines", [
