@@ -199,6 +199,7 @@ def brauer_data(g: _grp.PermGroup, p: int, seed: int = 1):
     as p-regular classes; their Brauer characters are the lifted eigenvalue
     sums on the p-regular classes.
     """
+    field_make(p)  # a p that is not a prime is refused before the degree search
     cls = _grp.conjugacy_classes(g, p)
     F = field_make(p, _splitting_degree(cls, p))
     simples = _tensor_closure(g, F, sum(cls.p_regular(p)), seed)
@@ -510,6 +511,10 @@ def clifford_index2(
     for a, b in ordinary_pairs:
         if g_block.row_degrees[a] != g_block.row_degrees[b]:
             raise FusionDegreeMismatch("swapped ordinary characters must share a degree")
+    if morita_split:
+        if brauer_pairs or ordinary_pairs:
+            raise FusionDegreeMismatch("a Morita-split cover has no fused pairs")
+        return CliffordResult(tuple(replace(g_block, label=f"{g_block.label}{sign}") for sign in "+-"))
     if row_plan is None:
         swapped = {r for pr in ordinary_pairs for r in pr}
         row_plan = tuple(
@@ -525,10 +530,6 @@ def clifford_index2(
         else:
             raise ValueError(f"unknown row plan entry {kind!r}")
         _check_orbits(sources[-1:], g_block.k, f"the rows of a {kind!r} entry")
-    if morita_split:
-        if brauer_pairs or ordinary_pairs:
-            raise FusionDegreeMismatch("a Morita-split cover has no fused pairs")
-        return CliffordResult(tuple(replace(g_block, label=f"{g_block.label}{sign}") for sign in "+-"))
 
     pair_of = {j: pr for pr in brauer_pairs for j in pr}
     cols = [pair_of.get(j, (j,)) for j in range(g_block.l)]

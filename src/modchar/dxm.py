@@ -331,7 +331,7 @@ def fitting_match(state: DecompState, problem: FittingProblem):
     Returns (assignments, columns) where each assignment maps E-row index to
     block row index and columns are the implied indecomposable projectives.
     Raises TooLarge, before listing any permutation, when there are more than
-    FITTING_CAP degree-preserving bijections.
+    FITTING_CAP degree-preserving bijections of the unpinned E-rows.
     """
     k = state.k
     erows = len(problem.e_row_degrees)
@@ -348,10 +348,13 @@ def fitting_match(state: DecompState, problem: FittingProblem):
         if d not in groups:
             raise NoAdmissibleMatching(f"no E-row of degree {d}")
         groups[d][1].append(i)
-    for d, (a, b) in groups.items():
-        if len(a) != len(b):
+    plans = {}  # per degree: the pinned pairs, the free E-rows and their free targets
+    for d, (es, bs) in groups.items():
+        if len(es) != len(bs):
             raise NoAdmissibleMatching(f"degree multiset mismatch at {d}")
-    if prod(factorial(len(es)) for es, _bs in groups.values()) > FITTING_CAP:
+        fixed = {e: pinned[e] for e in es if e in pinned}
+        plans[d] = (fixed, [e for e in es if e not in fixed], [b for b in bs if b not in fixed.values()])
+    if prod(factorial(len(free)) for _fixed, free, _bs in plans.values()) > FITTING_CAP:
         raise TooLarge(f"more than {FITTING_CAP} degree-preserving bijections")
     basics = state.basic_matrix()
     full = basics + [tuple(Fraction(-(i == u)) for i in range(k)) for u in unmet]
@@ -360,9 +363,11 @@ def fitting_match(state: DecompState, problem: FittingProblem):
     if len(rref_rational(A, n)) < n:
         raise NoAdmissibleMatching("unmet ordinaries are not determined by the basic set")
     P, Q = [row[n:] for row in A[:n]], [row[n:] for row in A[n:]]
+    # free rows take their free targets in every order; pins that repeat a
+    # target or leave their group leave it no bijection
     per_group = [
-        [tuple(zip(es, pb)) for pb in itertools.permutations(bs) if all(pinned.get(e, b) == b for e, b in zip(es, pb))]
-        for _d, (es, bs) in sorted(groups.items())
+        [tuple(sorted({**fixed, **dict(zip(free, pb))}.items())) for pb in itertools.permutations(bs)]
+        if len(free) == len(bs) else [] for _d, (fixed, free, bs) in sorted(plans.items())
     ]
     survivors = []
     for combo in itertools.product(*per_group):
@@ -443,9 +448,9 @@ def enumerate_candidates(state: DecompState) -> DecompState:
     indecomposable column has no positive entry (it could be subtracted
     without end) or when the candidates would exceed CANDIDATE_CAP."""
     indec = [c.coeffs for c in state.proj_basic if c.indecomposable]
-    if not all(any(x > 0 for x in col) for col in indec):
-        raise Infeasible("an indecomposable column has no positive entry")
     open_cols = [j for j, c in enumerate(state.proj_basic) if not c.indecomposable]
+    if open_cols and not all(any(x > 0 for x in col) for col in indec):
+        raise Infeasible("an indecomposable column has no positive entry")
     options_per_col = []
     for j in open_cols:
         options = [state.proj_basic[j].coeffs]

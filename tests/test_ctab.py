@@ -435,9 +435,9 @@ def _outcome(fn, args):
 @given(clifford_inputs())
 def test_clifford_matches_column_walk_oracle(args):
     """Equal outcomes, except that a fuse of a row with itself, which the
-    oracle accepts, is refused."""
+    oracle accepts, is refused (a Morita split reads no row plan)."""
     plan = args[3] or ()
-    if any(kind == "fuse" and payload[0] == payload[1] for kind, payload in plan):
+    if not args[4] and any(kind == "fuse" and payload[0] == payload[1] for kind, payload in plan):
         with pytest.raises(ActionNotInvolution):
             ctab.clifford_index2(*args)
     else:

@@ -271,6 +271,24 @@ def test_fitting_refuses_too_many_bijections_before_listing_them():
     assert dxm.FITTING_CAP == 10**4
 
 
+def test_fitting_counts_only_the_unpinned_rows_against_the_cap():
+    """Seven of twelve E-rows of one degree pinned leave 5! = 120 bijections
+    (12! ignoring the pins).  E is one column (0, 1, ..., 11) and the unmet
+    row 12 is filled with 66 * (sum of er * sigma(er) - 506), which is
+    nonnegative only for the identity, so that matching alone survives."""
+    basics = tuple(dxm.ProjectiveColumn(f"P{j}", dxm._vec([int(i == j) for i in range(12)] + [66 * j - 506])) for j in range(12))
+    state = dxm.DecompState("toy", tuple("abcdefghijklm"), (1,) * 13, (), basics)
+    E = tuple((er,) for er in range(12))
+    pins = tuple((i, i) for i in range(7))
+    t0 = time.process_time()
+    [(assignment, cols)] = dxm.fitting_match(state, dxm.FittingProblem(E, (1,) * 12, (1,) * 12 + (0,), pins))
+    assert time.process_time() - t0 < 1
+    assert assignment == {i: i for i in range(12)}
+    assert cols == [tuple(range(12)) + (0,)]
+    with pytest.raises(TooLarge):
+        dxm.fitting_match(state, dxm.FittingProblem(E, (1,) * 12, (1,) * 12 + (0,), pins[:4]))
+
+
 # ---------------------------------------------------------------------------
 # refinement / enumeration / elimination
 # ---------------------------------------------------------------------------
@@ -342,6 +360,9 @@ def test_enumerate_refuses_an_indecomposable_column_without_a_positive_entry():
         ))
         with pytest.raises(Infeasible):
             dxm.enumerate_candidates(state)
+        # with no open column nothing is subtracted: the one candidate is D
+        resolved = dataclasses.replace(state, proj_basic=state.proj_basic[1:])
+        assert dxm.enumerate_candidates(resolved).candidates == (((col[0],), (col[1],)),)
 
 
 def test_enumerate_equals_the_recursive_oracle():
@@ -359,7 +380,8 @@ def test_enumerate_equals_the_recursive_oracle():
         states.append(dxm.DecompState("r", tuple(f"r{i}" for i in range(k)), (1,) * k, (), cols))
     counts = []
     for state in states:
-        if any(c.indecomposable and not any(c.coeffs) for c in state.proj_basic):
+        opened = not all(c.indecomposable for c in state.proj_basic)
+        if opened and any(c.indecomposable and not any(c.coeffs) for c in state.proj_basic):
             with pytest.raises(Infeasible):  # the oracle would not end
                 dxm.enumerate_candidates(state)
             continue

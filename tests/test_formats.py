@@ -345,6 +345,17 @@ def test_ctab_blocks_refuses_a_characteristic_that_is_not_prime(tmp_path, argv):
     assert run_main(["ctab", "blocks", "--table", path, "-p", "3"]) == 0
 
 
+@pytest.mark.parametrize("p", [None, "0", "1", "4", "6", "-3"])
+def test_ctab_brauer_refuses_a_characteristic_that_is_not_prime(p):
+    """The default p = 0, or a non-prime sharing a factor with the order of a
+    class of S4, is a typed error before the splitting degree is sought (an
+    endless loop otherwise)."""
+    argv = ["ctab", "brauer", "--gens", GOLDEN / "s4.prm"]
+    t0 = time.process_time()
+    assert run_main(argv + (["-p", p] if p else [])) == 2
+    assert time.process_time() - t0 < 5
+
+
 def test_dxm_projs_refuses_the_default_characteristic():
     assert run_main(["dxm", "projs", "--gens", GOLDEN / "s4.prm"]) == 2
 
