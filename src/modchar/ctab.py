@@ -4,13 +4,16 @@ Tables for desk-scale groups are computed from first principles.  The simple
 modules come from the tensor closure of the natural permutation module: chop
 it, then chop S (x) T for each new simple S and each non-trivial factor T of
 the natural module, until there are as many simples as regular classes.  The
-ordinary table is the Brauer table at an auxiliary prime r with r = 1 mod
-exp(G) (so reduction mod r is faithful on characters and the lifts are the
-ordinary values); the p-modular table is the same closure over GF(p^m), m
-the least even number for which every p-regular class is closed under
-g -> g^(p^m) (so GF(p^m) splits the group), with the eigenvalues lifted on
-the p-regular classes.  The regular module is never built and no table
-database is consulted.
+eigenvalues of every chopped factor are lifted once on the regular classes,
+and a factor is a new simple exactly when its Brauer character is new; those
+characters are the rows of the table, so no two modules are ever compared.
+The ordinary table is the Brauer table at an auxiliary prime r with
+r = 1 mod exp(G) (so reduction mod r is faithful on characters and the lifts
+are the ordinary values); the p-modular table is the same closure over
+GF(p^m), m the least even number for which every p-regular class is closed
+under g -> g^(p^m) (so GF(p^m) splits the group), lifted on the p-regular
+classes.  The regular module is never built and no table database is
+consulted.
 
 Blocks are the classes of equal central characters under the residue map
 zeta_e -> w^((p^m - 1)/e') into GF(p^m), w the Conway generator, which is the
@@ -34,7 +37,6 @@ from .errors import (
     FusionDegreeMismatch,
     FusionIncomplete,
     IdealChoiceFailure,
-    MissingPrime,
     NonIntegral,
     NotExpandable,
     NotInSpan,
@@ -110,57 +112,71 @@ def _is_trivial(m: _rep.Representation) -> bool:
     return m.dim == 1 and all(int(g.arr[0, 0]) == 1 for g in m.gens)
 
 
-def _tensor_closure(g: _grp.PermGroup, F, count: int, seed: int) -> list:
-    """Pairwise non-isomorphic simple FG-modules, from the natural module up.
+def _tensor_closure(g: _grp.PermGroup, F, reps, seed: int) -> dict:
+    """Pairwise non-isomorphic simple FG-modules, from the natural module up,
+    keyed by their Brauer characters at the class representatives `reps`.
 
     The natural permutation module is faithful, so every simple module is a
     composition factor of one of its tensor powers (Burnside-Brauer-Steinberg),
     hence of some S (x) T with S found before and T a non-trivial factor of
-    the natural module.  Each new simple is tensored in first-in first-out
-    order; the search stops once `count` simples are known or none is left to
-    tensor, and raises SelfCheckFailed when it found fewer.
+    the natural module.  The Brauer character of each chopped factor is
+    lifted once.  Over a field of characteristic p the Brauer characters of
+    pairwise non-isomorphic simple modules are linearly independent, so a
+    factor is new exactly when its character is; the dict keeps the order in
+    which the simples were found.  Each new simple is tensored in first-in
+    first-out order; the search stops once there are as many simples as
+    `reps` or none is left to tensor, and raises SelfCheckFailed when it found
+    fewer.
     """
+
+    def lift(f):
+        return tuple(brauer_char_value(_grp.element_matrix(g, f, x)) for x in reps)
+
     natural = [s for s, _m in _rep.chop(_grp.perm_rep(g, F), seed)]
     movers = [t for t in natural if not _is_trivial(t)]
-    simples = list(natural)
+    simples = {lift(s): s for s in natural}  # chop's factors are pairwise non-isomorphic
     queue = deque(movers)  # 1 (x) T is T, already a factor of the natural module
-    while queue and len(simples) < count:
+    while queue and len(simples) < len(reps):
         s = queue.popleft()
         for t in movers:
             for f, _m in _rep.chop(_rep.tensor(s, t), seed):
-                if not any(k.dim == f.dim and _rep.iso(k, f, seed) is not None for k in simples):
-                    simples.append(f)
+                key = lift(f)
+                if key not in simples:
+                    simples[key] = f
                     queue.append(f)
-            if len(simples) >= count:
+            if len(simples) >= len(reps):
                 break
-    if len(simples) < count:
-        raise SelfCheckFailed(f"the tensor closure found {len(simples)} simple modules, not {count}")
+    if len(simples) < len(reps):
+        raise SelfCheckFailed(f"the tensor closure found {len(simples)} simple modules, not {len(reps)}")
     return simples
 
 
-def _lift_table(g: _grp.PermGroup, classData, simples, p=None):
-    """Classes, characters and simples on the kept classes, sorted trivial
-    first, then by degree and values; each character and its simple are
-    labelled degree plus a letter in that order."""
-    flags = classData.p_regular(p)
-    keep = [i for i in range(classData.count) if flags[i]]
-    values = [
-        tuple(brauer_char_value(_grp.element_matrix(g, s, classData.reps[i])) for i in keep)
-        for s in simples
-    ]
-    labels = classData.labels()
-    classes = tuple(ClassInfo(labels[i], classData.sizes[i], classData.orders[i], True) for i in keep)
+def _simple_table(g: _grp.PermGroup, p: int | None, seed: int):
+    """(CharTable, simples) at p, aligned index by index, or the ordinary
+    table and its simples over GF(r) when p is None.  The rows are the keys of
+    the tensor closure, sorted trivial first, then by degree and values; each
+    character and its simple are labelled degree plus a letter in that order."""
+    if p is None:
+        F = field_make(_auxiliary_prime(g.exponent(), g.order), 1)
+        cls = _grp.conjugacy_classes(g)
+    else:
+        field_make(p)  # a p that is not a prime is refused before the degree search
+        cls = _grp.conjugacy_classes(g, p)
+        F = field_make(p, _splitting_degree(cls, p))
+    keep = [i for i, ok in enumerate(cls.p_regular(p)) if ok]
+    simples = _tensor_closure(g, F, [cls.reps[i] for i in keep], seed)
     one = Cyclotomic.one()
 
-    def sort_key(i):
-        vals = values[i]
-        is_trivial = all(v == one for v in vals)
-        return (not is_trivial, vals[0].as_int(), repr([v.coeffs for v in vals]))
+    def sort_key(values):
+        return (any(v != one for v in values), values[0].as_int(), repr([v.coeffs for v in values]))
 
-    order = sorted(range(len(simples)), key=sort_key)
-    labels = _grp.letter_labels(values[i][0].as_int() for i in order)
-    chars = [Character(values[i], "brauer" if p else "ordinary", label) for i, label in zip(order, labels)]
-    return classes, chars, [simples[i].relabel(label) for i, label in zip(order, labels)]
+    rows = sorted(simples, key=sort_key)
+    labels = _grp.letter_labels(values[0].as_int() for values in rows)
+    chars = tuple(Character(values, "brauer" if p else "ordinary", label) for values, label in zip(rows, labels))
+    class_labels = cls.labels()
+    classes = tuple(ClassInfo(class_labels[i], cls.sizes[i], cls.orders[i], True) for i in keep)
+    table = CharTable(g.order, classes, chars, p, dict(cls.power_maps))
+    return table, tuple(simples[values].relabel(label) for values, label in zip(rows, labels))
 
 
 def ordinary_table(g: _grp.PermGroup, seed: int = 1) -> CharTable:
@@ -171,11 +187,7 @@ def ordinary_table(g: _grp.PermGroup, seed: int = 1) -> CharTable:
     characters.  The simples come from the tensor closure of the natural
     module; row orthogonality is checked before the table is returned.
     """
-    cls = _grp.conjugacy_classes(g)
-    r = _auxiliary_prime(g.exponent(), g.order)
-    simples = _tensor_closure(g, field_make(r, 1), cls.count, seed)
-    classes, chars, _simples = _lift_table(g, cls, simples, p=None)
-    table = CharTable(g.order, classes, tuple(chars), None, dict(cls.power_maps))
+    table = _simple_table(g, None, seed)[0]
     _check_orthogonality(table)
     return table
 
@@ -196,16 +208,9 @@ def brauer_data(g: _grp.PermGroup, p: int, seed: int = 1):
 
     The simples are the tensor closure of the natural module over the
     splitting field GF(p^m) of `_splitting_degree`, stopped at as many simples
-    as p-regular classes; their Brauer characters are the lifted eigenvalue
-    sums on the p-regular classes.
+    as p-regular classes; the rows are their Brauer characters there.
     """
-    field_make(p)  # a p that is not a prime is refused before the degree search
-    cls = _grp.conjugacy_classes(g, p)
-    F = field_make(p, _splitting_degree(cls, p))
-    simples = _tensor_closure(g, F, sum(cls.p_regular(p)), seed)
-    classes, chars, simples = _lift_table(g, cls, simples, p=p)
-    table = CharTable(g.order, classes, tuple(chars), p, dict(cls.power_maps))
-    return table, tuple(simples)
+    return _simple_table(g, p, seed)
 
 
 def brauer_table(g: _grp.PermGroup, p: int, seed: int = 1) -> CharTable:
@@ -229,19 +234,9 @@ def _check_orthogonality(table: CharTable):
 # ---------------------------------------------------------------------------
 
 
-def restrict_p_regular(table: CharTable, chi: Character, p: int) -> tuple[CharTable, Character]:
-    """Restriction chi' to the p-regular classes; returns the restricted table
-    context and the restricted character."""
-    if p is None:
-        raise MissingPrime("a prime is required")
-    keep = [i for i, c in enumerate(table.classes) if c.order % p != 0]
-    classes = tuple(table.classes[i] for i in keep)
-    sub = CharTable(table.group_order, classes, (), p, {})
-    chi_p = Character(tuple(chi.values[i] for i in keep), "brauer", chi.label + "'")
-    return sub, chi_p
-
-
 def restrict_table(table: CharTable, p: int) -> CharTable:
+    """The table's characters restricted to its p-regular classes."""
+    field_make(p)  # a p that is not a prime is refused before the classes are kept
     keep = [i for i, c in enumerate(table.classes) if c.order % p != 0]
     classes = tuple(table.classes[i] for i in keep)
     chars = tuple(
@@ -257,10 +252,6 @@ def scalar(table: CharTable, a: Character, b: Character) -> Fraction:
     if not total.is_rational():
         raise NonIntegral(f"scalar product irrational: {Fraction(1, table.group_order) * total}")
     return total.as_fraction() / table.group_order
-
-
-def product(a: Character, b: Character) -> Character:
-    return a * b
 
 
 def induce(

@@ -92,10 +92,6 @@ class NotSquarefree(ModcharError):
 
 
 # character tables
-class MissingPrime(ModcharError):
-    pass
-
-
 class FusionIncomplete(ModcharError):
     pass
 

@@ -13,7 +13,9 @@ one generator at a time) and of the Kronecker product (`np.kron` mod p, or
 exp/log outer sums).  `tables_from_regular` is the earlier table path: the
 simples are the factors of the regular module, each Brauer value a sum of
 lifted eigenvalues, found by a full factorization of the characteristic
-polynomial.  `scalar_termwise` is the earlier scalar product, one normalized
+polynomial.  `tensor_closure_by_iso` is the earlier tensor closure, which told
+a new simple from the known ones by `rep.iso` rather than by its Brauer
+character.  `scalar_termwise` is the earlier scalar product, one normalized
 Cyclotomic operation per step.  `dtd_solve_rows` is the earlier D^T D = C solver: it
 lists every row in the box prod(isqrt(C_jj) + 1) and tries k-multisets of
 those rows.  `irreducible_factors_full` is the earlier eager factorization
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
@@ -435,6 +438,28 @@ def scalar_termwise(table: ctab.CharTable, a: ctab.Character, b: ctab.Character)
     if not total.is_rational():
         raise NonIntegral(f"scalar product irrational: {total}")
     return total.as_fraction()
+
+
+def tensor_closure_by_iso(g: grp.PermGroup, F, count: int, seed: int = 1) -> list:
+    """The earlier tensor closure: a chopped factor of S (x) T is kept when
+    `rep.iso` finds it isomorphic to no simple found before (of its dimension);
+    the search order and stop are those of ctab._tensor_closure."""
+    natural = [s for s, _m in rep.chop(grp.perm_rep(g, F), seed)]
+    movers = [t for t in natural if not ctab._is_trivial(t)]
+    simples = list(natural)
+    queue = deque(movers)
+    while queue and len(simples) < count:
+        s = queue.popleft()
+        for t in movers:
+            for f, _m in rep.chop(rep.tensor(s, t), seed):
+                if not any(k.dim == f.dim and rep.iso(k, f, seed) is not None for k in simples):
+                    simples.append(f)
+                    queue.append(f)
+            if len(simples) >= count:
+                break
+    if len(simples) < count:
+        raise SelfCheckFailed(f"the tensor closure found {len(simples)} simple modules, not {count}")
+    return simples
 
 
 def tables_from_regular(g: grp.PermGroup, p: int | None = None, seed: int = 1):

@@ -1,6 +1,7 @@
 """Character table machinery: tables, blocks, heights, basic sets, Clifford."""
 
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +58,7 @@ GROUPS = {
     "D10": (5, [[(1, 2, 3, 4, 5)], [(2, 5), (3, 4)]]),
     "7:3": (7, [[(1, 2, 3, 4, 5, 6, 7)], [(2, 3, 5), (4, 7, 6)]]),
     "L2(7)": (7, [[(1, 2, 3, 4, 5, 6, 7)], [(1, 2), (3, 6)]]),
+    "A7": (7, [[(1, 2, 3)], [(1, 2, 3, 4, 5, 6, 7)]]),
 }
 ORDERS = {"S3": 6, "A4": 12, "S4": 24, "A5": 60, "S5": 120}
 
@@ -110,7 +112,7 @@ def test_splitting_degree():
     for (name, p), m in SPLIT_CASES.items():
         assert ctab._splitting_degree(grp.conjugacy_classes(group(name), p), p) == m
     with pytest.raises(SelfCheckFailed):  # over GF(4), C7 has 3 simple modules, not 7
-        ctab._tensor_closure(group("C7"), field_make(2, 2), 7, 1)
+        ctab._tensor_closure(group("C7"), field_make(2, 2), grp.conjugacy_classes(group("C7")).reps, 1)
 
 
 # C7 at p None lifts from GF(29), where 28 = q - 1 is a proper multiple of the
@@ -122,7 +124,7 @@ def test_brauer_char_value_matches_summed_oracle(name, p):
     cls = grp.conjugacy_classes(g, p)
     if p is None:
         F = field_make(ctab._auxiliary_prime(g.exponent(), g.order), 1)
-        simples = ctab._tensor_closure(g, F, cls.count, 1)
+        simples = ctab._tensor_closure(g, F, cls.reps, 1).values()
     else:
         simples = ctab.brauer_data(g, p)[1]
     for s in simples:
@@ -131,6 +133,42 @@ def test_brauer_char_value_matches_summed_oracle(name, p):
                 m = grp.element_matrix(g, s, cls.reps[i])
                 got, want = brauer_char_value(m), oracles.brauer_char_value_summed(m)
                 assert (got.n, got.coeffs) == (want.n, want.coeffs)
+
+
+@pytest.mark.parametrize("name,p", ORACLE_CASES + [("C7", None)])
+def test_tensor_closure_matches_iso_keyed_oracle(name, p):
+    """Keying the simples by their Brauer characters keeps the modules, and
+    the order, that telling them apart by iso kept."""
+    g = group(name)
+    cls = grp.conjugacy_classes(g, p)
+    if p is None:
+        F = field_make(ctab._auxiliary_prime(g.exponent(), g.order), 1)
+    else:
+        F = field_make(p, ctab._splitting_degree(cls, p))
+    reps = [x for x, regular in zip(cls.reps, cls.p_regular(p)) if regular]
+    new = list(ctab._tensor_closure(g, F, reps, 1).values())
+    old = oracles.tensor_closure_by_iso(g, F, len(reps), 1)
+    assert [s.dim for s in new] == [s.dim for s in old]
+    assert [[m.arr.tolist() for m in s.gens] for s in new] == [[m.arr.tolist() for m in s.gens] for s in old]
+
+
+# A7's ordinary table and its Brauer tables at 2, 3 and 5 (Atlas degrees);
+# at 7 the chop of a tensor product still tells its factors apart by a slow iso
+A7_DEGREES = {
+    None: [1, 6, 10, 10, 14, 14, 15, 21, 35],
+    2: [1, 4, 4, 6, 14, 20],
+    3: [1, 6, 10, 10, 13, 15],
+    5: [1, 6, 8, 10, 10, 13, 15, 35],
+}
+
+
+@pytest.mark.parametrize("p", list(A7_DEGREES))
+def test_tables_of_a7_against_the_literature(p):
+    g = group("A7")
+    t0 = time.process_time()
+    t = ctab.ordinary_table(g) if p is None else ctab.brauer_table(g, p)
+    assert time.process_time() - t0 < 15
+    assert [ch.degree_int() for ch in t.characters] == A7_DEGREES[p]
 
 
 def _scalar_or_error(fn, table, a, b):
@@ -174,11 +212,9 @@ def test_tables_of_a6_against_the_literature():
 
 def test_restrict_p_regular():
     t = ctab.ordinary_table(s3())
-    chi2 = t.characters[2]
-    _, chi2p = ctab.restrict_p_regular(t, chi2, 3)
+    trivp, _, chi2p = ctab.restrict_table(t, 3).characters
     assert [v for v in chi2p.values] == [Cyclotomic.from_rational(2), Cyclotomic.zero()]
     # trivial restricts to all-ones
-    _, trivp = ctab.restrict_p_regular(t, t.characters[0], 3)
     assert all(v == Cyclotomic.one() for v in trivp.values)
     # p coprime to |G|: restriction changes nothing
     rt = ctab.restrict_table(t, 5)
@@ -208,7 +244,7 @@ def test_induce_sign_from_c2():
 def test_product_with_trivial():
     t = ctab.ordinary_table(s3())
     chi = t.characters[2]
-    assert ctab.product(chi, t.characters[0]).values == chi.values
+    assert (chi * t.characters[0]).values == chi.values
 
 
 def test_blocks_s3_p3():

@@ -332,13 +332,17 @@ chi4 3 3 -1 0 0
 @pytest.mark.parametrize("argv", [
     ["ctab", "blocks"], ["ctab", "blocks", "-p", "0"], ["ctab", "blocks", "-p", "1"], ["ctab", "blocks", "-p", "6"],
     ["ctab", "blocks", "-p", "9"], ["ctab", "blocks", "-p", "-3"], ["ctab", "heights", "-p", "6"],
-    ["ctab", "project", "-p", "1"],
+    ["ctab", "project", "-p", "1"], ["ctab", "restrict"], ["ctab", "restrict", "-p", "0"],
+    ["ctab", "restrict", "-p", "1"], ["ctab", "restrict", "-p", "4"], ["ctab", "restrict", "-p", "-3"],
+    ["ctab", "decompose", "--char", "1", "-p", "1"],
 ])
 def test_ctab_blocks_refuses_a_characteristic_that_is_not_prime(tmp_path, argv):
     """p = 0 (the default of -p), 1, or a non-prime sharing a factor with the
     conductor 3 of A4's values is a typed error before the p'-part of the
     conductor or the order of p modulo it is sought (a ZeroDivisionError or
-    an endless loop otherwise)."""
+    an endless loop otherwise).  `restrict`, and `decompose` with a p, refuse
+    a non-prime p before keeping the classes (a ZeroDivisionError, an
+    IndexError, or a wrong table or none otherwise)."""
     path = tmp_path / "a4.ctb"
     path.write_text(A4_CTB)
     assert run_main([*argv, "--table", path]) == 2
