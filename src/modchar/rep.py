@@ -11,15 +11,15 @@ polynomials, and Norton's irreducibility test.  One recursion (Norton test,
 then split by its witness) serves `chop` and `composition_series`: its leaves
 are the composition factors, and it builds the adapted basis as it goes, so no
 subspace on the way is eliminated again.  The isomorphism test takes
-its seed va from the same kind of null space and spins (va, vb) in a (+) b
-for each candidate vb: when an intertwiner sends va to vb, the submodule
-spun is its graph, with RREF [I | H].  The layered spin and echelonize are
-the only eliminations here.
+its seed va from the same kind of null space and spins it once in
+a (+) b^d beside the kernel basis k_1 .. k_d on b: the spun rows with zero
+a-part tell by one null space which vb = c.K extend to an intertwiner, and
+the rows [I | Y] give its matrix.  The layered spin and echelonize are the
+only eliminations here.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -314,7 +314,7 @@ def chop(rep: Representation, seed: int = 1) -> list[tuple[Representation, int]]
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (graph spin), dual, tensor, hom
+# isomorphism (one spin in a (+) b^d), dual, tensor, hom
 # ---------------------------------------------------------------------------
 
 
@@ -322,13 +322,17 @@ def iso(a: Representation, b: Representation, seed: int = 1):
     """An intertwiner H (a_g . H = H . b_g, invertible) or None.
 
     A word w and an irreducible factor f of its characteristic polynomial
-    with nullity deg f on a give the seed va, the first kernel vector of f(w)
-    on a.  For each projective point vb of that kernel on b, (va, vb) is spun
-    in a (+) b.  If an intertwiner H with va.H = vb exists, the spun
-    submodule is its graph, whose RREF is exactly [I | H]; H is unique once
-    va generates a.  Both modules are expected simple: a seed that does not
+    with nullity d = deg f on a give the seed va, the first kernel vector of
+    f(w) on a, and the kernel basis K = (k_1 .. k_d) of f(w) on b.  One spin
+    of (va, k_1, .., k_d) in a (+) b^d, a-columns first, has RREF rows
+    [I | Y] and rows (0, Z) with Z = {(k_1.x, .., k_d.x) : va.x = 0}.  So
+    vb = c.K extends to a homomorphism exactly when c kills every row of Z
+    cut into its d blocks.  The first RREF row c of those solutions, which
+    is also the lexicographically first solution with leading coefficient
+    1, gives H = sum_l c_l Y_l, the map with va.H = vb; it is unique once va
+    generates a.  Both modules are expected simple: a seed that does not
     generate a moves on to the next word, so non-simple inputs may end
-    Undecided.
+    Undecided, and a singular H answers None.
     """
     if a.ngens != b.ngens:
         raise GeneratorCountMismatch("different generator counts")
@@ -338,7 +342,6 @@ def iso(a: Representation, b: Representation, seed: int = 1):
         return FqMatrix.zeros(a.field, 0, 0)
     F = a.field
     n = a.dim
-    ab = Representation(F, 2 * n, tuple(_direct_sum(ga, gb) for ga, gb in zip(a.gens, b.gens)))
     stream = word_stream(a.ngens, F.p, seed)
     for _ in range(WORD_BUDGET):
         word = next(stream)
@@ -359,44 +362,32 @@ def iso(a: Representation, b: Representation, seed: int = 1):
             continue
         f, kera = usable
         kerb = nullspace(f.eval_matrix(wb).transpose())
-        if kerb.rows != kera.rows:
+        d = kerb.rows
+        if d != kera.rows:
             return None
-        # the matching seed is any projective point of ker_b, not just a
-        # basis vector; enumerate them all (deg f is small)
-        for vb in _projective_points(F, kerb.arr):
-            S = spin(ab, FqMatrix(F, np.hstack([kera.arr[0], vb])[None, :]))
-            if S.arr[:, :n].any(axis=1).sum() < n:
-                break  # va does not generate a; only possible for non-simple input
-            if S.rows == n:
-                H = FqMatrix(F, S.arr[:, n:].copy())
-                if rank(H) == n:
-                    return H
-        else:
+        eye = FqMatrix.identity(F, d)
+        gens = tuple(_direct_sum(ga, mat_kron(eye, gb)) for ga, gb in zip(a.gens, b.gens))
+        abd = Representation(F, n + d * n, gens)
+        S = spin(abd, FqMatrix(F, np.hstack([kera.arr[0], kerb.arr.ravel()])[None, :])).arr
+        if S[:, :n].any(axis=1).sum() < n:
+            continue  # va does not generate a; only possible for non-simple input
+        # row (z, j) of the system is column j of each of Z's d blocks
+        Z = S[n:, n:].reshape(-1, d, n).swapaxes(1, 2).reshape(-1, d)
+        C = nullspace(FqMatrix(F, Z))
+        if C.rows == 0:
             return None
+        Y = S[:n, n:].reshape(n, d, n).swapaxes(0, 1).reshape(d, n * n)
+        H = FqMatrix(F, F.matmul(C.arr[:1], Y).reshape(n, n))
+        return H if rank(H) == n else None
     raise Undecided("no standard-basis word found")
 
 
 def _direct_sum(ga: FqMatrix, gb: FqMatrix) -> FqMatrix:
-    n = ga.rows
-    g = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    g[:n, :n] = ga.arr
-    g[n:, n:] = gb.arr
+    na, nb = ga.rows, gb.rows
+    g = np.zeros((na + nb, na + nb), dtype=np.int64)
+    g[:na, :na] = ga.arr
+    g[na:, na:] = gb.arr
     return FqMatrix(ga.field, g)
-
-
-def _projective_points(F, basis_rows):
-    """All nonzero combinations of the rows, normalized so the first nonzero
-    coefficient is 1, in deterministic lexicographic order."""
-    d = len(basis_rows)
-    for lead in range(d):
-        tails = itertools.product(range(F.q), repeat=d - lead - 1)
-        for tail in tails:
-            coeffs = [0] * lead + [1] + list(tail)
-            v = np.zeros(basis_rows.shape[1], dtype=np.int64)
-            for c, row in zip(coeffs, basis_rows):
-                if c:
-                    v = F.add(v, F.mul(np.int64(c), row))
-            yield v
 
 
 def dual(rep: Representation) -> Representation:

@@ -24,6 +24,9 @@ equal-degree, one sorted list at the end), `is_irreducible_full` the Norton
 loop over it and `iso_full` `rep.iso` on it.  `iso_standard_basis` is the
 earlier isomorphism test: Parker's standard basis spun one vector times one
 generator at a time, its schedule replayed from each candidate point.
+`projective_points` is the earlier candidate walk of `rep.iso`: every
+normalized point of a kernel, in lexicographic order, one graph spin each;
+`all_submodules` and `iso_standard_basis` still walk it.
 `field_tables_per_power` builds a field's tables from its exp table computed
 one power of w at a time.  `grid_by_tokens` and `grid_text_by_str` are the
 earlier MTX/PRM/REP body reader and writer: one `int()` per whitespace-split
@@ -199,6 +202,21 @@ def spin_by_vectors(r: rep.Representation, seeds: FqMatrix) -> FqMatrix:
     return basis.matrix()
 
 
+def projective_points(F, basis_rows):
+    """All nonzero combinations of the rows, normalized so the first nonzero
+    coefficient is 1, in deterministic lexicographic order."""
+    d = len(basis_rows)
+    for lead in range(d):
+        tails = itertools.product(range(F.q), repeat=d - lead - 1)
+        for tail in tails:
+            coeffs = [0] * lead + [1] + list(tail)
+            v = np.zeros(basis_rows.shape[1], dtype=np.int64)
+            for c, row in zip(coeffs, basis_rows):
+                if c:
+                    v = F.add(v, F.mul(np.int64(c), row))
+            yield v
+
+
 def all_submodules(r: rep.Representation, simples, cap: int = 50000):
     """Every invariant subspace of r, as canonical RREF bases (bytes-keyed).
 
@@ -222,7 +240,7 @@ def all_submodules(r: rep.Representation, simples, cap: int = 50000):
             homs = rep.hom(s, quot)
             if not homs:
                 continue
-            for point in rep._projective_points(F, np.array([h.arr.reshape(-1) for h in homs])):
+            for point in projective_points(F, np.array([h.arr.reshape(-1) for h in homs])):
                 H = point.reshape(s.dim, quot.dim)
                 img = row_space(FqMatrix(F, H))
                 lifted = np.zeros((img.rows, n), dtype=np.int64)
@@ -697,7 +715,7 @@ def iso_standard_basis(a: rep.Representation, b: rep.Representation, seed: int =
         if len(rows_a) < a.dim:
             continue
         Ainv = inverse(FqMatrix(F, np.array(rows_a)))
-        for vb in rep._projective_points(F, kerb.arr):
+        for vb in projective_points(F, kerb.arr):
             rows_b = [vb.copy()]
             for src, gi in schedule:
                 rows_b.append(F.matmul(rows_b[src][None, :], b.gens[gi].arr)[0])

@@ -759,6 +759,30 @@ def test_src_has_no_dead_store():
     assert found == []
 
 
+def test_src_private_names_have_a_caller():
+    """A private module-level function or method that nothing else in the
+    library refers to is dead code, or a helper kept in the library only for
+    the test oracles; references inside its own body do not count, and
+    dunder methods are exempt."""
+    import ast
+    from collections import Counter
+
+    def refs(tree):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute)))
+
+    src = Path(cli.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))]
+    total = sum(map(refs, trees), Counter())
+    found = []
+    for tree in trees:
+        for scope in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+            found += [fn.name for fn in scope.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and fn.name.startswith("_") and not fn.name.endswith("__")
+                      and total[fn.name] == refs(fn)[fn.name]]
+    assert found == []
+
+
 def test_former_asserts_raise_typed_errors(monkeypatch):
     from modchar import cond, cyclo
     from modchar.errors import NonIntegral, NotSquarefree, SelfCheckFailed

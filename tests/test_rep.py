@@ -567,7 +567,7 @@ def test_iso_moves_on_from_a_seed_that_does_not_generate(monkeypatch):
 
     def recording_spin(r, seeds):
         out = spin(r, seeds)
-        spun.append((r.dim, out))
+        spun.append(out)
         return out
 
     monkeypatch.setattr(rep, "spin", recording_spin)
@@ -575,9 +575,8 @@ def test_iso_moves_on_from_a_seed_that_does_not_generate(monkeypatch):
         rep.iso(a, a, 1)
     with pytest.raises(Undecided):
         oracles.iso_standard_basis(a, a, 1)
-    # the graph spins in a (+) a: each left block has rank below dim a
-    graphs = [S for d, S in spun if d == 2 * a.dim]
-    assert graphs and all(S.arr[:, : a.dim].any(axis=1).sum() < a.dim for S in graphs)
+    # every spin here is rep.iso's, in a (+) a^d: each left block has rank below dim a
+    assert spun and all(S.arr[:, : a.dim].any(axis=1).sum() < a.dim for S in spun)
 
 
 def _path_algebra_modules():
@@ -591,9 +590,9 @@ def _path_algebra_modules():
 
 def test_iso_refuses_a_singular_homomorphism_from_a_generating_seed(monkeypatch):
     """The first word, e2, has the kernel vector p1 on P1, which generates P1.
-    The graph spin of (p1, s1) is the graph of P1 -> S1, [I | H] with H of
-    rank 1, so the only candidate fails, and the answer is None at once:
-    one graph spin, no further word."""
+    The spin of (p1, s1) in P1 (+) S1 is the graph of P1 -> S1, [I | H] with
+    H of rank 1, so the only solution c fails, and the answer is None at
+    once: one spin, no further word."""
     proj, semi = _path_algebra_modules()
     spins = []
     spin = rep.spin
@@ -604,7 +603,7 @@ def test_iso_refuses_a_singular_homomorphism_from_a_generating_seed(monkeypatch)
 
 
 def test_iso_needs_the_seed_itself_to_generate():
-    """From S1 (+) S2 to P1 the graph spin of (s1, p1) has dim S1 (+) S2 rows
+    """From S1 (+) S2 to P1 the spin of (s1, p1) has dim S1 (+) S2 rows
     but a left block of rank 1: s1 does not generate, so that word is passed
     over, and no later seed generates S1 (+) S2 either."""
     proj, semi = _path_algebra_modules()
@@ -612,6 +611,42 @@ def test_iso_needs_the_seed_itself_to_generate():
         rep.iso(semi, proj, 1)
     with pytest.raises(Undecided):
         oracles.iso_standard_basis(semi, proj, 1)
+
+
+def _conjugate(r, seed):
+    """r with every generator conjugated by one seeded invertible matrix."""
+    F = r.field
+    rng = np.random.default_rng(seed)
+    t = gfla.FqMatrix(F, rng.integers(0, F.q, (r.dim, r.dim)))
+    while gfla.rank(t) < r.dim:
+        t = gfla.FqMatrix(F, rng.integers(0, F.q, (r.dim, r.dim)))
+    tinv = gfla.inverse(t)
+    return rep.Representation(F, r.dim, tuple(gfla.mat_mul(gfla.mat_mul(t, g), tinv) for g in r.gens), "conj")
+
+
+def _s5_four_dim_gf1009():
+    F = gfla.field_make(1009, 1)
+    cycles = ([(1, 2, 3, 4, 5)], [(1, 2)])
+    nat = rep.Representation(F, 5, tuple(grp.perm_matrices([grp.perm_from_cycles(5, c) for c in cycles], F)), "nat")
+    return next(f for f, _m in rep.chop(nat, 1) if f.dim == 4)
+
+
+@pytest.mark.parametrize("simple", [_s5_four_dim_gf1009, c3_two_dim], ids=["S5-4-GF1009", "C3-2-GF2"])
+def test_iso_spins_once(monkeypatch, simple):
+    """One spin in a (+) b^d decides iso, whatever the size of ker_b: on the
+    S5 pair the first usable factor has degree 2, and a walk over the 1010
+    projective points of ker_b took 524 graph spins to reach the
+    intertwiner; on C3's simple over GF(2) End is GF(4), so every c in the
+    plane GF(2)^2 extends and the first RREF row is taken."""
+    a = simple()
+    b = _conjugate(a, 5)
+    spins = []
+    spin = rep.spin
+    monkeypatch.setattr(rep, "spin", lambda r, seeds: spins.append(r.dim) or spin(r, seeds))
+    H = rep.iso(a, b, 1)
+    assert len(spins) == 1
+    assert H is not None and H == oracles.iso_full(a, b, 1)
+    assert all(gfla.mat_mul(ga, H) == gfla.mat_mul(H, gb) for ga, gb in zip(a.gens, b.gens))
 
 
 def test_word_evaluate_starts_each_term_at_its_first_generator(monkeypatch):
