@@ -330,9 +330,11 @@ def iso(a: Representation, b: Representation, seed: int = 1):
     cut into its d blocks.  The first RREF row c of those solutions, which
     is also the lexicographically first solution with leading coefficient
     1, gives H = sum_l c_l Y_l, the map with va.H = vb; it is unique once va
-    generates a.  Both modules are expected simple: a seed that does not
-    generate a moves on to the next word, so non-simple inputs may end
-    Undecided, and a singular H answers None.
+    generates a.  Then phi -> va.phi also embeds End(a) in the field
+    F[w]/(f), so when a ~ b every nonzero homomorphism is invertible, and a
+    singular H answers None.  Both modules are expected simple: a seed that
+    does not generate a moves on to the next word, so non-simple inputs may
+    end Undecided.
     """
     if a.ngens != b.ngens:
         raise GeneratorCountMismatch("different generator counts")

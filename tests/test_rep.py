@@ -646,7 +646,28 @@ def test_iso_spins_once(monkeypatch, simple):
     H = rep.iso(a, b, 1)
     assert len(spins) == 1
     assert H is not None and H == oracles.iso_full(a, b, 1)
+    # the point walk's first valid point is the first RREF row of C
+    assert H == oracles.iso_standard_basis(a, b, 1)
     assert all(gfla.mat_mul(ga, H) == gfla.mat_mul(H, gb) for ga, gb in zip(a.gens, b.gens))
+
+
+def test_iso_of_a_generating_non_simple_pair_matches_the_point_walk(monkeypatch):
+    """P1 is not simple, but the seed p1 generates it, so End(P1) embeds in
+    a field and the one spin gives the point walk's answer: against a
+    conjugate of P1 the intertwiner, against S1 (+) S2 None."""
+    proj, semi = _path_algebra_modules()
+    spins = []
+    spin = rep.spin
+    monkeypatch.setattr(rep, "spin", lambda r, seeds: spins.append(r.dim) or spin(r, seeds))
+    for seed in range(1, 6):
+        conj = _conjugate(proj, seed)
+        spins.clear()
+        H = rep.iso(proj, conj, 1)
+        assert len(spins) == 1
+        assert H is not None and H == oracles.iso_standard_basis(proj, conj, 1)
+        assert all(gfla.mat_mul(ga, H) == gfla.mat_mul(H, gb) for ga, gb in zip(proj.gens, conj.gens))
+        assert rep.iso(proj, _conjugate(semi, seed), 1) is None
+        assert oracles.iso_standard_basis(proj, _conjugate(semi, seed), 1) is None
 
 
 def test_word_evaluate_starts_each_term_at_its_first_generator(monkeypatch):
