@@ -367,8 +367,7 @@ def iso(a: Representation, b: Representation, seed: int = 1):
         d = kerb.rows
         if d != kera.rows:
             return None
-        eye = FqMatrix.identity(F, d)
-        gens = tuple(_direct_sum(ga, mat_kron(eye, gb)) for ga, gb in zip(a.gens, b.gens))
+        gens = tuple(_direct_sum(ga, *(gb,) * d) for ga, gb in zip(a.gens, b.gens))
         abd = Representation(F, n + d * n, gens)
         S = spin(abd, FqMatrix(F, np.hstack([kera.arr[0], kerb.arr.ravel()])[None, :])).arr
         if S[:, :n].any(axis=1).sum() < n:
@@ -384,12 +383,13 @@ def iso(a: Representation, b: Representation, seed: int = 1):
     raise Undecided("no standard-basis word found")
 
 
-def _direct_sum(ga: FqMatrix, gb: FqMatrix) -> FqMatrix:
-    na, nb = ga.rows, gb.rows
-    g = np.zeros((na + nb, na + nb), dtype=np.int64)
-    g[:na, :na] = ga.arr
-    g[na:, na:] = gb.arr
-    return FqMatrix(ga.field, g)
+def _direct_sum(*blocks: FqMatrix) -> FqMatrix:
+    g = np.zeros((sum(x.rows for x in blocks),) * 2, dtype=np.int64)
+    i = 0
+    for x in blocks:
+        g[i : i + x.rows, i : i + x.rows] = x.arr
+        i += x.rows
+    return FqMatrix(blocks[0].field, g)
 
 
 def dual(rep: Representation) -> Representation:
