@@ -13,7 +13,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import GeneratorCountMismatch, GroupTooLarge, NotSubgroup, TooLarge
+from .errors import GeneratorCountMismatch, GroupTooLarge, NotAGroup, NotSubgroup, TooLarge
 from .gfla import FieldSpec, FqMatrix, factorize
 
 Perm = tuple[int, ...]
@@ -61,10 +61,15 @@ def perm_order(a: Perm) -> int:
 
 
 def perm_from_cycles(n: int, cycles) -> Perm:
-    """Build a permutation on 0..n-1 from 1-based cycle notation."""
+    """Build a permutation on 0..n-1 from 1-based cycle notation: disjoint
+    cycles of points in 1..n."""
     img = list(range(n))
+    seen: set[int] = set()
     for cyc in cycles:
         for i, pt in enumerate(cyc):
+            if not 1 <= pt <= n or pt in seen:
+                raise NotAGroup(f"cycle point {pt} is outside 1..{n} or repeated")
+            seen.add(pt)
             img[pt - 1] = cyc[(i + 1) % len(cyc)] - 1
     return tuple(img)
 
@@ -110,6 +115,8 @@ def enumerate_group(gens) -> PermGroup:
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise NotSubgroup("generators act on different point sets")
+    if any(sorted(g) != list(range(n)) for g in gens):
+        raise NotAGroup(f"a generator is not a permutation of 0..{n - 1}")
     ident = perm_identity(n)
     elements = [ident]
     index = {ident: 0}

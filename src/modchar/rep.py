@@ -219,6 +219,11 @@ def _transpose_rep(rep: Representation) -> Representation:
 def is_irreducible(rep: Representation, seed: int = 1):
     """Norton's criterion over a seeded word stream.
 
+    Each irreducible factor f of a word's characteristic polynomial is seeded
+    once, by the last RREF row of the left kernel of f(w): a proper spin is the
+    witness.  Only a factor whose nullity equals its degree can then certify,
+    by one spin of the transposed module.
+
     Returns (True, certificate) or (False, witness).  The witness is the
     canonical RREF basis of a proper submodule, as `spin` or `nullspace`
     returns it.  Raises Undecided when the word budget is exhausted without a
@@ -242,11 +247,8 @@ def is_irreducible(rep: Representation, seed: int = 1):
             # kernel of the row action v -> v.f(w) is the left null space
             ker = nullspace(fw.transpose())
             nu = ker.rows
-            if nu == 0:
-                continue
-            v = FqMatrix(F, ker.arr[:1])
-            sub = spin(rep, v)
-            if 0 < sub.rows < rep.dim:
+            sub = spin(rep, FqMatrix(F, ker.arr[-1:]))
+            if sub.rows < rep.dim:
                 return False, sub
             if nu == f.degree:
                 kert = nullspace(fw)
@@ -260,13 +262,6 @@ def is_irreducible(rep: Representation, seed: int = 1):
                 # proper submodule of the original
                 ann = nullspace(subt)
                 return False, ann
-            else:
-                for i in range(1, nu):
-                    v = FqMatrix(F, ker.arr[i : i + 1])
-                    sub = spin(rep, v)
-                    if 0 < sub.rows < rep.dim:
-                        return False, sub
-                # no verdict from this factor; try the next one
     raise Undecided(f"no verdict for {rep.label or 'module'} within the word budget")
 
 

@@ -624,20 +624,14 @@ def is_irreducible_full(r: rep.Representation, seed: int = 1):
             fw = f.eval_matrix(w)
             ker = nullspace(fw.transpose())
             nu = ker.rows
-            if nu == 0:
-                continue
-            sub = rep.spin(r, FqMatrix(F, ker.arr[:1]))
-            if 0 < sub.rows < r.dim:
+            sub = rep.spin(r, FqMatrix(F, ker.arr[-1:]))
+            if sub.rows < r.dim:
                 return False, sub
             if nu == f.degree:
                 subt = rep.spin(r_t, FqMatrix(F, nullspace(fw).arr[:1]))
                 if subt.rows == r.dim:
                     return True, rep.IrreducibilityCertificate(word, f, nu)
                 return False, nullspace(subt)
-            for i in range(1, nu):
-                sub = rep.spin(r, FqMatrix(F, ker.arr[i : i + 1]))
-                if 0 < sub.rows < r.dim:
-                    return False, sub
     raise rep.Undecided("no verdict within the word budget")
 
 

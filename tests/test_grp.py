@@ -3,7 +3,7 @@
 import pytest
 
 from modchar import gfla, grp
-from modchar.errors import NotSubgroup
+from modchar.errors import NotAGroup, NotSubgroup
 
 
 def s3():
@@ -107,3 +107,16 @@ def test_perm_and_regular_rep():
     F3 = gfla.field_make(3, 1)
     nat = grp.perm_rep(s3(), F3)
     assert nat.dim == 3
+
+
+def test_non_permutations_are_refused():
+    """Cycle points outside 1..n or repeated across cycles, and generators
+    that do not permute 0..n-1, raise NotAGroup."""
+    assert grp.perm_from_cycles(4, [(1, 2), (3, 4)]) == (1, 0, 3, 2)
+    assert grp.perm_from_cycles(3, [(2,), ()]) == (0, 1, 2)
+    for cycles in ([(0, 1, 2)], [(1, 2), (2, 3)], [(1, 4)], [(1, 2, 1)]):
+        with pytest.raises(NotAGroup):
+            grp.perm_from_cycles(3, cycles)
+    for gens in ([(1, -1, 0)], [(1, 2, 1)], [(0, 1, 2), (1, 1, 0)], [(0, 3, 1)]):
+        with pytest.raises(NotAGroup):
+            grp.enumerate_group(gens)

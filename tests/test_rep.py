@@ -525,18 +525,69 @@ def test_iso_pairs_match_eager_factoring(against_eager):
     assert against_eager["iso"] == len(pairs)
 
 
-@pytest.mark.parametrize("name,p", [("S4", 2), ("S4", 3), ("A5", 2), ("A5", 3)])
-def test_norton_and_iso_match_eager_factoring_in_tensor_closure(against_eager, name, p):
-    if name == "S4":
-        g = grp.enumerate_group([grp.perm_from_cycles(4, [(1, 2)]), grp.perm_from_cycles(4, [(1, 2, 3, 4)])])
-    else:
-        g = grp.enumerate_group([grp.perm_from_cycles(5, [(1, 2, 3)]), grp.perm_from_cycles(5, [(1, 2, 3, 4, 5)])])
+def s4():
+    return grp.enumerate_group([grp.perm_from_cycles(4, [(1, 2)]), grp.perm_from_cycles(4, [(1, 2, 3, 4)])])
+
+
+def a5():
+    return grp.enumerate_group([grp.perm_from_cycles(5, [(1, 2, 3)]), grp.perm_from_cycles(5, [(1, 2, 3, 4, 5)])])
+
+
+def _tensor_closure(name, p):
+    """The simples of S4 or A5 over GF(p^2), one per p-regular class."""
+    g = s4() if name == "S4" else a5()
     cls = grp.conjugacy_classes(g, p)
     reps = [x for x, regular in zip(cls.reps, cls.p_regular(p)) if regular]
-    count = len(reps)
     simples = ctab._tensor_closure(g, gfla.field_make(p, 2), reps, 1)
-    assert len(simples) == count
+    assert len(simples) == len(reps)
+    return simples
+
+
+@pytest.mark.parametrize("name,p", [("S4", 2), ("S4", 3), ("A5", 2), ("A5", 3)])
+def test_norton_and_iso_match_eager_factoring_in_tensor_closure(against_eager, name, p):
+    count = len(_tensor_closure(name, p))
     assert against_eager["norton"] > count and against_eager["iso"] > 0
+
+
+@pytest.mark.parametrize("name,p", [("S4", 3), ("A5", 2), ("A5", 3)])
+def test_norton_spins_each_factor_once(monkeypatch, name, p):
+    """Within one is_irreducible call every factor f evaluated as f(w) seeds
+    one spin, and at most one more spin is of the transposed module."""
+    counts = {"spin": 0, "eval": 0}
+    per_call = []
+    spin, eval_matrix, norton = rep.spin, gfla.FqPolynomial.eval_matrix, rep.is_irreducible
+
+    def counted(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    def counted_norton(r, seed=1):
+        spins, evals = counts["spin"], counts["eval"]
+        got = norton(r, seed)
+        per_call.append((counts["spin"] - spins, counts["eval"] - evals))
+        return got
+
+    monkeypatch.setattr(rep, "spin", counted("spin", spin))
+    monkeypatch.setattr(gfla.FqPolynomial, "eval_matrix", counted("eval", eval_matrix))
+    monkeypatch.setattr(rep, "is_irreducible", counted_norton)
+    _tensor_closure(name, p)
+    assert per_call and all(spins <= evals + 1 for spins, evals in per_call)
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_chop_splits_repeated_factors(copies):
+    """On S^k, S the 3-dimensional simple of S4 over GF(3), the nullity of
+    every factor f is k times its nullity on S, so above deg f: no factor
+    certifies, and each split comes from the one kernel vector seeding f."""
+    simple = next(f for f, _m in rep.chop(grp.perm_rep(s4(), F3), 1) if f.dim == 3)
+    gens = tuple(rep._direct_sum(*[g] * copies) for g in simple.gens)
+    total = rep.Representation(F3, 3 * copies, gens, f"S^{copies}")
+    for seed in range(1, 9):
+        factors = rep.chop(_conjugate(total, seed), 1)
+        assert [(f.dim, m) for f, m in factors] == [(3, copies)]
+        assert rep.iso(factors[0][0], simple, 1) is not None
 
 
 @pytest.mark.parametrize("name,p", [("A4", 2), ("S3", 3)])
