@@ -61,15 +61,13 @@ def perm_order(a: Perm) -> int:
 
 
 def perm_from_cycles(n: int, cycles) -> Perm:
-    """Build a permutation on 0..n-1 from 1-based cycle notation: disjoint
-    cycles of points in 1..n."""
+    """Build a permutation on 0..n-1 from disjoint 1-based cycles on 1..n."""
+    points = [pt for cyc in cycles for pt in cyc]
+    if len(set(points)) < len(points) or not set(points) <= set(range(1, n + 1)):
+        raise NotAGroup(f"cycle points must be distinct and in 1..{n}")
     img = list(range(n))
-    seen: set[int] = set()
     for cyc in cycles:
         for i, pt in enumerate(cyc):
-            if not 1 <= pt <= n or pt in seen:
-                raise NotAGroup(f"cycle point {pt} is outside 1..{n} or repeated")
-            seen.add(pt)
             img[pt - 1] = cyc[(i + 1) % len(cyc)] - 1
     return tuple(img)
 

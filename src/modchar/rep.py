@@ -220,9 +220,8 @@ def is_irreducible(rep: Representation, seed: int = 1):
     """Norton's criterion over a seeded word stream.
 
     Each irreducible factor f of a word's characteristic polynomial is seeded
-    once, by the last RREF row of the left kernel of f(w): a proper spin is the
-    witness.  Only a factor whose nullity equals its degree can then certify,
-    by one spin of the transposed module.
+    once, by the last RREF row of the left kernel of f(w); only a factor whose
+    nullity equals its degree can then certify, by one transposed spin.
 
     Returns (True, certificate) or (False, witness).  The witness is the
     canonical RREF basis of a proper submodule, as `spin` or `nullspace`
