@@ -1,11 +1,11 @@
 """Ordinary and Brauer character tables, blocks, basic sets, Clifford theory.
 
 Tables for desk-scale groups are computed from first principles.  The simple
-modules come from the tensor closure of the natural permutation module: chop
-it, then chop S (x) T for each new simple S and each non-trivial factor T of
-the natural module, until there are as many simples as regular classes.  The
-eigenvalues of every chopped factor are lifted once on the regular classes,
-and a factor is a new simple exactly when its Brauer character is new; those
+modules come from the tensor closure of the natural permutation module: split
+it by the MeatAxe, then S (x) T for each new simple S and each non-trivial
+factor T of the natural module, until there are as many simples as regular
+classes.  Every MeatAxe leaf is lifted once on the regular classes, at their
+orders, and is a new simple exactly when its Brauer character is new; those
 characters are the rows of the table, so no two modules are ever compared.
 The ordinary table is the Brauer table at an auxiliary prime r with
 r = 1 mod exp(G) (so reduction mod r is faithful on characters and the lifts
@@ -119,31 +119,34 @@ def _tensor_closure(g: _grp.PermGroup, F, reps, seed: int) -> dict:
     The natural permutation module is faithful, so every simple module is a
     composition factor of one of its tensor powers (Burnside-Brauer-Steinberg),
     hence of some S (x) T with S found before and T a non-trivial factor of
-    the natural module.  The Brauer character of each chopped factor is
-    lifted once.  Over a field of characteristic p the Brauer characters of
+    the natural module.  The MeatAxe leaves of each module (`rep._meataxe`),
+    stably sorted by dimension, are keyed by their Brauer characters at
+    `reps`.  Over a field of characteristic p the Brauer characters of
     pairwise non-isomorphic simple modules are linearly independent, so a
-    factor is new exactly when its character is; the dict keeps the order in
-    which the simples were found.  Each new simple is tensored in first-in
-    first-out order; the search stops once there are as many simples as
-    `reps` or none is left to tensor, and raises SelfCheckFailed when it found
-    fewer.
+    leaf is new exactly when its character is, and the first such leaf is the
+    factor `rep.chop` would keep; the dict keeps the order in which the
+    simples were found.  Each new simple is tensored in first-in first-out
+    order; the search stops once there are as many simples as `reps` or none
+    is left to tensor, and raises SelfCheckFailed when it found fewer.
     """
+    orders = [_grp.perm_order(x) for x in reps]
+    simples: dict = {}
 
-    def lift(f):
-        return tuple(brauer_char_value(_grp.element_matrix(g, f, x)) for x in reps)
+    def new_leaves(m):
+        found = []
+        for f in sorted(_rep._meataxe(m, seed)[0], key=lambda leaf: leaf.dim):
+            key = tuple(brauer_char_value(_grp.element_matrix(g, f, x), e) for x, e in zip(reps, orders))
+            if key not in simples:
+                simples[key] = f
+                found.append(f)
+        return found
 
-    natural = [s for s, _m in _rep.chop(_grp.perm_rep(g, F), seed)]
-    movers = [t for t in natural if not _is_trivial(t)]
-    simples = {lift(s): s for s in natural}  # chop's factors are pairwise non-isomorphic
+    movers = [t for t in new_leaves(_grp.perm_rep(g, F)) if not _is_trivial(t)]
     queue = deque(movers)  # 1 (x) T is T, already a factor of the natural module
     while queue and len(simples) < len(reps):
         s = queue.popleft()
         for t in movers:
-            for f, _m in _rep.chop(_rep.tensor(s, t), seed):
-                key = lift(f)
-                if key not in simples:
-                    simples[key] = f
-                    queue.append(f)
+            queue.extend(new_leaves(_rep.tensor(s, t)))
             if len(simples) >= len(reps):
                 break
     if len(simples) < len(reps):
@@ -457,7 +460,6 @@ def _check_orbits(orbits, n: int, what: str):
 @dataclass(frozen=True)
 class CliffordResult:
     blocks: tuple[BlockDecomposition, ...]
-    ambiguities: tuple[str, ...] = ()
 
 
 def clifford_index2(

@@ -26,9 +26,9 @@ Normalizing costs more than the arithmetic, so sums of many terms
 are gathered as one exponent list and normalized once: `weighted_inner` for
 scalar products, and `brauer_char_value`, which counts the eigenvalues of a
 p-regular element among the roots of unity of its order e and builds one
-Cyclotomic(e, counts).  The lift sends the Conway generator w of GF(q) to
-exp(2 pi i / (q-1)) in the compatible way, w^m -> zeta_{q-1}^m, so the
-eigenvalue w^(j(q-1)/e) lifts to zeta_e^j.
+Cyclotomic(e, counts), e given by the group layer.  The lift sends the
+Conway generator w of GF(q) to exp(2 pi i / (q-1)) in the compatible way,
+w^m -> zeta_{q-1}^m, so the eigenvalue w^(j(q-1)/e) lifts to zeta_e^j.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .gfla import FIELD_CEILING, FqMatrix, FqPolynomial, char_poly, factorize, mat_mul, root_of_unity
+from .gfla import FqMatrix, FqPolynomial, char_poly, factorize, mat_mul, root_of_unity
 
 
 @lru_cache(maxsize=None)
@@ -474,30 +474,19 @@ def atlas_name(v: Cyclotomic) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def matrix_order(m: FqMatrix) -> int:
-    """The multiplicative order of the invertible square matrix m, sought
-    below FIELD_CEILING: the lift needs the order e to divide p^m - 1 for a
-    field GF(p^m) within the ceiling, so no larger order can be lifted."""
-    ident = FqMatrix.identity(m.field, m.rows)
-    cur = m
-    for k in range(1, FIELD_CEILING):
-        if cur == ident:
-            return k
-        cur = mat_mul(cur, m)
-    raise PRegularViolation(f"matrix order is at least {FIELD_CEILING}, beyond any liftable order")
-
-
-def brauer_char_value(element) -> Cyclotomic:
+def brauer_char_value(element: FqMatrix, order: int) -> Cyclotomic:
     """Lift the eigenvalues of the representing matrix of a p-regular element.
 
     `element` is the representing FqMatrix itself (callers with group words
-    evaluate them first).  Its order e must be coprime to p, so its
-    eigenvalues are e-th roots of unity and lie in the smallest extension
-    GF(p^m) with e | p^m - 1 that contains GF(q).  The characteristic
-    polynomial is divided there by x - w^(j(p^m-1)/e) for j = 0, ..., e-1,
-    as often as it goes; the count c_j lifts to c_j zeta_e^j, and the value
-    is normalized once, as Cyclotomic(e, counts).  A singular matrix is
-    refused before its order is sought.
+    evaluate them first); `order`, the element's order e in the group
+    (`ClassData.orders`), must be prime to p with element^e = I, so the
+    matrix is semisimple and its eigenvalues are e-th roots of unity in the
+    smallest extension GF(p^m) with e | p^m - 1 that contains GF(q).  The
+    characteristic polynomial is divided there by x - w^(j(p^m-1)/e) for
+    j = 0, ..., e-1, as often as it goes; the count c_j lifts to c_j zeta_e^j,
+    and the value is normalized once, as Cyclotomic(e, counts): the same
+    value at any multiple of the matrix's own order, the roots being
+    Conway-compatible.  A singular matrix is refused first.
     """
     mat = element
     if mat.rows != mat.cols:
@@ -507,9 +496,15 @@ def brauer_char_value(element) -> Cyclotomic:
     cp = char_poly(mat)
     if cp.coeffs[0] == 0:  # the constant term is +-det
         raise PRegularViolation("singular representing matrix")
-    order = matrix_order(mat)
-    if order % p == 0:
-        raise PRegularViolation(f"element order {order} divisible by {p}")
+    if order < 1 or order % p == 0:
+        raise PRegularViolation(f"element order {order} is not a positive number prime to {p}")
+    power = mat
+    for bit in bin(order)[3:]:  # repeated squaring, leading bit first
+        power = mat_mul(power, power)
+        if bit == "1":
+            power = mat_mul(power, mat)
+    if power != FqMatrix.identity(F, mat.rows):
+        raise PRegularViolation(f"the representing matrix to the power {order} is not the identity")
     ext, step = root_of_unity(F, order)
     poly = FqPolynomial(ext, F.embed_into(ext)[list(cp.coeffs)].tolist())
     counts = [0] * order

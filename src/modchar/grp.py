@@ -14,7 +14,7 @@ from math import lcm
 import numpy as np
 
 from .errors import GeneratorCountMismatch, GroupTooLarge, NotAGroup, NotSubgroup, TooLarge
-from .gfla import FieldSpec, FqMatrix, factorize
+from .gfla import FieldSpec, FqMatrix, factorize, field_make
 
 Perm = tuple[int, ...]
 
@@ -144,7 +144,6 @@ def enumerate_group(gens) -> PermGroup:
 
 @dataclass(frozen=True)
 class ClassData:
-    group: PermGroup
     reps: tuple[Perm, ...]
     sizes: tuple[int, ...]
     orders: tuple[int, ...]
@@ -179,6 +178,8 @@ def letter_labels(keys) -> list[str]:
 
 def conjugacy_classes(g: PermGroup, p: int | None = None) -> ClassData:
     """Conjugation orbits; identity class first, then by (order, size, least rep)."""
+    if p:  # None and 0 mean no prime; any other p that is not a prime is refused
+        field_make(p)
     assigned: dict[Perm, int] = {}
     raw: list[list[Perm]] = []
     for e in g.elements:
@@ -208,7 +209,7 @@ def conjugacy_classes(g: PermGroup, p: int | None = None) -> ClassData:
     renumber = {old: new for new, old in enumerate(perm_order_key)}
     class_of = {x: renumber[ci] for x, ci in assigned.items()}
     power_maps = {prime: tuple(class_of[perm_pow(r, prime)] for r in reps) for prime in factorize(g.order)}
-    return ClassData(g, reps, sizes, orders, class_of, power_maps, p)
+    return ClassData(reps, sizes, orders, class_of, power_maps, p)
 
 
 def subgroup_elements(g: PermGroup, sub_gens) -> list[Perm]:
@@ -224,7 +225,6 @@ def subgroup_elements(g: PermGroup, sub_gens) -> list[Perm]:
 
 @dataclass(frozen=True)
 class CosetAction:
-    group: PermGroup
     degree: int
     perms: tuple[Perm, ...]  # image of each ambient generator
     coset_reps: tuple[Perm, ...]
@@ -248,7 +248,7 @@ def coset_action(g: PermGroup, sub_gens) -> CosetAction:
     perms = []
     for gen in g.gens:
         perms.append(tuple(key_index[seen[perm_mul(k, gen)]] for k in keys))
-    return CosetAction(g, len(keys), tuple(perms), tuple(keys))
+    return CosetAction(len(keys), tuple(perms), tuple(keys))
 
 
 def double_cosets(g: PermGroup, sub_gens) -> list[tuple[Perm, int]]:
@@ -292,7 +292,7 @@ def regular_action(g: PermGroup) -> CosetAction:
     perms = []
     for gen in g.gens:
         perms.append(tuple(g.index[perm_mul(e, gen)] for e in g.elements))
-    return CosetAction(g, g.order, tuple(perms), (perm_identity(g.degree),))
+    return CosetAction(g.order, tuple(perms), (perm_identity(g.degree),))
 
 
 def regular_rep(g: PermGroup, field: FieldSpec):

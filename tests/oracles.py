@@ -65,7 +65,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from modchar import ctab, dxm, grp, rep
-from modchar.cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi, matrix_order, rref_rational, solve_rational
+from modchar.cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi, rref_rational, solve_rational
 from modchar.errors import (
     ActionNotInvolution,
     AmbiguousCase,
@@ -428,10 +428,10 @@ class BrauerLift:
         }
 
 
-def brauer_char_value_summed(mat: FqMatrix) -> Cyclotomic:
-    """Sum of the lifted eigenvalues, one Cyclotomic addition per eigenvalue."""
+def brauer_char_value_summed(mat: FqMatrix, order: int) -> Cyclotomic:
+    """Sum of the lifted eigenvalues, one Cyclotomic addition per eigenvalue;
+    `order` is the element's order, prime to p."""
     F = mat.field
-    order = matrix_order(mat)
     assert order % F.p
     m = F.k
     while (F.p**m - 1) % order:
@@ -494,7 +494,7 @@ def tables_from_regular(g: grp.PermGroup, p: int | None = None, seed: int = 1):
     keep = [i for i in range(cls.count) if cls.p_regular(p)[i]]
     chars = [
         ctab.Character(
-            tuple(brauer_char_value_summed(grp.element_matrix(g, s, cls.reps[i])) for i in keep),
+            tuple(brauer_char_value_summed(grp.element_matrix(g, s, cls.reps[i]), cls.orders[i]) for i in keep),
             "brauer" if p else "ordinary",
             s.label,
         )

@@ -131,7 +131,8 @@ def test_brauer_char_value_matches_summed_oracle(name, p):
         for i, regular in enumerate(cls.p_regular(p)):
             if regular:
                 m = grp.element_matrix(g, s, cls.reps[i])
-                got, want = brauer_char_value(m), oracles.brauer_char_value_summed(m)
+                got = brauer_char_value(m, cls.orders[i])
+                want = oracles.brauer_char_value_summed(m, cls.orders[i])
                 assert (got.n, got.coeffs) == (want.n, want.coeffs)
 
 
@@ -150,6 +151,19 @@ def test_tensor_closure_matches_iso_keyed_oracle(name, p):
     old = oracles.tensor_closure_by_iso(g, F, len(reps), 1)
     assert [s.dim for s in new] == [s.dim for s in old]
     assert [[m.arr.tolist() for m in s.gens] for s in new] == [[m.arr.tolist() for m in s.gens] for s in old]
+
+
+def test_tables_compare_no_modules(monkeypatch):
+    """The simples are told apart by their Brauer characters alone: building
+    a table calls neither rep.iso nor rep.chop."""
+
+    def refused(*args):
+        raise AssertionError("a table compared two modules")
+
+    monkeypatch.setattr(rep, "iso", refused)
+    monkeypatch.setattr(rep, "chop", refused)
+    assert [c.degree_int() for c in ctab.brauer_table(a5(), 2).characters] == [1, 2, 2, 4]
+    assert [c.degree_int() for c in ctab.ordinary_table(group("S4")).characters] == [1, 1, 2, 3, 3]
 
 
 # A7's ordinary table and its Brauer tables at 2, 3, 5 and 7 (Atlas degrees)

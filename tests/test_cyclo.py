@@ -27,7 +27,7 @@ from modchar.cyclo import (
     solve_rational,
 )
 from modchar.dxm import invert_rational
-from modchar.errors import NonUnitGaloisExponent, PRegularViolation, ShapeMismatch, SingularA
+from modchar.errors import FieldTooLarge, NonUnitGaloisExponent, PRegularViolation, ShapeMismatch, SingularA
 
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles  # noqa: E402
@@ -93,50 +93,65 @@ def test_brauer_lift_multiplicative():
         for b in range(1, 4):
             prod = int(F4.mul(*map(__import__("numpy").int64, (a, b))))
             assert table[a] * table[b] == table[prod]
-        # the eigenvalue a of a 1 x 1 matrix lifts the same way
+        # the eigenvalue a of a 1 x 1 matrix lifts the same way, at q - 1 = 3
         m = gfla.FqMatrix(F4, [[a]])
-        assert brauer_char_value(m) == table[a]
+        assert brauer_char_value(m, 3) == table[a]
     assert table[1] == Cyclotomic.one()
 
 
 def test_brauer_char_value_examples():
     F2 = gfla.field_make(2, 1)
     c3 = rep.Representation(F2, 2, (gfla.FqMatrix(F2, [[0, 1], [1, 1]]),))
-    val = brauer_char_value(c3.gens[0])
+    val = brauer_char_value(c3.gens[0], 3)
     assert val == Cyclotomic.from_rational(-1)  # zeta3 + zeta3^2
     ident = gfla.FqMatrix.identity(F2, 2)
-    assert brauer_char_value(ident) == Cyclotomic.from_rational(2)
+    assert brauer_char_value(ident, 1) == Cyclotomic.from_rational(2)
     triv = rep.Representation(F2, 1, (gfla.FqMatrix.identity(F2, 1),))
-    assert brauer_char_value(triv.gens[0]) == Cyclotomic.one()
+    assert brauer_char_value(triv.gens[0], 1) == Cyclotomic.one()
     # order divisible by p is refused
     c2bad = gfla.FqMatrix(F2, [[1, 1], [0, 1]])  # order 2 in characteristic 2
     with pytest.raises(PRegularViolation):
-        brauer_char_value(c2bad)
+        brauer_char_value(c2bad, 2)
 
 
 def test_singular_matrix_is_refused_at_once():
     F3 = gfla.field_make(3, 1)
     t0 = time.process_time()
     with pytest.raises(PRegularViolation, match="singular representing matrix"):
-        brauer_char_value(gfla.FqMatrix(F3, [[1, 0], [0, 0]]))
+        brauer_char_value(gfla.FqMatrix(F3, [[1, 0], [0, 0]]), 2)
     assert time.process_time() - t0 < 1.0
     with pytest.raises(ShapeMismatch):
-        brauer_char_value(gfla.FqMatrix(F3, [[1, 0, 0], [0, 1, 0]]))
+        brauer_char_value(gfla.FqMatrix(F3, [[1, 0, 0], [0, 1, 0]]), 2)
     with pytest.raises(ShapeMismatch):
-        brauer_char_value(gfla.FqMatrix(F3, [[1, 0], [0, 1], [0, 0]]))
+        brauer_char_value(gfla.FqMatrix(F3, [[1, 0], [0, 1], [0, 0]]), 2)
 
 
-def test_large_matrix_order_is_refused_quickly():
+def test_lift_refuses_an_order_that_is_not_the_elements():
+    """The order is given, not sought: an order divisible by p, or one that
+    the matrix's own order does not divide, is refused."""
+    F5 = gfla.field_make(5, 1)
+    m = gfla.FqMatrix(F5, [[0, 1], [1, 0]])  # order 2
+    assert brauer_char_value(m, 2) == brauer_char_value(m, 4) == Cyclotomic.zero()
+    for order in (0, -2, 5, 10, 3):
+        with pytest.raises(PRegularViolation):
+            brauer_char_value(m, order)
+    F2 = gfla.field_make(2, 1)
+    c3 = gfla.FqMatrix(F2, [[0, 1], [1, 1]])  # order 3
+    with pytest.raises(PRegularViolation, match="power 5"):
+        brauer_char_value(c3, 5)
+
+
+def test_lift_beyond_the_field_ceiling_is_refused_quickly():
     """The companion matrix of the primitive x^20 + x^3 + 1 over GF(2) has
-    order 2^20 - 1, beyond any field within the ceiling: the order search
-    stops at the ceiling instead of walking 10^6 products."""
+    order 2^20 - 1: its power is checked in about 40 products, and the
+    roots of unity would need GF(2^20), beyond the ceiling."""
     F2 = gfla.field_make(2, 1)
     f = [1, 0, 0, 1] + [0] * 16
     rows = [[int(j == i + 1) for j in range(20)] for i in range(19)] + [f]
     t0 = time.process_time()
-    with pytest.raises(PRegularViolation, match="matrix order"):
-        brauer_char_value(gfla.FqMatrix(F2, rows))
-    assert time.process_time() - t0 < 10.0
+    with pytest.raises(FieldTooLarge):
+        brauer_char_value(gfla.FqMatrix(F2, rows), 2**20 - 1)
+    assert time.process_time() - t0 < 0.5
 
 
 def test_brauer_value_is_class_function():
@@ -154,8 +169,9 @@ def test_brauer_value_is_class_function():
                 continue
             if grp.perm_order(conj) % 3 == 0:
                 continue
-            v1 = brauer_char_value(grp.element_matrix(g, simple, rep_elem))
-            v2 = brauer_char_value(grp.element_matrix(g, simple, conj))
+            order = grp.perm_order(rep_elem)
+            v1 = brauer_char_value(grp.element_matrix(g, simple, rep_elem), order)
+            v2 = brauer_char_value(grp.element_matrix(g, simple, conj), order)
             assert v1 == v2
 
 
@@ -168,7 +184,7 @@ def test_value_at_inverse_is_conjugate():
     five = next(e for e in g.elements if grp.perm_order(e) == 5)
     m = grp.element_matrix(g, s, five)
     minv = grp.element_matrix(g, s, grp.perm_inv(five))
-    assert brauer_char_value(minv) == brauer_char_value(m).conj()
+    assert brauer_char_value(minv, 5) == brauer_char_value(m, 5).conj()
 
 
 def test_liftable_module_matches_ordinary_values():
@@ -180,7 +196,7 @@ def test_liftable_module_matches_ordinary_values():
     cls = grp.conjugacy_classes(g, 5)
     for i, r in enumerate(cls.reps):
         fixed = sum(1 for pt in range(3) if r[pt] == pt)
-        v = brauer_char_value(grp.element_matrix(g, nat, r))
+        v = brauer_char_value(grp.element_matrix(g, nat, r), grp.perm_order(r))
         assert v == Cyclotomic.from_rational(fixed)
 
 

@@ -335,6 +335,8 @@ chi4 3 3 -1 0 0
     ["ctab", "project", "-p", "1"], ["ctab", "restrict"], ["ctab", "restrict", "-p", "0"],
     ["ctab", "restrict", "-p", "1"], ["ctab", "restrict", "-p", "4"], ["ctab", "restrict", "-p", "-3"],
     ["ctab", "decompose", "--char", "1", "-p", "1"],
+    ["grp", "classes", "-p", "4"], ["grp", "classes", "-p", "6"], ["grp", "classes", "-p", "1"],
+    ["grp", "classes", "-p", "-3"],
 ])
 def test_ctab_blocks_refuses_a_characteristic_that_is_not_prime(tmp_path, argv):
     """p = 0 (the default of -p), 1, or a non-prime sharing a factor with the
@@ -342,11 +344,15 @@ def test_ctab_blocks_refuses_a_characteristic_that_is_not_prime(tmp_path, argv):
     conductor or the order of p modulo it is sought (a ZeroDivisionError or
     an endless loop otherwise).  `restrict`, and `decompose` with a p, refuse
     a non-prime p before keeping the classes (a ZeroDivisionError, an
-    IndexError, or a wrong table or none otherwise)."""
+    IndexError, or a wrong table or none otherwise).  `grp classes` refuses
+    a non-prime p before the p-regular flags (exit 0 with flags computed mod
+    p otherwise); its default p = 0 means no prime."""
     path = tmp_path / "a4.ctb"
     path.write_text(A4_CTB)
-    assert run_main([*argv, "--table", path]) == 2
+    source = ["--table", path] if argv[0] == "ctab" else ["--gens", GOLDEN / "s4.prm"]
+    assert run_main([*argv, *source]) == 2
     assert run_main(["ctab", "blocks", "--table", path, "-p", "3"]) == 0
+    assert run_main(["grp", "classes", "--gens", GOLDEN / "s4.prm", "-p", "0"]) == 0
 
 
 @pytest.mark.parametrize("p", [None, "0", "1", "4", "6", "-3"])
