@@ -45,7 +45,6 @@ import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -745,15 +744,8 @@ def atom_problem_from_fixture(fx):
 def verify_fixture_matrix(fx) -> bool:
     """Degree-augmented verification: phi_j = (deg_j, e_j), chi rows likewise."""
     D = fx.matrix
-    l = fx.l
-    phis = []
-    for j in range(l):
-        vec = [Fraction(fx.col_degrees[j])] + [Fraction(int(j == t)) for t in range(l)]
-        phis.append(tuple(vec))
-    chis = []
-    for i in range(fx.k):
-        vec = [Fraction(fx.row_degrees[i])] + [Fraction(x) for x in D[i]]
-        chis.append(tuple(vec))
+    phis = [(fx.col_degrees[j], *(int(j == t) for t in range(fx.l))) for j in range(fx.l)]
+    chis = [(fx.row_degrees[i], *D[i]) for i in range(fx.k)]
     return dxm.verify_matrix(D, chis, phis)
 
 

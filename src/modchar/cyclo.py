@@ -29,6 +29,12 @@ p-regular element among the roots of unity of its order e and builds one
 Cyclotomic(e, counts), e given by the group layer.  The lift sends the
 Conway generator w of GF(q) to exp(2 pi i / (q-1)) in the compatible way,
 w^m -> zeta_{q-1}^m, so the eigenvalue w^(j(q-1)/e) lifts to zeta_e^j.
+
+`rref_rational` is the one Gauss-Jordan elimination over Q (with
+`solve_rational` on top, behind `Cyclotomic.inverse`, `ctab` and `dxm`).
+Its rows come in and go out as ints or Fractions, but the elimination runs
+on integers: each row is scaled once by the lcm of its denominators and
+reduced fraction-free (Bareiss), and Fractions are built once at the end.
 """
 
 from __future__ import annotations
@@ -64,16 +70,18 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def _divmod_monic(num, den) -> tuple[list, list]:
     """Quotient and remainder of num by the monic den, as ascending coefficient
     lists of ints or Fractions; num has at least len(den) - 1 entries, the
-    remainder exactly that many."""
+    remainder exactly that many.  Each step subtracts only den's nonzero
+    lower terms (Phi_5040 has 33 nonzero coefficients of 1153)."""
     rem = list(num)
     deg = len(den) - 1
+    terms = [(j, d) for j, d in enumerate(den[:deg]) if d]
     quo = [0] * (len(rem) - deg)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
             quo[i - deg] = c
-            for j in range(deg + 1):
-                rem[i - deg + j] -= c * den[j]
+            for j, d in terms:
+                rem[i - deg + j] -= c * d
     return quo, rem[:deg]
 
 
@@ -207,7 +215,7 @@ class Cyclotomic:
         phi = euler_phi(self.n)
         cols = [(self * Cyclotomic.zeta(self.n, j)).coords(self.n) for j in range(phi)]
         mat = [[col[i] for col in cols] for i in range(phi)]
-        return Cyclotomic(self.n, solve_rational(mat, [Fraction(1)] + [Fraction(0)] * (phi - 1)))
+        return Cyclotomic(self.n, solve_rational(mat, [1] + [0] * (phi - 1)))
 
     def coords(self, n: int) -> list[Fraction]:
         """The phi(n) coordinates over the power basis 1, zeta_n, zeta_n^2, ...
@@ -310,36 +318,59 @@ def _descend(n: int, p: int, cs: tuple[Fraction, ...]) -> tuple[Fraction, ...] |
 
 # -- exact linear algebra over Q ----------------------------------------------
 
+_ZERO = Fraction(0)  # shared by every zero entry rref_rational writes
 
-def rref_rational(A: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination, in place, on the rows of Fractions in A, with
-    pivots sought only in the first ncols columns; returns the pivot columns.
+
+def rref_rational(A: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination, in place, on the rows of A (ints or
+    Fractions), with pivots sought only in the first ncols columns; returns
+    the pivot columns and leaves every row of A a list of Fractions.
+
     The reduced row echelon form over Q is unique, so A and the pivots are
-    the same whatever the row operations were."""
+    the same whatever the row operations were.  Inside, the work is on
+    integers.  Each row is scaled once by the lcm of its denominators; the
+    elimination is then fraction-free (Bareiss, Math. Comp. 22, 1968), with
+    the same pivot choice and row swaps as over Q.  Each pivot d_k is the
+    determinant of the pivot rows and columns so far.  A row last updated at
+    pivot d is d times its row over Q, and its next update,
+    (d_k row - f top) / d, divides exactly, so a row with a zero in the pivot
+    column is left as it is.  Fractions are built once at the end: each row
+    is divided by its level, and a row beyond the rank also by its scale."""
+    scale = [lcm(*(x.denominator for x in row)) for row in A]
+    B = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(A, scale)]
+    level = [1] * len(B)  # B[i] is level[i] times row i of the elimination over Q
     pivots: list[int] = []
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
-        pr = None
-        for i in range(r, len(A)):
-            if A[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, len(B)) if B[i][c]), None)
         if pr is None:
             continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        for xs in (B, scale, level):
+            xs[r], xs[pr] = xs[pr], xs[r]
+        top, d = B[r], level[r]
+        if d != prev:  # bring the pivot row up to the last pivot's level
+            top = B[r] = [x * prev // d for x in top]
+        piv = top[c]
+        for i, row in enumerate(B):
+            f = row[c]
+            if f and i != r:
+                d = level[i]
+                B[i] = ([(piv * x - f * y) // d for x, y in zip(row, top)] if d != 1
+                        else [piv * x - f * y for x, y in zip(row, top)])
+                level[i] = piv
+        level[r] = prev = piv
         pivots.append(c)
+    r = len(pivots)
+    for i, row in enumerate(B):
+        d = level[i] if i < r else level[i] * scale[i]
+        A[i] = [Fraction(x, d) if x else _ZERO for x in row]
     return pivots
 
 
 def solve_rational(mat, rhs) -> list[Fraction] | None:
     """The x with mat . x = rhs and every free unknown 0, or None when the
-    system is inconsistent; mat is a list of rows of Fractions."""
+    system is inconsistent; mat is a list of rows of ints or Fractions."""
     ncols = len(mat[0]) if mat else 0
     A = [list(row) + [b] for row, b in zip(mat, rhs)]
     pivots = rref_rational(A, ncols)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial, gcd, isqrt, prod
+from math import factorial, gcd, isqrt, lcm, prod
 
 from . import ctab as _ctab
 from .cyclo import rref_rational, solve_rational
@@ -33,6 +33,7 @@ from .errors import (
     NonIntegral,
     NonIntegralAtoms,
     NotSquare,
+    ShapeMismatch,
     SingularA,
     TooLarge,
 )
@@ -65,6 +66,13 @@ def _nonnegative(v: Vec) -> bool:
     return all(x >= 0 for x in v)
 
 
+def _over_one_denominator(rows) -> tuple[int, list[list[int]]]:
+    """(d, N) with rows = N / d, for rows of ints or Fractions and d the lcm
+    of every denominator."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
 def solve_exact(columns: list[Vec], target: Vec):
     """Coefficients expressing target over the columns, or None."""
     mat = [[col[i] for col in columns] for i in range(len(target))]
@@ -72,11 +80,13 @@ def solve_exact(columns: list[Vec], target: Vec):
 
 
 def invert_rational(matrix: list[list]) -> list[list[Fraction]]:
-    """The inverse over Q, from the reduced form of [M | I]; SingularA when
-    the square matrix M is singular."""
+    """The inverse over Q of a matrix of ints or Fractions, from the reduced
+    form of [M | I]; NotSquare unless M is square, SingularA when it is
+    singular."""
     n = len(matrix)
-    A = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
+    if any(len(row) != n for row in matrix):
+        raise NotSquare(f"cannot invert {n} rows of widths {sorted({len(row) for row in matrix})}")
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     if len(rref_rational(A, n)) < n:
         raise SingularA("matrix is singular over the rationals")
     return [row[n:] for row in A]
@@ -326,7 +336,9 @@ def fitting_match(state: DecompState, problem: FittingProblem):
     The basic columns and -e_u for each unmet ordinary u are the columns of a
     k x n matrix M, which must have rank n.  One elimination of [M | I_k]
     gives the RREF [I_n | P] above [0 | Q]: M x = b is solvable exactly when
-    Q b = 0, and then x = P b.
+    Q b = 0, and then x = P b.  Each row of P is kept as integer numerators
+    over one denominator and Q's rows are scaled to integers, so every
+    (bijection, column) test is integer dot products.
 
     Returns (assignments, columns) where each assignment maps E-row index to
     block row index and columns are the implied indecomposable projectives.
@@ -357,12 +369,13 @@ def fitting_match(state: DecompState, problem: FittingProblem):
     if prod(factorial(len(free)) for _fixed, free, _bs in plans.values()) > FITTING_CAP:
         raise TooLarge(f"more than {FITTING_CAP} degree-preserving bijections")
     basics = state.basic_matrix()
-    full = basics + [tuple(Fraction(-(i == u)) for i in range(k)) for u in unmet]
+    full = basics + [tuple(-(i == u) for i in range(k)) for u in unmet]
     n = len(full)
-    A = [[col[i] for col in full] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    A = [[col[i] for col in full] + [int(i == j) for j in range(k)] for i in range(k)]
     if len(rref_rational(A, n)) < n:
         raise NoAdmissibleMatching("unmet ordinaries are not determined by the basic set")
-    P, Q = [row[n:] for row in A[:n]], [row[n:] for row in A[n:]]
+    P = [_over_one_denominator([row[n:]]) for row in A[:n]]
+    Q = _over_one_denominator([row[n:] for row in A[n:]])[1]
     # free rows take their free targets in every order; pins that repeat a
     # target or leave their group leave it no bijection
     per_group = [
@@ -374,22 +387,24 @@ def fitting_match(state: DecompState, problem: FittingProblem):
         assignment = dict(itertools.chain.from_iterable(combo))
         cols = []
         for ecol in zip(*problem.e_decomposition):
-            column = [Fraction(0)] * k
+            column = [0] * k
             for er, i in assignment.items():
-                column[i] = Fraction(ecol[er])
+                column[i] = ecol[er]
             # the entries at unmet ordinaries are unknowns, solved inside the
             # rational span of the basic set; all must come out integral
             if any(_dot(row, column) for row in Q):
                 break
-            sol = [_dot(row, column) for row in P]
-            fills = sol[len(basics):]
-            if any(c.denominator != 1 for c in sol) or any(f < 0 for f in fills):
+            sol = [(_dot(row, column), d) for d, [row] in P]
+            if any(x % d for x, d in sol):
+                break
+            fills = [x // d for x, d in sol[len(basics):]]
+            if any(f < 0 for f in fills):
                 break
             for u, f in zip(unmet, fills):
                 column[u] = f
-            cols.append(tuple(column))
+            cols.append(column)
         else:
-            survivors.append((assignment, cols))
+            survivors.append((assignment, [tuple(map(Fraction, col)) for col in cols]))
     if not survivors:
         raise NoAdmissibleMatching("no bijection passes the integrality filter")
     return survivors
@@ -476,10 +491,9 @@ def enumerate_candidates(state: DecompState) -> DecompState:
 def candidate_brauer_degrees(state: DecompState, candidate) -> list[Fraction]:
     """Degrees of the irreducible Brauer characters implied by a candidate
     matrix: solve (bold rows of D) . degrees = bold ordinary degrees."""
-    idx = list(state.brauer_basic)
-    cols = [_vec(candidate[i][j] for i in idx) for j in range(state.l)]
-    target = _vec([state.row_degrees[i] for i in idx])
-    sol = solve_exact(cols, target)
+    idx = state.brauer_basic
+    cols = [[candidate[i][j] for i in idx] for j in range(state.l)]
+    sol = solve_exact(cols, [state.row_degrees[i] for i in idx])
     if sol is None:
         raise SingularA("candidate's basic rows are singular")
     return sol
@@ -523,22 +537,31 @@ class AtomProblem:
 
 
 def atoms(problem: AtomProblem) -> list[Vec]:
-    """b . A^-1: virtual characters whose degrees bound Brauer degrees below."""
-    A = [list(r) for r in problem.multiplicities]
+    """b . A^-1: virtual characters whose degrees bound Brauer degrees below.
+
+    A^-1 and the characters are each brought to one common denominator, so
+    every atom is a sum of integer rows, divided once at the end.  SingularA
+    unless A is square with one character per module, ShapeMismatch for
+    characters of unequal length."""
+    A = problem.multiplicities
     n = len(A)
     if any(len(r) != n for r in A) or len(problem.characters) != n:
         raise SingularA("multiplicity matrix must be square, with one character per module")
-    Ainv = invert_rational(A)
+    if len({len(ch) for ch in problem.characters}) > 1:
+        raise ShapeMismatch(f"characters of lengths {sorted({len(ch) for ch in problem.characters})}")
+    d, Ainv = _over_one_denominator(invert_rational(A))
+    e, chars = _over_one_denominator(problem.characters)
+    den = d * e
     out = []
     for j in range(n):
-        acc = [Fraction(0)] * len(problem.characters[0])
+        acc = [0] * len(chars[0])
         for i in range(n):
             c = Ainv[i][j]
             if c:
-                acc = [x + c * y for x, y in zip(acc, problem.characters[i])]
-        if any(x.denominator != 1 for x in acc):
+                acc = [x + c * y for x, y in zip(acc, chars[i])]
+        if any(x % den for x in acc):
             raise NonIntegralAtoms(f"atom {j} is not integral")
-        out.append(tuple(acc))
+        out.append(tuple(Fraction(x // den) for x in acc))
     return out
 
 
@@ -660,21 +683,30 @@ def sd16_analyze(inst: SD16Instance) -> SD16Result:
 
 
 def verify_matrix(D, ordinary_vectors, brauer_vectors) -> bool:
-    """chi_i = sum_j D[i][j] phi_j exactly, with D >= 0 integral."""
+    """chi_i = sum_j D[i][j] phi_j exactly, with D >= 0 integral.
+
+    The characters (ints or Fractions) are brought to one common denominator
+    once, and each row of the integer product D . B is compared with the
+    ordinary row.  ShapeMismatch for a ragged D or for characters of unequal
+    length."""
     k = len(D)
     l = len(D[0]) if k else 0
+    if any(len(row) != l for row in D):
+        raise ShapeMismatch(f"ragged decomposition matrix: row widths {sorted({len(row) for row in D})}")
+    vectors = [*ordinary_vectors, *brauer_vectors]
+    if len({len(v) for v in vectors}) > 1:
+        raise ShapeMismatch(f"characters of lengths {sorted({len(v) for v in vectors})}")
     if len(ordinary_vectors) != k or len(brauer_vectors) != l:
         return False
-    for row in D:
-        for x in row:
-            if x < 0 or int(x) != x:
-                return False
-    width = len(brauer_vectors[0]) if brauer_vectors else 0
-    for i in range(k):
-        acc = [Fraction(0)] * width
-        for j in range(l):
-            if D[i][j]:
-                acc = [x + D[i][j] * y for x, y in zip(acc, brauer_vectors[j])]
-        if list(ordinary_vectors[i]) != acc:
+    if any(x < 0 or int(x) != x for row in D for x in row):
+        return False
+    _d, vectors = _over_one_denominator(vectors)
+    phis = vectors[k:]
+    for row, chi in zip(D, vectors):
+        acc = [0] * len(chi)
+        for x, phi in zip(row, phis):
+            if x:
+                acc = [a + int(x) * y for a, y in zip(acc, phi)]
+        if acc != chi:
             return False
     return True

@@ -49,7 +49,12 @@ matching, one rational solve per bijection and column;
 `sd16_by_branches` the earlier semidihedral analysis, which solved its four
 relations in an unrolled loop of eight branches; and
 `enumerate_candidates_recursive` the earlier candidate search, a recursion
-over the indecomposable columns.
+over the indecomposable columns.  `rref_rational_fractions` is the earlier
+Gauss-Jordan over Q, one `Fraction` operation per entry, and
+`verify_matrix_fractions` the earlier final check, which rebuilt a list of
+Fractions per nonzero term of D; `divmod_monic_dense` is the earlier long
+division by a monic polynomial, which subtracted every coefficient of the
+divisor, zero or not.
 """
 
 from __future__ import annotations
@@ -1288,3 +1293,59 @@ def enumerate_candidates_recursive(state):
         candidates.append(tuple(tuple(int(full_cols[j][i]) for j in range(state.l)) for i in range(k)))
     candidates = sorted(set(candidates))
     return replace(state, candidates=tuple(candidates)).with_log(f"enumerated {len(candidates)} candidates")
+
+
+def rref_rational_fractions(A, ncols):
+    """The earlier `cyclo.rref_rational`: Gauss-Jordan over Q on rows of
+    Fractions, in place, dividing the pivot row by its pivot and subtracting
+    it from every other row with a nonzero in the pivot column."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return pivots
+
+
+def verify_matrix_fractions(D, ordinary_vectors, brauer_vectors):
+    """The earlier `dxm.verify_matrix`: chi_i = sum_j D[i][j] phi_j, summed
+    term by term in Fractions."""
+    k = len(D)
+    l = len(D[0]) if k else 0
+    if len(ordinary_vectors) != k or len(brauer_vectors) != l:
+        return False
+    if any(x < 0 or int(x) != x for row in D for x in row):
+        return False
+    width = len(brauer_vectors[0]) if brauer_vectors else 0
+    for i in range(k):
+        acc = [Fraction(0)] * width
+        for j in range(l):
+            if D[i][j]:
+                acc = [x + D[i][j] * y for x, y in zip(acc, brauer_vectors[j])]
+        if list(ordinary_vectors[i]) != acc:
+            return False
+    return True
+
+
+def divmod_monic_dense(num, den):
+    """The earlier `cyclo._divmod_monic`: each step subtracts c times every
+    coefficient of the monic den, zero or not."""
+    rem = list(num)
+    deg = len(den) - 1
+    quo = [0] * (len(rem) - deg)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            quo[i - deg] = c
+            for j in range(deg + 1):
+                rem[i - deg + j] -= c * den[j]
+    return quo, rem[:deg]

@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic, Galois actions, Brauer lifts."""
 
+import random
 import sys
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modchar import gfla, grp, rep
+from modchar import cyclo, gfla, grp, rep
 from modchar.cyclo import (
     Cyclotomic,
     atlas_b,
@@ -302,3 +303,74 @@ def test_invert_rational_inverts_or_raises_singular(M):
     else:
         identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         assert _product(invert_rational(M), M) == identity
+
+
+@st.composite
+def mixed_rational_matrices(draw):
+    """Matrices of ints and Fractions with denominators 1..6, tall or wide,
+    some rows zero, with ncols anywhere from 0 to the width."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+    A = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for at in draw(st.lists(st.integers(0, rows), max_size=2)):
+        A.insert(at, [draw(st.sampled_from([0, Fraction(0)])) for _ in range(cols)])
+    return A, draw(st.integers(0, cols))
+
+
+@given(mixed_rational_matrices())
+@example(([[1, Fraction(1, 2), 3], [2, 1, 5], [0, 0, 0], [Fraction(1, 3), Fraction(1, 6), 1]], 2))
+def test_rref_rational_equals_the_fraction_oracle(case):
+    """The integer elimination leaves the same A, row for row, and the same
+    pivots as Gauss-Jordan over Fractions, also below the rank and beyond
+    ncols; every entry comes out a Fraction."""
+    A, ncols = case
+    expected = [[Fraction(x) for x in row] for row in A]
+    pivots = oracles.rref_rational_fractions(expected, ncols)
+    got = [list(row) for row in A]
+    assert rref_rational(got, ncols) == pivots
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_divmod_monic_equals_the_dense_loop():
+    rng = random.Random(25)
+    for n in (1, 2, 12, 30, 105, 210):
+        phi = cyclotomic_polynomial(n)
+        for size in (len(phi) - 1, len(phi), 3 * n):
+            num = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.3 else 0
+                   for _ in range(size)]
+            assert cyclo._divmod_monic(num, phi) == oracles.divmod_monic_dense(num, phi), (n, size)
+
+
+def test_reducing_a_twelve_term_value_at_5040_is_fast():
+    """The long division walks only Phi_n's nonzero coefficients (33 of 1153
+    at n = 5040): one 12-term exponent list reduces in well under 0.2 s and
+    equals the dense loop's remainder."""
+    n = 5040
+    phi = cyclotomic_polynomial(n)
+    cs = [Fraction(0)] * n
+    for e in random.Random(5).sample(range(n), 12):
+        cs[e] = Fraction(1)
+    t0 = time.process_time()
+    reduced = cyclo._reduce_mod_phi(n, cs)
+    elapsed = time.process_time() - t0
+    assert list(reduced) == oracles.divmod_monic_dense(cs, phi)[1]
+    assert elapsed < 0.2, elapsed
+
+
+def test_dense_eliminations_equal_the_fraction_oracle():
+    """Entry growth guard: the inverse of a seeded element of Q(zeta_105)
+    (a 48 x 48 system) and of a seeded 40 x 40 integer matrix equal the
+    Gauss-Jordan over Fractions."""
+    rng = random.Random(105)
+    x = Cyclotomic(105, [rng.randint(-2, 2) for _ in range(105)])
+    phi = euler_phi(105)
+    cols = [(x * Cyclotomic.zeta(105, j)).coords(105) for j in range(phi)]
+    A = [[col[i] for col in cols] + [Fraction(int(i == 0))] for i in range(phi)]
+    assert oracles.rref_rational_fractions(A, phi) == list(range(phi))
+    assert x.inverse() == Cyclotomic(105, [row[phi] for row in A])
+    M = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+    A = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(40)] for i, row in enumerate(M)]
+    assert oracles.rref_rational_fractions(A, 40) == list(range(40))
+    assert invert_rational(M) == [row[40:] for row in A]

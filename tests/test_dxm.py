@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modchar import dxm
 from modchar.errors import (
@@ -17,6 +19,8 @@ from modchar.errors import (
     NoConsistentSigns,
     NonIntegral,
     NonIntegralAtoms,
+    NotSquare,
+    ShapeMismatch,
     SingularA,
     TooLarge,
 )
@@ -437,6 +441,27 @@ def test_atoms_errors():
         dxm.atoms(dxm.AtomProblem(((1, 0), (0, 1)), (dxm._vec((1,)),)))
     with pytest.raises(NonIntegralAtoms):
         dxm.atoms(dxm.AtomProblem(((2,),), (dxm._vec((1,)),)))
+    with pytest.raises(ShapeMismatch):  # zip would have cut the second character short
+        dxm.atoms(dxm.AtomProblem(((1, 0), (0, 1)), ((1,), (1, 2))))
+
+
+def test_atoms_of_fractional_characters():
+    """Atoms come out as Fractions from int or Fraction characters, over the
+    common denominator of A^-1 and of the characters."""
+    prob = dxm.AtomProblem(((2, 1), (1, 1)), ((Fraction(3), 1), (Fraction(1), 0)))
+    assert dxm.atoms(prob) == [(2, 1), (-1, -1)]
+    assert all(type(x) is Fraction for atom in dxm.atoms(prob) for x in atom)
+    assert dxm.atoms(dxm.AtomProblem(((2,),), ((Fraction(4), 6),))) == [(2, 3)]
+    with pytest.raises(NonIntegralAtoms):
+        dxm.atoms(dxm.AtomProblem(((1, 0), (0, 1)), ((Fraction(1, 2),), (1,))))
+
+
+def test_invert_rational_refuses_a_non_square_matrix():
+    with pytest.raises(NotSquare):
+        dxm.invert_rational([[1, 2]])
+    with pytest.raises(NotSquare):
+        dxm.invert_rational([[1, 0], [0]])
+    assert dxm.invert_rational([[2, Fraction(1, 2)], [0, 1]]) == [[Fraction(1, 2), Fraction(-1, 4)], [0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +564,42 @@ def test_verify_matrix():
     bad_chis = list(chis)
     bad_chis[2] = phis[0]
     assert not dxm.verify_matrix(D, bad_chis, phis)
+
+
+def test_verify_matrix_refuses_ragged_shapes():
+    phis = [(1, 0), (0, 1)]
+    with pytest.raises(ShapeMismatch):
+        dxm.verify_matrix([[1, 0], [1]], [(1, 0), (1, 0)], phis)
+    with pytest.raises(ShapeMismatch):
+        dxm.verify_matrix([[1, 0], [0, 1]], [(1, 0), (0, 1, 0)], phis)
+    with pytest.raises(ShapeMismatch):
+        dxm.verify_matrix([[1, 0], [0, 1]], [(1, 0), (0, 1)], [(1, 0), (0,)])
+
+
+@st.composite
+def verify_cases(draw):
+    """D with entries -1..3 (mostly >= 0), Brauer vectors with denominators
+    1..6, and ordinary vectors equal to D . phi or with one entry moved."""
+    k, l, width = draw(st.integers(0, 5)), draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    D = [[draw(st.integers(-1, 3) if draw(st.integers(0, 9)) == 0 else st.integers(0, 3)) for _ in range(l)]
+         for _ in range(k)]
+    entry = st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+    phis = [tuple(draw(st.lists(entry, min_size=width, max_size=width))) for _ in range(l)]
+    chis = [[sum((d * p[t] for d, p in zip(row, phis)), Fraction(0)) for t in range(width)] for row in D]
+    if k and draw(st.booleans()):
+        i, t = draw(st.integers(0, k - 1)), draw(st.integers(0, width - 1))
+        chis[i][t] += draw(st.sampled_from([1, -1, Fraction(1, 3)]))
+    return D, [tuple(c) for c in chis], phis
+
+
+@given(verify_cases())
+def test_verify_matrix_equals_the_fraction_oracle(case):
+    """The same verdicts as the Fraction loop; with no Brauer vectors (l = 0)
+    the oracle took the width to be 0 and so refused even zero ordinary
+    vectors, which are the empty sum."""
+    D, chis, phis = case
+    expected = oracles.verify_matrix_fractions(D, chis, phis) if phis else not any(map(any, chis))
+    assert dxm.verify_matrix(D, chis, phis) == expected
 
 
 def test_verify_final_block_matrix():
