@@ -19,11 +19,12 @@ GF(p), reduced mod p and packed back.  It runs as float64 BLAS calls on tiles
 of at most 2^18 multiply-adds, reduced mod p between inner chunks, which is
 exact for every field under the ceiling and keeps BLAS on one thread.
 Elimination (`echelonize`, behind rank, row spaces, null spaces, solving and
-inversion) is blocked Gauss-Jordan: pivots are found one panel of columns at a
-time, and the columns right of the panel take the panel's row operations as
-one such product and one add.  A null space is one elimination too: of the
-matrix with its columns reversed, whose kernel rows, reversed back, are
-already the kernel's RREF.
+inversion) is recursive Gauss-Jordan: the left half of the columns is
+eliminated first, the right half takes its row operations as one such product
+and one add, and is eliminated next; only leaves of LEAF_WIDTH columns, or a
+small matrix as one leaf, run the pivot loop.  A null space is one
+elimination too: of the matrix with its columns reversed, whose kernel rows,
+reversed back, are already the kernel's RREF.
 Every operation is deterministic, so downstream results are bit-reproducible.
 """
 
@@ -195,9 +196,11 @@ class FieldSpec:
            Otherwise, odd p with k > 1 and q > 256, base-p digits for
            arrays and Zech logarithms for scalars.
       neg  the neg table.
-      mul  arrays: (a * b) % p for k = 1, the mul table for q <= 256, and
-           exp[log a + log b] above; scalars: the exp/log lists.
+      mul  arrays: AND for q = 2, (a * b) % p for other k = 1, the mul
+           table for q <= 256, and exp[log a + log b] above; scalars: the
+           exp/log lists.
       inv  the inv table; 0 raises ZeroDivisionError.
+    An array's residues mod p are taken as x - p.(x // p) (`_mod_p`).
     """
 
     def __init__(self, p: int, k: int):
@@ -290,10 +293,10 @@ class FieldSpec:
         if p == 2:
             return np.bitwise_xor(a, b)
         if self.k == 1:
-            return (a + b) % p
+            return _mod_p(a + b, p)
         if self._add is not None:
             return self._add[a, b]
-        return ((self._dig[a] + self._dig[b]) % p) @ self._pow
+        return _mod_p(self._dig[a] + self._dig[b], p) @ self._pow
 
     def neg(self, a):
         if type(a) in _SCALARS:
@@ -308,8 +311,10 @@ class FieldSpec:
             return self._exp_l[self._log_l[a] + self._log_l[b]] if a and b else 0
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.q == 2:
+            return np.bitwise_and(a, b)
         if self.k == 1:
-            return (a * b) % self.p
+            return _mod_p(a * b, self.p)
         if self._mul is not None:
             return self._mul[a, b]
         res = self._exp[self._log[a] + self._log[b]]
@@ -411,7 +416,7 @@ class FieldSpec:
         p, k = self.p, self.k
         for i0 in range(0, X.shape[1], inner):
             prod = np.matmul(X[:, i0 : i0 + inner], Y[i0 : i0 + inner]).astype(np.int64)
-            acc = (prod if i0 == 0 else acc + prod) % p
+            acc = _mod_p(prod if i0 == 0 else acc + prod, p)
         if k > 1:
             digits = acc.reshape(-1, k).astype(np.float64)
             acc = np.matmul(digits, self._pow_f).astype(np.int64).reshape(len(acc), -1)
@@ -425,6 +430,16 @@ class FieldSpec:
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
+
+
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for a non-negative int64 array x, in place: x - p.(x // p).
+    numpy's floor division by a scalar is several times faster than its %,
+    which also handles signs."""
+    quot = x // p
+    quot *= p
+    x -= quot
+    return x
 
 
 def _scalar_add(p, k, table, exp_l, log_l, zech_l):
@@ -587,74 +602,113 @@ class EchelonForm:
     matrix: FqMatrix
 
 
-def _panel_width(F: FieldSpec, cols: int) -> int:
-    """Columns per elimination panel.  A matrix of at most 64 columns is one
-    panel, so small eliminations keep the plain pivot loop (16-column panels
-    were not measurably faster there); so is every matrix over GF(2^k) with
-    k > 1, where XOR adds beat the k^2 expansion of the panel product;
-    otherwise 16 columns."""
-    if cols <= 64 or (F.p == 2 and F.k > 1):
-        return max(cols, 1)
-    return 16
+# Columns per leaf of the recursive elimination.  A leaf's pivot loop costs a
+# dozen numpy calls per pivot over every row and its columns (twice as many
+# with Y), a split two products.  On the 200-320 row matrices of the benchmark
+# 4 was as fast as 6 and faster than 2 (one product per two pivots) or 8 and
+# 16 (the loop's updates grow with the width squared).
+LEAF_WIDTH = 4
 
 
 def echelonize(m: FqMatrix) -> EchelonForm:
-    """Reduced row echelon form with the first-nonzero-column/topmost-row pivot rule.
+    """Reduced row echelon form (RREF), its rank and its pivot columns.
 
-    Right-looking blocked Gauss-Jordan: the pivot loop runs on one panel of
-    columns at a time.  Before the last panel it also carries Y, where Y[i, j]
-    is the coefficient of the panel's j-th pivot row (as it entered the
-    panel) in row i.  The trailing columns T then take all of the panel's row
-    operations at once: T[i] + Y[i].T[S] for the other rows, Y[i].T[S] for
-    the pivot rows S, so one product and one add per panel.  The RREF is
-    unique, so the result does not depend on the panel width.
+    Recursive Gauss-Jordan on column halves, after Jeannerod, Pernet and
+    Storjohann (J. Symbolic Comput. 56, 2013); see `_eliminate`.  A pivot
+    may be any row not yet used, as the RREF is unique, so rows are never
+    swapped: the pivot rows, in the order of their pivot columns, are the
+    RREF's nonzero rows, and every other row ends zero.  A matrix of at most
+    64 columns, or over GF(2^k) with k > 2, is one leaf: one pivot loop and
+    no product.  Recursing measured slower on the small eliminations of the
+    MeatAxe and condensation (at most 60 columns), and on GF(2^8) 100 x 116,
+    whose products cost k^2 = 64 times more than over GF(2).
     """
     F = m.field
     A = m.arr.copy()
     rows, cols = A.shape
-    width = _panel_width(F, cols)
-    pivots = []
-    r = 0
-    for c0 in range(0, cols, width):
-        if r == rows:
+    free = np.ones(rows, dtype=bool)
+    if cols <= 64 or (F.p == 2 and F.k > 2):
+        piv_rows, pivots, _ = _leaf(F, A, free, False)
+    else:
+        piv_rows, pivots, _ = _eliminate(F, A, free, False)
+    out = np.zeros_like(A)
+    out[: len(piv_rows)] = A[piv_rows]
+    return EchelonForm(len(pivots), tuple(pivots), FqMatrix(F, out))
+
+
+def _eliminate(F: FieldSpec, A: np.ndarray, free: np.ndarray, carry: bool):
+    """Gauss-Jordan on the columns of A (a view, changed in place), pivoting
+    only on the rows still `free`, which it marks used.
+
+    Returns (pivot rows P, their pivot columns, Y), Y[i, j] the coefficient
+    of the j-th pivot row as it entered in row i: `_apply` with P and Y turns
+    A as it entered into A as it leaves, and so turns the columns to its
+    right the same way.  Y is only built when `carry` asks for it.  The left half of the columns is eliminated
+    first, with its Y; the right half takes the left half's row operations as
+    one product and is eliminated next; and the two Ys compose by one more
+    product, [Y_L' + Y_R.Y_L[P_R] | Y_R], Y_L' being Y_L with the right
+    half's pivot rows zero.  Every row still free is zero on the eliminated
+    columns, so the right half's operations leave the left half as it is."""
+    rows, cols = A.shape
+    if cols <= LEAF_WIDTH:
+        return _leaf(F, A, free, carry)
+    if not free.any():
+        return [], [], np.zeros((rows, 0), dtype=np.int64)
+    half = LEAF_WIDTH * -(-cols // (2 * LEAF_WIDTH))
+    rows_l, cols_l, y_l = _eliminate(F, A[:, :half], free, True)
+    _apply(F, A[:, half:], rows_l, y_l)
+    rows_r, cols_r, y_r = _eliminate(F, A[:, half:], free, carry)
+    y = None
+    if carry:
+        _apply(F, y_l, rows_r, y_r)
+        y = np.hstack([y_l, y_r])
+    return rows_l + rows_r, cols_l + [half + c for c in cols_r], y
+
+
+def _apply(F: FieldSpec, T: np.ndarray, piv_rows: list, Y: np.ndarray):
+    """T[P] = 0; T += Y.S for S the rows P of T as they were: the row
+    operations that Y records, applied to other columns T, in place."""
+    if piv_rows:
+        S = T[piv_rows]
+        T[piv_rows] = 0
+        T[...] = F.add(T, F.matmul(Y, S))
+
+
+def _leaf(F: FieldSpec, A: np.ndarray, free: np.ndarray, carry: bool):
+    """The pivot loop of `_eliminate` on the columns of A, same contract:
+    each column's pivot is the first free row nonzero there, is scaled to a
+    leading 1 and clears its column in every other row.  With `carry`, Y
+    rides along as extra columns (a pivot row's own coefficient starts at
+    1), so the row operations build it."""
+    rows, b = A.shape
+    W = np.hstack([A, np.zeros((rows, b), dtype=np.int64)]) if carry else A
+    piv_rows: list[int] = []
+    pivots: list[int] = []
+    spare = np.count_nonzero(free)
+    for c in range(b):
+        if len(pivots) == spare:
             break
-        c1 = min(c0 + width, cols)
-        b = c1 - c0
-        blocked = c1 < cols
-        # the panel's columns, then (before the last panel) Y
-        W = np.hstack([A[:, c0:c1], np.zeros((rows, b), dtype=np.int64)]) if blocked else A[:, c0:]
-        r0 = r
-        for c in range(b):
-            if r == rows:
-                break
-            nz = np.nonzero(W[r:, c])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                W[[r, pr]] = W[[pr, r]]
-                if blocked:
-                    A[[r, pr], c1:] = A[[pr, r], c1:]
-            if blocked:
-                W[r, b + r - r0] = 1
-            # the pivot row is zero left of c, so only columns c.. change
-            inv = F.inv(W[r, c])
-            W[r, c:] = F.mul(W[r, c:], inv)
-            col = W[:, c].copy()
-            col[r] = 0
-            mask = col != 0
-            if mask.any():
-                factors = F.neg(col[mask])
-                W[mask, c:] = F.add(W[mask, c:], F.mul(factors[:, None], W[r, c:][None, :]))
-            pivots.append(c0 + c)
-            r += 1
-        if blocked and r > r0:
-            A[:, c0:c1] = W[:, :b]
-            T = A[:, c1:]
-            S = T[r0:r].copy()
-            T[r0:r] = 0
-            A[:, c1:] = F.add(T, F.matmul(W[:, b : b + r - r0], S))
-    return EchelonForm(r, tuple(pivots), FqMatrix(F, A))
+        cand = free & (W[:, c] != 0)
+        r = int(cand.argmax())
+        if not cand[r]:
+            continue
+        free[r] = False
+        if carry:
+            W[r, b + len(piv_rows)] = 1
+        # the pivot row is zero left of c, so only columns c.. change; every
+        # row takes the update (col[i] = 0 leaves row i as it is), which
+        # measured faster than selecting the rows nonzero in column c
+        if W[r, c] != 1:
+            W[r, c:] = F.mul(W[r, c:], F.inv(W[r, c]))
+        col = F.neg(W[:, c])
+        col[r] = 0
+        W[:, c:] = F.add(W[:, c:], F.mul(col[:, None], W[r, c:][None, :]))
+        piv_rows.append(r)
+        pivots.append(c)
+    if not carry:
+        return piv_rows, pivots, None
+    A[...] = W[:, :b]
+    return piv_rows, pivots, W[:, b : b + len(piv_rows)]
 
 
 def rank(m: FqMatrix) -> int:

@@ -9,8 +9,9 @@ Chopping follows MeatAxe practice: a seeded deterministic stream of algebra
 words, null spaces of irreducible factors of their characteristic
 polynomials, and Norton's irreducibility test.  One recursion (Norton test,
 then split by its witness) serves `chop` and `composition_series`: its leaves
-are the composition factors, and it builds the adapted basis as it goes, so no
-subspace on the way is eliminated again.  The isomorphism test takes
+are the composition factors, and it keeps its witnesses, from which
+`composition_series` alone assembles the adapted basis, so no subspace on the
+way is eliminated again.  The isomorphism test takes
 its seed va from the same kind of null space and spins it once in
 a (+) b^d beside the kernel basis k_1 .. k_d on b: the spun rows with zero
 a-part tell by one null space which vb = c.K extend to an intertwiner, and
@@ -264,29 +265,37 @@ def is_irreducible(rep: Representation, seed: int = 1):
     raise Undecided(f"no verdict for {rep.label or 'module'} within the word budget")
 
 
-def _meataxe(rep: Representation, seed: int) -> tuple[list[Representation], np.ndarray]:
-    """The MeatAxe recursion: its leaves, submodule before quotient, and an
-    adapted basis A of rep.
-
-    A leaf contributes the identity.  A split by the witness U contributes
-    A_sub . U above A_quot placed on the non-pivot columns of U.  In A every
-    generator is block lower triangular, with the leaves' generators as the
-    diagonal blocks."""
+def _meataxe(rep: Representation, seed: int) -> tuple[list[Representation], tuple | None]:
+    """The MeatAxe recursion: its leaves, submodule before quotient, and its
+    splits as a tree, None for a leaf and (witness U, sub tree, quotient
+    tree) for a split by U.  `composition_series` assembles its adapted basis
+    from the tree (`_adapted_basis`); the leaves alone need no product."""
     if rep.dim == 0:
-        return [], np.zeros((0, 0), dtype=np.int64)
+        return [], None
     verdict, witness = is_irreducible(rep, seed)
     if verdict:
-        return [rep], np.eye(rep.dim, dtype=np.int64)
+        return [rep], None
     sub_rep, quot_rep = split(rep, witness)
-    sub_leaves, a_sub = _meataxe(sub_rep, seed)
-    quot_leaves, a_quot = _meataxe(quot_rep, seed)
-    U = witness.arr
+    sub_leaves, sub_tree = _meataxe(sub_rep, seed)
+    quot_leaves, quot_tree = _meataxe(quot_rep, seed)
+    return sub_leaves + quot_leaves, (witness.arr, sub_tree, quot_tree)
+
+
+def _adapted_basis(F: FieldSpec, dim: int, tree: tuple | None) -> np.ndarray:
+    """The adapted basis A of a module of dimension `dim` from its MeatAxe
+    tree.  A leaf contributes the identity.  A split by the witness U
+    contributes A_sub . U above A_quot placed on the non-pivot columns of U.
+    In A every generator is block lower triangular, with the leaves'
+    generators as the diagonal blocks."""
+    if tree is None:
+        return np.eye(dim, dtype=np.int64)
+    U, sub_tree, quot_tree = tree
     # U is an RREF basis, so its pivots are the rows' first nonzero columns
-    comp = np.ones(rep.dim, dtype=bool)
+    comp = np.ones(dim, dtype=bool)
     comp[(U != 0).argmax(axis=1)] = False
-    lifted = np.zeros((quot_rep.dim, rep.dim), dtype=np.int64)
-    lifted[:, comp] = a_quot
-    return sub_leaves + quot_leaves, np.vstack([rep.field.matmul(a_sub, U), lifted])
+    lifted = np.zeros((dim - len(U), dim), dtype=np.int64)
+    lifted[:, comp] = _adapted_basis(F, dim - len(U), quot_tree)
+    return np.vstack([F.matmul(_adapted_basis(F, len(U), sub_tree), U), lifted])
 
 
 def chop(rep: Representation, seed: int = 1) -> list[tuple[Representation, int]]:
@@ -517,10 +526,11 @@ def composition_series(rep: Representation, seed: int = 1) -> CompositionSeries:
     """A composition series with a basis realizing block-lower-triangular form.
 
     The factors are the leaves of the MeatAxe recursion that `chop` runs, and
-    the adapted basis is the one it builds; each chain term is spanned by the
-    rows of the leading blocks.  The zero module has the empty series."""
+    the adapted basis is assembled from its split witnesses; each chain term
+    is spanned by the rows of the leading blocks.  The zero module has the empty series."""
     F = rep.field
-    leaves, A = _meataxe(rep, seed)
+    leaves, tree = _meataxe(rep, seed)
+    A = _adapted_basis(F, rep.dim, tree)
     sizes = tuple(s.dim for s in leaves)
     chain = tuple(FqMatrix(F, A[:end]) for end in np.cumsum(sizes, dtype=int))
     basis = FqMatrix(F, A)

@@ -23,6 +23,8 @@ from .errors import FormatError
 # 2^12: the c x c nullspace basis of a 0 x c matrix, the largest result a
 # header without a body can ask for, is then 2^24 int64 entries (128 MiB)
 DIM_CEILING = 4096
+# entries per block of `grid_text`: its int64 temporaries are then a few MB
+GRID_BLOCK = 1 << 18
 # 10^18 - 1 < 2^63, so an entry's Horner sum stays exact in int64
 ENTRY_DIGITS = 18
 
@@ -119,11 +121,19 @@ def grid(body: str, rows: int, cols: int, bound: int) -> np.ndarray:
 def grid_text(arr: np.ndarray) -> str:
     """The 2-dimensional array of non-negative integers as text: one line per
     row, its entries in decimal separated by single spaces, each line ending
-    in a newline."""
+    in a newline.  Written GRID_BLOCK entries of whole rows at a time, so the
+    temporaries stay small beside the text."""
     rows, cols = arr.shape
     if not arr.size:
         return "\n" * rows
     width = len(str(int(arr.max())))
+    step = max(1, GRID_BLOCK // cols)
+    return "".join(_grid_block(arr[r : r + step], width) for r in range(0, rows, step))
+
+
+def _grid_block(arr: np.ndarray, width: int) -> str:
+    """`grid_text` of some rows, every entry at most `width` digits."""
+    rows, cols = arr.shape
     # each entry's digits at byte positions 0..width-1, then its separator;
     # a digit position is kept where the entry reaches it, the last always
     out = np.empty((rows, cols, width + 1), dtype=np.uint8)

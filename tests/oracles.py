@@ -8,7 +8,9 @@ are hom dimensions against the covers.  The kernel oracles are the earlier
 implementations of the elementwise field ops (base-p digits for sums and
 negatives, discrete logs for products and inverses, every call through
 numpy), of the matrix product (one integer product per pair of digit planes),
-of echelonize (one full-width pass per pivot), of spin (one vector times
+of echelonize (one full-width pass per pivot; `echelonize_panel` is the
+earlier right-looking blocked elimination, one product per 16-column panel),
+of spin (one vector times
 one generator at a time) and of the Kronecker product (`np.kron` mod p, or
 exp/log outer sums).  `tables_from_regular` is the earlier table path: the
 simples are the factors of the regular module, each Brauer value a sum of
@@ -188,6 +190,59 @@ def echelonize_unblocked(m: FqMatrix) -> EchelonForm:
             A[mask] = F.add(A[mask], F.mul(factors[:, None], A[r][None, :]))
         pivots.append(c)
         r += 1
+    return EchelonForm(r, tuple(pivots), FqMatrix(F, A))
+
+
+def echelonize_panel(m: FqMatrix) -> EchelonForm:
+    """Right-looking blocked Gauss-Jordan: the pivot loop runs on one panel of
+    16 columns at a time (one panel for at most 64 columns and over GF(2^k),
+    k > 1).  Before the last panel it also carries Y, where Y[i, j] is the
+    coefficient of the panel's j-th pivot row (as it entered the panel) in
+    row i; the trailing columns T take all of the panel's row operations at
+    once, T[S] = 0 and T += Y.T[S] for the pivot rows S."""
+    F = m.field
+    A = m.arr.copy()
+    rows, cols = A.shape
+    width = max(cols, 1) if cols <= 64 or (F.p == 2 and F.k > 1) else 16
+    pivots = []
+    r = 0
+    for c0 in range(0, cols, width):
+        if r == rows:
+            break
+        c1 = min(c0 + width, cols)
+        b = c1 - c0
+        blocked = c1 < cols
+        W = np.hstack([A[:, c0:c1], np.zeros((rows, b), dtype=np.int64)]) if blocked else A[:, c0:]
+        r0 = r
+        for c in range(b):
+            if r == rows:
+                break
+            nz = np.nonzero(W[r:, c])[0]
+            if nz.size == 0:
+                continue
+            pr = r + int(nz[0])
+            if pr != r:
+                W[[r, pr]] = W[[pr, r]]
+                if blocked:
+                    A[[r, pr], c1:] = A[[pr, r], c1:]
+            if blocked:
+                W[r, b + r - r0] = 1
+            inv = F.inv(W[r, c])
+            W[r, c:] = F.mul(W[r, c:], inv)
+            col = W[:, c].copy()
+            col[r] = 0
+            mask = col != 0
+            if mask.any():
+                factors = F.neg(col[mask])
+                W[mask, c:] = F.add(W[mask, c:], F.mul(factors[:, None], W[r, c:][None, :]))
+            pivots.append(c0 + c)
+            r += 1
+        if blocked and r > r0:
+            A[:, c0:c1] = W[:, :b]
+            T = A[:, c1:]
+            S = T[r0:r].copy()
+            T[r0:r] = 0
+            A[:, c1:] = F.add(T, F.matmul(W[:, b : b + r - r0], S))
     return EchelonForm(r, tuple(pivots), FqMatrix(F, A))
 
 

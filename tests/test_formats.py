@@ -250,6 +250,25 @@ def test_grid_text_of_an_empty_shape(shape):
     assert grid_text(arr) == oracles.grid_text_by_str(arr) == "\n" * shape[0]
 
 
+def test_grid_text_writes_in_blocks():
+    """Several blocks of rows give the same bytes as one, and the writer's
+    peak stays below twice the array (3.5 times when it was written whole)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    arr = rng.integers(0, 3, (1024, 1024))
+    tracemalloc.start()
+    try:
+        text = grid_text(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * arr.nbytes
+    assert text == oracles.grid_text_by_str(arr)
+    wide = rng.integers(0, 65521, (700, 500))  # a partial last block
+    assert grid_text(wide) == oracles.grid_text_by_str(wide)
+
+
 NARROWED = {
     "plus_sign": "+1 2", "underscore": "1_0 2", "arabic_indic_digit": "\u0663 2", "minus_zero": "1 -0",
     "nbsp_separator": "1\u00a02", "line_separator": "1 2\u2028", "file_separator": "1\x1c2",

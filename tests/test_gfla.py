@@ -513,14 +513,17 @@ def test_nullspace_is_one_elimination(monkeypatch):
     assert seen == [(40, 90)]
 
 
-ECHELON_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (251, 1), (2, 8)]
+ECHELON_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (251, 1), (2, 8), (3, 6), (65521, 1)]
+# around the one-leaf rule (at most 64 columns) and a few recursion depths
 ECHELON_COLS = [63, 64, 65, 100, 200]
 
 
 def _echelon_cases(F, rng):
-    """(name, array) pairs across the panel boundaries: rank-deficient L.R
-    products with fewer and with more rows than columns, a zero panel,
-    pivots only in the last panel, one row and the zero matrix."""
+    """(name, array) pairs across the recursion's boundaries: rank-deficient
+    L.R products with fewer and with more rows than columns around the
+    one-leaf width, a zero leaf, pivots only in the right half or in the last
+    leaf, far fewer or far more rows than columns, one row, no rows, no
+    columns and the zero matrix."""
 
     def product(rows, cols, inner):
         return F.matmul(rng.integers(0, F.q, (rows, inner)), rng.integers(0, F.q, (inner, cols)))
@@ -528,13 +531,20 @@ def _echelon_cases(F, rng):
     for cols in ECHELON_COLS:
         for rows in (cols // 2, cols + 9):
             yield f"{rows}x{cols}", product(rows, cols, 2 * min(rows, cols) // 3)
-    zero_panel = product(80, 100, 70)
-    zero_panel[:, 16:32] = 0
-    yield "zero panel", zero_panel
-    last_panel = np.zeros((50, 100), dtype=np.int64)
-    last_panel[:, 96:] = rng.integers(0, F.q, (50, 4))
-    yield "pivots in the last panel", last_panel
+    zero_leaf = product(80, 100, 70)
+    zero_leaf[:, 16:32] = 0
+    yield "zero leaf", zero_leaf
+    right_half = np.zeros((60, 100), dtype=np.int64)
+    right_half[:, 52:] = product(60, 48, 30)
+    yield "pivots in the right half", right_half
+    last_leaf = np.zeros((50, 100), dtype=np.int64)
+    last_leaf[:, 96:] = rng.integers(0, F.q, (50, 4))
+    yield "pivots in the last leaf", last_leaf
+    yield "rows << cols", product(5, 130, 5)
+    yield "rows >> cols", product(300, 70, 50)
     yield "one row", rng.integers(0, F.q, (1, 200))
+    yield "no rows", np.zeros((0, 100), dtype=np.int64)
+    yield "no columns", np.zeros((20, 0), dtype=np.int64)
     yield "zero", np.zeros((30, 100), dtype=np.int64)
 
 
@@ -546,6 +556,7 @@ def test_echelonize_matches_unblocked(p, k):
         m = gfla.FqMatrix(F, arr)
         ech = gfla.echelonize(m)
         assert ech == oracles.echelonize_unblocked(m), name
+        assert ech == oracles.echelonize_panel(m), name
         # nullspace: a basis of the kernel of the right dimension, in RREF
         ns = gfla.nullspace(m)
         assert ns.rows == m.cols - ech.rank, name
@@ -579,6 +590,21 @@ def test_inverse_across_panels(p, k):
         singular = gfla.FqMatrix(F, F.matmul(rng.integers(0, F.q, (n, n - 5)), rng.integers(0, F.q, (n - 5, n))))
         with pytest.raises(ShapeMismatch):
             gfla.inverse(singular)
+
+
+def test_echelonize_product_count(monkeypatch):
+    """One leaf makes no product; the recursion makes at most two per split
+    (the right half's update and the composed Y), so fewer than 2 cols /
+    LEAF_WIDTH for a seeded GF(2) 320 x 336 elimination."""
+    calls = []
+    matmul = gfla.FieldSpec.matmul
+    monkeypatch.setattr(gfla.FieldSpec, "matmul", lambda self, x, y: calls.append(1) or matmul(self, x, y))
+    rng = np.random.default_rng(11)
+    for (p, k), shape in [((3, 1), (180, 60)), ((2, 1), (100, 64)), ((2, 8), (100, 116))]:
+        gfla.echelonize(gfla.FqMatrix(gfla.field_make(p, k), rng.integers(0, p**k, shape)))
+        assert not calls, (p, k, shape)
+    gfla.echelonize(gfla.FqMatrix(gfla.field_make(2), rng.integers(0, 2, (320, 336))))
+    assert 0 < len(calls) < 2 * 336 / gfla.LEAF_WIDTH
 
 
 # -- polynomials on Python ints and the lazy factor stream ----------------------
