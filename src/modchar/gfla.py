@@ -24,7 +24,9 @@ eliminated first, the right half takes its row operations as one such product
 and one add, and is eliminated next; only leaves of LEAF_WIDTH columns, or a
 small matrix as one leaf, run the pivot loop.  A null space is one
 elimination too: of the matrix with its columns reversed, whose kernel rows,
-reversed back, are already the kernel's RREF.
+reversed back, are already the kernel's RREF.  `char_poly` reduces to
+Hessenberg form by similarity steps, and `min_poly` takes the lcm of the
+characteristic polynomials of A on cyclic subspaces grown in a `WorkBasis`.
 Every operation is deterministic, so downstream results are bit-reproducible.
 """
 
@@ -768,58 +770,62 @@ def inverse(m: FqMatrix) -> FqMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Incremental echelon workspace (spin-up, Krylov, reductions)
+# Growing echelon basis (spin-up, cyclic subspaces, containment)
 # ---------------------------------------------------------------------------
 
 
 class WorkBasis:
-    """A growing RREF basis supporting reduce/insert on row vectors."""
+    """A growing basis in RREF: the rows as one int64 array beside their
+    pivot columns.  `extend` adds the span of a block of rows by two products
+    and one elimination; `insert` is `extend` of one row."""
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        self.rows: list[np.ndarray] = []
+        self.rows = np.zeros((0, width), dtype=np.int64)
         self.pivots: list[int] = []
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v, a vector or a stack of rows, less its part in the span: the
+        rows are fully reduced, so v[..., pivots] are the coefficients."""
+        if not self.pivots:
+            return v.copy()
         F = self.field
-        v = v.copy()
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = F.add(v, F.mul(F.neg(c), row))
-        return v
+        return F.sub(v, F.matmul(v[..., self.pivots], self.rows))
+
+    def extend(self, X: np.ndarray) -> np.ndarray:
+        """Add the span of the rows of X; return the RREF rows that were
+        added, as they stand in the basis.  The remainder of X is
+        echelonized, its pivot columns are cleared from the old rows by one
+        product, and the two sets merge in pivot order."""
+        F = self.field
+        rest = self.reduce(X)
+        if not rest.any():
+            return rest[:0]
+        new = echelonize(FqMatrix(F, rest))
+        added = new.matrix.arr[: new.rank]
+        if not self.pivots:
+            self.rows, self.pivots = added, list(new.pivots)
+            return added
+        old = F.sub(self.rows, F.matmul(self.rows[:, list(new.pivots)], added))
+        piv = self.pivots + list(new.pivots)
+        order = np.argsort(piv)
+        self.rows = np.vstack([old, added])[order]
+        self.pivots = [piv[i] for i in order]
+        return added
 
     def insert(self, v: np.ndarray) -> bool:
-        """Reduce v and insert the remainder; True when the basis grew."""
-        F = self.field
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        pc = int(nz[0])
-        v = F.mul(F.inv(v[pc]), v)
-        for i in range(len(self.rows)):
-            c = self.rows[i][pc]
-            if c:
-                self.rows[i] = F.add(self.rows[i], F.mul(F.neg(c), v))
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pc:
-            pos += 1
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, pc)
-        return True
+        """Add v; True when the basis grew."""
+        return len(self.extend(v[None, :])) > 0
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()
 
     def matrix(self) -> FqMatrix:
-        if not self.rows:
-            return FqMatrix.zeros(self.field, 0, self.width)
-        return FqMatrix(self.field, np.array(self.rows, dtype=np.int64))
+        return FqMatrix(self.field, self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,31 +1030,15 @@ class FqPolynomial:
 # -- minimal / characteristic polynomials -----------------------------------
 
 
-def _krylov(m: FqMatrix, v: np.ndarray, quotient: WorkBasis | None):
-    """(f, span) for the Krylov chain v, vA, vA^2, ... of A = m, taken
-    modulo the span of `quotient` when one is given: f is the monic relation
-    of least degree among the chain vectors, and the rows of span, reduced
-    against each other, span the independent ones before it."""
-    F = m.field
-    n = m.rows
-    local = WorkBasis(F, 2 * n + 1)
-    t = 0
-    while True:
-        aug = np.zeros(2 * n + 1, dtype=np.int64)
-        aug[:n] = v if quotient is None else quotient.reduce(v)
-        aug[n + t] = 1
-        red = local.reduce(aug)
-        if not red[:n].any():
-            # red holds the bookkeeping of the dependency; make x^t monic
-            return FqPolynomial(F, red[n : n + t + 1].tolist()).monic(), [row[:n] for row in local.rows]
-        local.insert(aug)
-        v = F.matmul(v[None, :], m.arr)[0]
-        t += 1
-
-
 def min_poly(m: FqMatrix) -> FqPolynomial:
-    """Minimal polynomial: the lcm of the minimal polynomials of the standard
-    seeds e_0, e_1, ... outside the Krylov chains seen so far."""
+    """Minimal polynomial: the lcm, over the standard seeds e_s outside the
+    cyclic subspaces seen so far, of the characteristic polynomial of A on
+    the cyclic subspace W of e_s, which is the minimal polynomial of e_s.
+
+    W is closed by doubling: once its RREF basis R spans the first d = 2^i
+    vectors e_s A^j, the next d span R.A^(2^i).  The first time they are not
+    all new, the vectors so far are dependent, so W is complete.  A acts on
+    W in the basis R as (R.A)[:, pivots]."""
     if m.rows != m.cols:
         raise NotSquare("min_poly of a non-square matrix")
     F = m.field
@@ -1058,42 +1048,62 @@ def min_poly(m: FqMatrix) -> FqPolynomial:
     for s in range(n):
         if result.degree == n:
             break
-        seed = np.zeros(n, dtype=np.int64)
-        seed[s] = 1
+        seed = np.eye(1, n, s, dtype=np.int64)
         if seen.contains(seed):
             continue
-        f, span = _krylov(m, seed, None)
-        for v in span:
-            seen.insert(v)
-        result = result.lcm(f)
+        W = WorkBasis(F, n)
+        W.extend(seed)
+        P = m.arr
+        while True:
+            d = len(W)
+            if len(W.extend(F.matmul(W.rows, P))) < d:
+                break
+            P = F.matmul(P, P)
+        on_w = F.matmul(W.rows, m.arr)[:, W.pivots]
+        result = result.lcm(char_poly(FqMatrix(F, on_w)))
+        seen.extend(W.rows)
     return result.monic()
 
 
 def char_poly(m: FqMatrix) -> FqPolynomial:
-    """Characteristic polynomial as the product of relative Krylov factors.
+    """Characteristic polynomial by Hessenberg reduction (Cohen, GTM 138,
+    2.2.4).
 
-    Each standard seed outside the span of the previous Krylov chains
-    contributes the minimal polynomial of its induced action on the quotient;
-    the product over seeds is the characteristic polynomial.
-    """
+    n - 2 similarity steps bring A to upper Hessenberg form H.  Step j swaps
+    a row below j that is nonzero in column j into row j + 1, and the two
+    columns alike; one rank-1 update then clears column j below row j + 1
+    by multiples of row j + 1, and one product adds the same multiples of
+    columns j + 2.. to column j + 1.  The characteristic polynomials p_k of
+    the leading k x k blocks of H obey
+    p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i,
+    so with the p_i stacked as rows each step is one product."""
     if m.rows != m.cols:
         raise NotSquare("char_poly of a non-square matrix")
     F = m.field
     n = m.rows
-    result = FqPolynomial.one(F)
-    glob = WorkBasis(F, n)
-    for s in range(n):
-        if len(glob) == n:
-            break
-        seed = np.zeros(n, dtype=np.int64)
-        seed[s] = 1
-        if glob.contains(seed):
+    H = m.arr.copy()
+    for j in range(n - 2):
+        nz = np.flatnonzero(H[j + 1 :, j])
+        if not nz.size:
             continue
-        f, span = _krylov(m, seed, glob)
-        for v in span:
-            glob.insert(v)
-        result = result.mul(f)
-    return result.monic()
+        r = j + 1 + int(nz[0])
+        if r != j + 1:
+            H[[j + 1, r]] = H[[r, j + 1]]
+            H[:, [j + 1, r]] = H[:, [r, j + 1]]
+        u = F.mul(H[j + 2 :, j], F.inv(H[j + 1, j]))
+        # row j + 1 is zero left of column j, as H is Hessenberg there
+        H[j + 2 :, j:] = F.sub(H[j + 2 :, j:], F.mul(u[:, None], H[j + 1, j:]))
+        H[:, j + 1] = F.add(H[:, j + 1], F.matmul(H[:, j + 2 :], u))
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    subdiag = np.zeros(0, dtype=np.int64)  # subdiag[i] = h_{i+1,i} ... h_{k,k-1}
+    for k in range(n):
+        p = F.sub(np.roll(P[k], 1), F.mul(H[k, k], P[k]))
+        if k:
+            subdiag = F.mul(np.append(subdiag, 1), H[k, k - 1])
+            p = F.sub(p, F.matmul(F.mul(H[:k, k], subdiag), P[:k]))
+        P[k + 1] = p
+    return FqPolynomial(F, P[n].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ way is eliminated again.  The isomorphism test takes
 its seed va from the same kind of null space and spins it once in
 a (+) b^d beside the kernel basis k_1 .. k_d on b: the spun rows with zero
 a-part tell by one null space which vb = c.K extend to an intertwiner, and
-the rows [I | Y] give its matrix.  The layered spin and echelonize are the
-only eliminations here.
+the rows [I | Y] give its matrix.  Every elimination here is `echelonize`;
+the layered spin reaches it through `WorkBasis.extend`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .gfla import (
     FieldSpec,
     FqMatrix,
     FqPolynomial,
+    WorkBasis,
     char_poly,
     echelonize,
     inverse,
@@ -135,35 +136,21 @@ def word_stream(ngens: int, p: int, seed: int):
 def spin(rep: Representation, seeds: FqMatrix) -> FqMatrix:
     """Canonical basis of the smallest invariant subspace containing the seeds.
 
-    Closed layer by layer: the rows found last (the frontier) times all
-    generators side by side is one product, its reduction against the basis
-    so far another; the echelonized remainder joins the basis and becomes the
-    next frontier.  The result is the RREF of the subspace, so it does not
-    depend on the order in which vectors are found.
+    Closed layer by layer in a `WorkBasis`: the rows added last (the
+    frontier) times all generators side by side is one product, and
+    `extend` by it returns the next frontier.  The result is the RREF of the
+    subspace, so it does not depend on the order in which vectors are found.
     """
     if seeds.cols != rep.dim:
         raise ShapeMismatch("seed width differs from the module dimension")
     F = rep.field
-    ech = echelonize(seeds)
-    R = ech.matrix.arr[: ech.rank]
-    piv = list(ech.pivots)
-    if not rep.gens:
-        return FqMatrix(F, R)
-    G = np.hstack([g.arr for g in rep.gens])
-    frontier = R
-    while len(frontier) and len(piv) < rep.dim:
-        X = F.matmul(frontier, G).reshape(-1, rep.dim)
-        # R is fully reduced, so X[:, piv] are the coefficients to subtract
-        X = F.sub(X, F.matmul(X[:, piv], R))
-        new = echelonize(FqMatrix(F, X))
-        frontier = new.matrix.arr[: new.rank]
-        if new.rank:
-            R = F.sub(R, F.matmul(R[:, list(new.pivots)], frontier))
-            piv += new.pivots
-            order = np.argsort(piv)
-            R = np.vstack([R, frontier])[order]
-            piv = [piv[i] for i in order]
-    return FqMatrix(F, R)
+    basis = WorkBasis(F, rep.dim)
+    frontier = basis.extend(seeds.arr)
+    if rep.gens:
+        G = np.hstack([g.arr for g in rep.gens])
+        while len(frontier) and len(basis) < rep.dim:
+            frontier = basis.extend(F.matmul(frontier, G).reshape(-1, rep.dim))
+    return basis.matrix()
 
 
 def split(rep: Representation, sub: FqMatrix):

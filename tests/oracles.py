@@ -56,7 +56,12 @@ Gauss-Jordan over Q, one `Fraction` operation per entry, and
 `verify_matrix_fractions` the earlier final check, which rebuilt a list of
 Fractions per nonzero term of D; `divmod_monic_dense` is the earlier long
 division by a monic polynomial, which subtracted every coefficient of the
-divisor, zero or not.
+divisor, zero or not.  `WorkBasisRows` is the earlier `gfla.WorkBasis`, one
+row reduced and inserted at a time; `spin_by_vectors`, `maximal_chain_factors`
+and `_standard_basis` grow their bases in it.  `char_poly_krylov` and
+`min_poly_krylov` are the earlier polynomials: one Krylov chain per standard
+seed, each vector reduced against the chain in a `WorkBasisRows`, the
+characteristic polynomial's chains taken modulo those before.
 """
 
 from __future__ import annotations
@@ -92,7 +97,6 @@ from modchar.gfla import (
     FieldSpec,
     FqMatrix,
     FqPolynomial,
-    WorkBasis,
     _equal_degree,
     _pow_mod,
     char_poly,
@@ -246,12 +250,128 @@ def echelonize_panel(m: FqMatrix) -> EchelonForm:
     return EchelonForm(r, tuple(pivots), FqMatrix(F, A))
 
 
+class WorkBasisRows:
+    """The earlier `gfla.WorkBasis`: a list of RREF rows grown one row at a
+    time, each reduction and insertion a Python loop over the rows."""
+
+    def __init__(self, field: FieldSpec, width: int):
+        self.field = field
+        self.width = width
+        self.rows: list[np.ndarray] = []
+        self.pivots: list[int] = []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        F = self.field
+        v = v.copy()
+        for row, pc in zip(self.rows, self.pivots):
+            c = v[pc]
+            if c:
+                v = F.add(v, F.mul(F.neg(c), row))
+        return v
+
+    def insert(self, v: np.ndarray) -> bool:
+        """Reduce v and insert the remainder; True when the basis grew."""
+        F = self.field
+        v = self.reduce(v)
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return False
+        pc = int(nz[0])
+        v = F.mul(F.inv(v[pc]), v)
+        for i in range(len(self.rows)):
+            c = self.rows[i][pc]
+            if c:
+                self.rows[i] = F.add(self.rows[i], F.mul(F.neg(c), v))
+        pos = 0
+        while pos < len(self.pivots) and self.pivots[pos] < pc:
+            pos += 1
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, pc)
+        return True
+
+    def contains(self, v: np.ndarray) -> bool:
+        return not self.reduce(v).any()
+
+    def matrix(self) -> FqMatrix:
+        if not self.rows:
+            return FqMatrix.zeros(self.field, 0, self.width)
+        return FqMatrix(self.field, np.array(self.rows, dtype=np.int64))
+
+
+def _krylov(m: FqMatrix, v: np.ndarray, quotient: WorkBasisRows | None):
+    """(f, span) for the Krylov chain v, vA, vA^2, ... of A = m, taken
+    modulo the span of `quotient` when one is given: f is the monic relation
+    of least degree among the chain vectors, and the rows of span, reduced
+    against each other, span the independent ones before it."""
+    F = m.field
+    n = m.rows
+    local = WorkBasisRows(F, 2 * n + 1)
+    t = 0
+    while True:
+        aug = np.zeros(2 * n + 1, dtype=np.int64)
+        aug[:n] = v if quotient is None else quotient.reduce(v)
+        aug[n + t] = 1
+        red = local.reduce(aug)
+        if not red[:n].any():
+            # red holds the bookkeeping of the dependency; make x^t monic
+            return FqPolynomial(F, red[n : n + t + 1].tolist()).monic(), [row[:n] for row in local.rows]
+        local.insert(aug)
+        v = F.matmul(v[None, :], m.arr)[0]
+        t += 1
+
+
+def min_poly_krylov(m: FqMatrix) -> FqPolynomial:
+    """The earlier `gfla.min_poly`: the lcm of the minimal polynomials of
+    the standard seeds e_0, e_1, ... outside the Krylov chains seen so far."""
+    F = m.field
+    n = m.rows
+    result = FqPolynomial.one(F)
+    seen = WorkBasisRows(F, n)
+    for s in range(n):
+        if result.degree == n:
+            break
+        seed = np.zeros(n, dtype=np.int64)
+        seed[s] = 1
+        if seen.contains(seed):
+            continue
+        f, span = _krylov(m, seed, None)
+        for v in span:
+            seen.insert(v)
+        result = result.lcm(f)
+    return result.monic()
+
+
+def char_poly_krylov(m: FqMatrix) -> FqPolynomial:
+    """The earlier `gfla.char_poly`: the product of relative Krylov factors,
+    each standard seed outside the span of the previous chains contributing
+    the minimal polynomial of its action on the quotient."""
+    F = m.field
+    n = m.rows
+    result = FqPolynomial.one(F)
+    glob = WorkBasisRows(F, n)
+    for s in range(n):
+        if len(glob) == n:
+            break
+        seed = np.zeros(n, dtype=np.int64)
+        seed[s] = 1
+        if glob.contains(seed):
+            continue
+        f, span = _krylov(m, seed, glob)
+        for v in span:
+            glob.insert(v)
+        result = result.mul(f)
+    return result.monic()
+
+
 def spin_by_vectors(r: rep.Representation, seeds: FqMatrix) -> FqMatrix:
     """Canonical basis of the submodule generated by the seeds, closed one
     vector times one generator at a time through a queue of the raw vectors
     whose insertion grew the span."""
     F = r.field
-    basis = WorkBasis(F, r.dim)
+    basis = WorkBasisRows(F, r.dim)
     queue = [row.copy() for row in seeds.arr if basis.insert(row.copy())]
     while queue:
         v = queue.pop(0)
@@ -331,7 +451,7 @@ def maximal_chain_factors(r: rep.Representation, submodules, simples, seed=1):
             if W.rows <= current.rows:
                 continue
             # current < W?
-            wb = WorkBasis(r.field, r.dim)
+            wb = WorkBasisRows(r.field, r.dim)
             for row in W.arr:
                 wb.insert(row.copy())
             if all(wb.contains(row) for row in current.arr):
@@ -715,7 +835,7 @@ def _standard_basis(r: rep.Representation, v: np.ndarray):
     F = r.field
     rows = [v.copy()]
     schedule = []
-    basis = WorkBasis(F, r.dim)
+    basis = WorkBasisRows(F, r.dim)
     basis.insert(v.copy())
     i = 0
     while i < len(rows) and len(rows) < r.dim:

@@ -194,6 +194,25 @@ def test_tables_of_a7_against_the_literature(monkeypatch, p):
     assert [ch.degree_int() for ch in t.characters] == A7_DEGREES[p]
 
 
+# M11's Brauer tables at 3 and 2 (Atlas degrees); its tensor closure at 2
+# takes characteristic polynomials of modules up to dimension 440
+M11_DEGREES = {
+    3: [1, 5, 5, 10, 10, 10, 24, 45],
+    2: [1, 10, 16, 16, 44],
+}
+
+
+@pytest.mark.parametrize("p", list(M11_DEGREES))
+def test_brauer_tables_of_m11_against_the_literature(p):
+    g = grp.enumerate_group([grp.perm_from_cycles(11, [tuple(range(1, 12))]),
+                             grp.perm_from_cycles(11, [(3, 7, 11, 8), (4, 10, 5, 6)])])
+    assert g.order == 7920
+    t0 = time.process_time()
+    t = ctab.brauer_table(g, p)
+    assert time.process_time() - t0 < 15
+    assert [ch.degree_int() for ch in t.characters] == M11_DEGREES[p]
+
+
 def _scalar_or_error(fn, table, a, b):
     try:
         return fn(table, a, b)

@@ -217,11 +217,13 @@ def test_matmul_matches_digit_planes(p, k):
     # the extreme entries: every product term is (q-1).(q-1)
     full = np.full((3, 40), F.q - 1, dtype=np.int64)
     assert np.array_equal(F.matmul(full, full.T), oracles.matmul_planes(F, full, full.T))
-    # a single row, as spin and the Krylov chains use it
+    # a single row, and a bare vector on either side, as char_poly's column
+    # product and recurrence use them
     v = rng.integers(0, F.q, 13)
     B = rng.integers(0, F.q, (13, 11))
     assert np.array_equal(F.matmul(v[None, :], B)[0], oracles.matmul_planes(F, v[None, :], B)[0])
     assert np.array_equal(F.matmul(v, B), oracles.matmul_planes(F, v, B))
+    assert np.array_equal(F.matmul(B.T, v), oracles.matmul_planes(F, B.T, v))
 
 
 def test_mulx_table_dtype_and_exactness_bound():
@@ -346,6 +348,81 @@ def test_min_char_poly_examples():
     assert gfla.char_poly(two) == sq.mul(sq)
     with pytest.raises(NotSquare):
         gfla.min_poly(gfla.FqMatrix.zeros(F2, 2, 3))
+
+
+POLY_KINDS = ["random", "permutation", "identity", "zero", "strictly_upper", "block_2x2"]
+
+
+def _poly_case(F, kind, n):
+    rng = np.random.default_rng([F.q, POLY_KINDS.index(kind), n])
+    if kind == "random":
+        return rng.integers(0, F.q, (n, n))
+    if kind == "permutation":
+        return np.eye(n, dtype=np.int64)[rng.permutation(n)]
+    if kind == "identity":
+        return np.eye(n, dtype=np.int64)
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.int64)
+    if kind == "strictly_upper":
+        return np.triu(rng.integers(0, F.q, (n, n)), 1)
+    # one 2 x 2 block down the diagonal (cut to 1 x 1 at odd n): derogatory
+    block = np.array([[0, 1], [1, 1]], dtype=np.int64)
+    return np.kron(np.eye((n + 1) // 2, dtype=np.int64), block)[:n, :n]
+
+
+@pytest.mark.parametrize("kind", POLY_KINDS)
+@pytest.mark.parametrize("pk", [(2, 1), (2, 2), (7, 1), (3, 2), (421, 1)])
+def test_char_and_min_poly_match_krylov_oracles(pk, kind):
+    """Hessenberg char_poly and the doubling min_poly against the Krylov
+    loops; the polynomials are unique, so the oracles also check that
+    min_poly is minimal."""
+    F = gfla.field_make(*pk)
+    for n in (0, 1, 2, 3, 5, 13, 30, 60):
+        m = gfla.FqMatrix(F, _poly_case(F, kind, n))
+        assert gfla.char_poly(m) == oracles.char_poly_krylov(m), n
+        assert gfla.min_poly(m) == oracles.min_poly_krylov(m), n
+
+
+def test_work_basis_matches_per_row_oracle():
+    """Seeded insert sequences with dependent and zero rows: the block
+    WorkBasis and the per-row oracle agree row for row, and extend returns
+    exactly the rows it added."""
+    for (p, k), width in [((2, 1), 9), ((2, 2), 7), ((7, 1), 12), ((3, 2), 6), ((421, 1), 10)]:
+        F = gfla.field_make(p, k)
+        rng = np.random.default_rng([p, k, width])
+        wb, oracle = gfla.WorkBasis(F, width), oracles.WorkBasisRows(F, width)
+        inserted = []
+        for _ in range(3 * width):
+            roll = rng.integers(4)
+            if roll == 0:
+                v = np.zeros(width, dtype=np.int64)
+            elif roll == 1 and len(wb):
+                v = F.matmul(rng.integers(0, F.q, len(wb)), wb.matrix().arr)
+            else:
+                v = np.where(rng.integers(3, size=width) == 0, rng.integers(0, F.q, width), 0)
+            inserted.append(v)
+            assert wb.insert(v.copy()) == oracle.insert(v.copy())
+            assert wb.pivots == oracle.pivots
+            assert wb.matrix() == oracle.matrix()
+            probe = rng.integers(0, F.q, width)
+            assert wb.contains(probe) == oracle.contains(probe)
+            assert wb.contains(v)
+        assert wb.matrix() == gfla.row_space(gfla.FqMatrix(F, np.array(inserted)))
+        # reduce takes a vector or a stack of rows
+        X = rng.integers(0, F.q, (4, width))
+        assert np.array_equal(wb.reduce(X), [oracle.reduce(x) for x in X])
+        assert np.array_equal(wb.reduce(X[0]), oracle.reduce(X[0]))
+
+    F = gfla.field_make(7, 1)
+    rng = np.random.default_rng(11)
+    wb = gfla.WorkBasis(F, 10)
+    for rows in (3, 2, 4, 3):
+        X = rng.integers(0, F.q, (rows, 3)) @ rng.integers(0, F.q, (3, 10)) % 7
+        before = list(wb.pivots)
+        added = wb.extend(X)
+        new = [i for i, c in enumerate(wb.pivots) if c not in before]
+        assert np.array_equal(added, wb.matrix().arr[new])
+        assert len(wb.extend(X)) == 0 and len(wb.extend(added)) == 0
 
 
 def test_associativity_distributivity_random():
@@ -735,8 +812,8 @@ def test_poly_eq_hash_key_agree(ab):
 
 
 def test_poly_results_hold_python_ints():
-    """char_poly and min_poly come out of int64 Krylov rows; their
-    coefficients and format() must still be Python ints."""
+    """char_poly and min_poly come out of int64 rows of stacked
+    polynomials; their coefficients and format() must still be Python ints."""
     F = gfla.field_make(3, 2)
     m = gfla.FqMatrix(F, np.random.default_rng(3).integers(0, F.q, (6, 6)))
     for f in (gfla.char_poly(m), gfla.min_poly(m)):
